@@ -85,61 +85,6 @@ pub fn measure(reps: usize, mut f: impl FnMut()) -> Duration {
     times[times.len() / 2]
 }
 
-/// Machine-readable benchmark output: repo-root `BENCH_*.json` files.
-///
-/// Each bench binary appends its own headline section under a distinct
-/// key via [`report::merge`], so `cargo bench` runs accumulate into one
-/// document instead of clobbering each other.
-pub mod report {
-    use std::fs;
-    use std::path::PathBuf;
-
-    pub use serde_json::{Map, Number, Value};
-
-    /// Build a JSON object from `(key, value)` pairs.
-    pub fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
-        Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// A float JSON number.
-    pub fn num(v: f64) -> Value {
-        Value::Number(Number::from_f64(v))
-    }
-
-    /// An integer JSON number.
-    pub fn int(v: u64) -> Value {
-        Value::Number(Number::from_u64(v))
-    }
-
-    /// A string JSON value.
-    pub fn text(v: impl Into<String>) -> Value {
-        Value::String(v.into())
-    }
-
-    /// Repo-root path of a results file (benches run from the crate dir).
-    pub fn path(file: &str) -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join(file)
-    }
-
-    /// Merge `key: value` into the JSON object stored at the repo-root
-    /// `file`, creating the file if absent or unreadable.
-    pub fn merge(file: &str, key: &str, value: Value) {
-        let p = path(file);
-        let mut root = fs::read_to_string(&p)
-            .ok()
-            .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-            .and_then(|v| match v {
-                Value::Object(m) => Some(m),
-                _ => None,
-            })
-            .unwrap_or_default();
-        root.insert(key.to_string(), value);
-        let rendered =
-            serde_json::to_string_pretty(&Value::Object(root)).expect("render bench report");
-        fs::write(&p, rendered + "\n").unwrap_or_else(|e| panic!("write {}: {e}", p.display()));
-    }
-}
-
 /// The experiment queries (Section 6).
 pub mod queries {
     use erbium_datagen::ExperimentConfig;

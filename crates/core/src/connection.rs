@@ -120,25 +120,13 @@ pub fn apply_session_option(ctx: &mut ExecContext, key: &str, value: &str) -> Db
             ))),
         }
     }
-    fn flag(key: &str, value: &str) -> DbResult<bool> {
-        match value {
-            "true" | "on" | "1" => Ok(true),
-            "false" | "off" | "0" => Ok(false),
-            _ => Err(DbError::Parse(format!(
-                "invalid value '{value}' for session option '{key}' (want on/off)"
-            ))),
-        }
-    }
     match key {
         "threads" => ctx.threads = num(key, value)?.min(64),
         "batch_size" => ctx.batch_size = num(key, value)?,
         "morsel_size" => ctx.morsel_size = num(key, value)?,
-        "fusion" => ctx.fusion = flag(key, value)?,
-        "columnar" => ctx.columnar = flag(key, value)?,
         _ => {
             return Err(DbError::Parse(format!(
-                "unknown session option '{key}' (supported: threads, batch_size, \
-                 morsel_size, fusion, columnar)"
+                "unknown session option '{key}' (supported: threads, batch_size, morsel_size)"
             )))
         }
     }

@@ -17,9 +17,8 @@
 //! Isolation is *structural*: the writer mutates its own detached copies,
 //! so a pinned snapshot cannot observe partial transactions — not because
 //! a visibility predicate filters rows, but because the snapshot's memory
-//! is never written to. The epoch stamps on row slots
-//! ([`erbium_storage::Table::slot_visible_at`]) make that ordering
-//! observable and testable, and pin each snapshot to a commit point.
+//! is never written to. Each snapshot records the catalog commit epoch it
+//! was pinned at ([`Snapshot::epoch`]), which names its commit point.
 //!
 //! **Publish protocol**: a mutator locks the writer, applies its change,
 //! captures a fresh [`ReadView`] (still under the lock, tagged with a

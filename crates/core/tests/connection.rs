@@ -195,7 +195,7 @@ fn set_option_is_session_scoped() {
     let mut b = shared.clone();
 
     a.set_option("threads", "1").unwrap();
-    a.set_option("columnar", "off").unwrap();
+    a.set_option("batch_size", "7").unwrap();
 
     // Session B and a third, later session still see the defaults: the
     // override lives in A's handle, not in any shared or global state.

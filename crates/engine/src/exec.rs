@@ -17,15 +17,13 @@
 //! * [`execute_streaming`] — compile to a [`QueryStream`] handle that the
 //!   caller pulls batch-by-batch; exposes live per-operator
 //!   [`ExecMetrics`] and cooperative cancellation.
-//! * [`execute`] — compatibility wrapper: drain the stream to a `Vec<Row>`
-//!   under a default context (what the materializing executor returned).
-//! * [`execute_optimized`] — optimize (see [`crate::optimizer`]) then drain.
-//! * [`execute_with_metrics`] — drain and return the metrics tree
-//!   (`EXPLAIN ANALYZE`-style).
+//!   [`QueryStream::drain`] pulls everything that remains and
+//!   [`QueryStream::metrics`] snapshots the tree (`EXPLAIN ANALYZE`-style).
+//! * [`execute`] — the one convenience: drain the stream to a `Vec<Row>`
+//!   under a default context.
 
 use crate::error::EngineResult;
 use crate::metrics::{ExecMetrics, OpMetrics};
-use crate::optimizer;
 use crate::plan::Plan;
 use crate::stream::{self, BoxedRowStream};
 use erbium_storage::{Catalog, Row};
@@ -174,30 +172,10 @@ pub fn execute_streaming<'a>(
     Ok(QueryStream { root, metrics })
 }
 
-/// Execute a plan against a catalog, returning the result rows.
-///
-/// Compatibility wrapper over [`execute_streaming`]: drains the stream
-/// under a default [`ExecContext`].
+/// Execute a plan against a catalog, returning the result rows: drains
+/// [`execute_streaming`] under a default [`ExecContext`].
 pub fn execute(plan: &Plan, cat: &Catalog) -> EngineResult<Vec<Row>> {
     execute_streaming(plan, cat, &ExecContext::default())?.drain()
-}
-
-/// Optimize the plan (see [`crate::optimizer`]) and execute it.
-pub fn execute_optimized(plan: &Plan, cat: &Catalog) -> EngineResult<Vec<Row>> {
-    let optimized = optimizer::optimize(plan.clone(), cat)?;
-    let mut qs = execute_streaming(&optimized, cat, &ExecContext::default())?;
-    qs.drain()
-}
-
-/// Execute and return both the rows and the plan-shaped metrics tree.
-pub fn execute_with_metrics(
-    plan: &Plan,
-    cat: &Catalog,
-    ctx: &ExecContext,
-) -> EngineResult<(Vec<Row>, ExecMetrics)> {
-    let mut qs = execute_streaming(plan, cat, ctx)?;
-    let rows = qs.drain()?;
-    Ok((rows, qs.metrics()))
 }
 
 #[cfg(test)]
@@ -426,7 +404,9 @@ mod tests {
             .unwrap()
             .filter(Expr::binary(crate::expr::BinOp::Gt, Expr::col(2), Expr::lit(120i64)))
             .project_columns(&[0]);
-        let (rows, m) = execute_with_metrics(&p, &c, &ExecContext::default()).unwrap();
+        let mut qs = execute_streaming(&p, &c, &ExecContext::default()).unwrap();
+        let rows = qs.drain().unwrap();
+        let m = qs.metrics();
         assert_eq!(rows.len(), 2);
         assert_eq!(m.name, "Project");
         assert_eq!(m.rows_out, 2);
@@ -456,7 +436,9 @@ mod tests {
         // Threads pinned: one wave examines at most threads x morsel rows,
         // so the examined-row bound below depends on the thread count.
         let ctx = ExecContext::new().with_batch_size(8).with_morsel_size(8).with_threads(2);
-        let (rows, m) = execute_with_metrics(&p, &c, &ctx).unwrap();
+        let mut qs = execute_streaming(&p, &c, &ctx).unwrap();
+        let rows = qs.drain().unwrap();
+        let m = qs.metrics();
         assert_eq!(rows.len(), 3);
         let scan = m.find("Scan big").unwrap();
         assert!(
@@ -531,7 +513,9 @@ mod tests {
                 (Expr::binary(crate::expr::BinOp::Add, Expr::col(0), Expr::lit(1i64)), "y".into()),
             ]);
         let ctx = ExecContext::new().with_threads(4).with_morsel_size(8);
-        let (rows, m) = execute_with_metrics(&p, &c, &ctx).unwrap();
+        let mut qs = execute_streaming(&p, &c, &ctx).unwrap();
+        let rows = qs.drain().unwrap();
+        let m = qs.metrics();
         assert_eq!(rows.len(), 32);
         assert_eq!(rows[0], vec![Value::Int(1)]);
         // Plan shape is preserved: Project -> Filter -> Scan, but the whole

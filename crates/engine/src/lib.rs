@@ -50,10 +50,7 @@ pub mod vplan;
 pub use agg::{AggCall, AggFunc};
 pub use cost::{annotate_metrics, estimate, explain_with_estimates, ColEst, Estimate};
 pub use error::{EngineError, EngineResult};
-pub use exec::{
-    default_threads, execute, execute_optimized, execute_streaming, execute_with_metrics,
-    ExecContext, QueryStream,
-};
+pub use exec::{default_threads, execute, execute_streaming, ExecContext, QueryStream};
 pub use expr::{BinOp, Expr, ScalarFunc, UnOp};
 pub use metrics::{ExecMetrics, OpMetrics};
 pub use plan::{bind_params, param_count, Field, JoinKind, Plan, PlanKind, SortKey};

@@ -15,7 +15,7 @@
 //!    rows mirrors the physical plan the rewriter produced.
 
 use erbium_datagen::{populate_experiment, ExperimentConfig};
-use erbium_engine::{execute_streaming, execute_with_metrics, ExecContext, Plan};
+use erbium_engine::{execute_streaming, ExecContext, Plan};
 use erbium_mapping::presets::paper;
 use erbium_mapping::{CoFormat, Lowering, QueryRewriter};
 use erbium_model::fixtures;
@@ -123,7 +123,9 @@ fn limit_terminates_upstream_scan_early() {
     // Threads pinned: one scan wave examines up to threads x morsel slots,
     // so the rows_in bound below depends on the thread count.
     let ctx = ExecContext::default().with_batch_size(4).with_morsel_size(4).with_threads(2);
-    let (rows, metrics) = execute_with_metrics(&plan, &cat, &ctx).unwrap();
+    let mut qs = execute_streaming(&plan, &cat, &ctx).unwrap();
+    let rows = qs.drain().unwrap();
+    let metrics = qs.metrics();
     assert_eq!(rows.len(), 3);
     let limit = metrics.find("Limit").expect("limit node in metrics");
     assert_eq!(limit.rows_out, 3);
@@ -143,7 +145,9 @@ fn metrics_tree_mirrors_rewritten_plan_for_e5_under_m1() {
     let (lw, cat) = setup("M1");
     // E5 under M1 is the paper's 3-way join: two Join nodes, three scans.
     let plan = plan_for(&lw, &cat, QUERIES[2].1);
-    let (rows, metrics) = execute_with_metrics(&plan, &cat, &ExecContext::default()).unwrap();
+    let mut qs = execute_streaming(&plan, &cat, &ExecContext::default()).unwrap();
+    let rows = qs.drain().unwrap();
+    let metrics = qs.metrics();
     assert!(!rows.is_empty());
     fn count_joins(m: &erbium_engine::ExecMetrics) -> usize {
         usize::from(m.name.starts_with("Join"))

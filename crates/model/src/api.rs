@@ -124,8 +124,8 @@ pub trait Connection {
     ) -> DbResult<()>;
     /// Pin the current state for stable repeated reads.
     fn snapshot(&mut self) -> DbResult<Self::Reads>;
-    /// Set a session-scoped option (`threads`, `batch_size`, `columnar`,
-    /// `slow_query_ms`, ...). Never affects other sessions.
+    /// Set a session-scoped option (`threads`, `batch_size`,
+    /// `morsel_size`). Never affects other sessions.
     fn set_option(&mut self, key: &str, value: &str) -> DbResult<()>;
     /// Plan-cache counters of the serving database (process-wide for an
     /// embedded handle; the server's cache for a remote one).

@@ -24,6 +24,7 @@
 
 pub mod api;
 pub mod attr;
+pub mod codec;
 pub mod db_error;
 pub mod error;
 pub mod fixtures;

@@ -56,6 +56,19 @@ impl DataType {
         }
     }
 
+    /// Container nesting depth: 0 for scalars, one more than the deepest
+    /// element/field type for arrays and structs. A conforming value nests
+    /// no deeper (see [`crate::codec`] for why that matters).
+    pub fn depth(&self) -> u32 {
+        match self {
+            DataType::Array(elem) => 1 + elem.depth(),
+            DataType::Struct(fields) => {
+                1 + fields.iter().map(|(_, t)| t.depth()).max().unwrap_or(0)
+            }
+            _ => 0,
+        }
+    }
+
     /// Field index within a struct type, by name.
     pub fn struct_field(&self, name: &str) -> Option<(usize, &DataType)> {
         match self {

@@ -231,7 +231,7 @@ fn set_option_is_isolated_between_wire_sessions() {
     assert_ne!(a.session_id(), b.session_id());
 
     a.set_option("threads", "1").unwrap();
-    a.set_option("columnar", "off").unwrap();
+    a.set_option("batch_size", "7").unwrap();
 
     // Both sessions still answer correctly; B runs with defaults — the
     // override lives in A's server-side session, not in shared state.

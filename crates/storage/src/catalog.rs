@@ -38,10 +38,8 @@ pub struct Catalog {
     /// structures contribute `name`, `name#left`, `name#right`).
     stats: CatalogStats,
     /// Commit epoch: advanced once per transaction by the database layer
-    /// ([`Catalog::advance_epoch`]) and stamped into every table a
-    /// transaction touches, so row slots record the `[created, deleted)`
-    /// epoch interval they were live in. Process-local: recovery restarts
-    /// at 0 (slot stamps are visibility bookkeeping, never persisted).
+    /// ([`Catalog::advance_epoch`]); a pinned snapshot records the epoch it
+    /// was taken at. Process-local: recovery restarts at 0.
     epoch: u64,
     /// Plain tables mutated since the last checkpoint (names inserted by
     /// [`Catalog::table_mut`], cleared by [`Catalog::mark_checkpointed`]).
@@ -127,20 +125,20 @@ impl Catalog {
     }
 
     /// Advance the commit epoch and return the new value. The database
-    /// layer calls this once at the start of every writing transaction;
-    /// tables touched afterwards stamp their slots with it.
+    /// layer calls this once at the start of every writing transaction.
     pub fn advance_epoch(&mut self) -> u64 {
         self.epoch += 1;
         self.epoch
     }
 
     /// Register a new table. Fails if the name is taken (by either a plain
-    /// or a factorized table).
+    /// or a factorized table) or a column type nests too deep to decode.
     pub fn create_table(&mut self, mut table: Table) -> StorageResult<()> {
         let name = table.name().to_string();
         if self.tables.contains_key(&name) || self.factorized.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
+        check_nesting(table.schema())?;
         table.bind_pool(&self.pool);
         self.structural_dirty = true;
         self.tables.insert(name, Arc::new(table));
@@ -167,14 +165,12 @@ impl Catalog {
     }
 
     /// Mutable access to a table. Handing out `&mut` is the choke point for
-    /// every CRUD path, so two pieces of bookkeeping live here: gathered
-    /// statistics are conservatively marked stale (the caller may be about
-    /// to write), and the current commit epoch is stamped into the table so
-    /// slot mutations record which epoch they happened in. If a snapshot
-    /// still shares the table, `Arc::make_mut` detaches a private copy
-    /// first (copy-on-write) — the snapshot keeps the old version.
+    /// every CRUD path, so the bookkeeping lives here: gathered statistics
+    /// are conservatively marked stale (the caller may be about to write)
+    /// and the table joins the dirty set. If a snapshot still shares the
+    /// table, `Arc::make_mut` detaches a private copy first (copy-on-write)
+    /// — the snapshot keeps the old version.
     pub fn table_mut(&mut self, name: &str) -> StorageResult<&mut Table> {
-        let epoch = self.epoch;
         let t = self
             .tables
             .get_mut(name)
@@ -184,7 +180,6 @@ impl Catalog {
             self.dirty_tables.insert(name.to_string());
         }
         let t = Arc::make_mut(t);
-        t.set_write_epoch(epoch);
         t.bump_content_epoch();
         Ok(t)
     }
@@ -206,6 +201,8 @@ impl Catalog {
         if self.tables.contains_key(&name) || self.factorized.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
+        check_nesting(ft.left().schema())?;
+        check_nesting(ft.right().schema())?;
         ft.bind_pool(&self.pool);
         self.structural_dirty = true;
         self.factorized.insert(name, Arc::new(ft));
@@ -233,9 +230,8 @@ impl Catalog {
     }
 
     /// Mutable access to a factorized structure; marks all three of its
-    /// statistics entries stale, copy-on-writes the structure if a
-    /// snapshot still shares it, and stamps the commit epoch into both
-    /// member tables (see [`Catalog::table_mut`]).
+    /// statistics entries stale and copy-on-writes the structure if a
+    /// snapshot still shares it (see [`Catalog::table_mut`]).
     pub fn factorized_mut(&mut self, name: &str) -> StorageResult<&mut FactorizedTable> {
         if !self.factorized.contains_key(name) {
             return Err(StorageError::TableNotFound(name.to_string()));
@@ -246,9 +242,7 @@ impl Catalog {
         if !self.dirty_facts.contains(name) {
             self.dirty_facts.insert(name.to_string());
         }
-        let epoch = self.epoch;
         let ft = Arc::make_mut(self.factorized.get_mut(name).expect("checked above"));
-        ft.set_write_epoch(epoch);
         ft.bump_content_epoch();
         Ok(ft)
     }
@@ -456,6 +450,22 @@ impl Catalog {
     }
 }
 
+/// A stored value nests no deeper than its column type, and the shared
+/// codec refuses to decode past [`erbium_model::codec::MAX_DEPTH`]: reject
+/// deeper types here, so the cap can never turn a committed row into a torn
+/// WAL tail or an unreadable checkpoint.
+fn check_nesting(schema: &crate::schema::TableSchema) -> StorageResult<()> {
+    let max = erbium_model::codec::MAX_DEPTH;
+    match schema.columns.iter().find(|c| c.dtype.depth() > max) {
+        None => Ok(()),
+        Some(col) => Err(StorageError::TypeMismatch {
+            column: col.name.clone(),
+            expected: format!("a type nested at most {max} deep"),
+            actual: col.dtype.to_string(),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,6 +485,21 @@ mod tests {
         c.drop_table("a").unwrap();
         assert!(!c.has_table("a"));
         assert!(c.drop_table("a").is_err());
+    }
+
+    #[test]
+    fn types_nested_past_the_codec_cap_are_rejected_at_creation() {
+        let nested = |levels: u32| {
+            let dtype = (0..levels).fold(DataType::Int, |t, _| t.array_of());
+            Table::new(TableSchema::new("deep", vec![Column::new("v", dtype)], vec![]))
+        };
+        let mut c = Catalog::new();
+        let max = erbium_model::codec::MAX_DEPTH;
+        assert!(matches!(
+            c.create_table(nested(max + 1)),
+            Err(StorageError::TypeMismatch { .. })
+        ));
+        c.create_table(nested(max)).unwrap();
     }
 
     #[test]
@@ -582,11 +607,6 @@ mod tests {
         assert!(snap.table("a").unwrap().get(crate::row::RowId(0)).is_some());
         assert!(c.table("a").unwrap().get(crate::row::RowId(0)).is_none());
 
-        // Epoch stamps: slot 0 lived [0, 1), slot 1 lives [1, MAX).
-        let wt = c.table("a").unwrap();
-        assert_eq!(wt.slot_epochs(0), Some((0, 1)));
-        assert_eq!(wt.slot_epochs(1), Some((1, u64::MAX)));
-        assert!(wt.slot_visible_at(0, 0) && !wt.slot_visible_at(0, 1));
         // Dropping a shared table hands the snapshot's copy back by clone.
         let dropped = c.drop_table("a").unwrap();
         assert_eq!(dropped.len(), 1);

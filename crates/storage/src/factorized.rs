@@ -71,14 +71,6 @@ impl Csr {
     }
 }
 
-/// Lazily built CSR views of both directions. `None` means "stale": any
-/// adjacency mutation clears the slot and the next traversal rebuilds it.
-#[derive(Debug, Default, Clone)]
-struct CsrCache {
-    fwd: Option<Arc<Csr>>,
-    rev: Option<Arc<Csr>>,
-}
-
 /// The join of two relations stored in factorized form.
 #[derive(Debug)]
 pub struct FactorizedTable {
@@ -91,12 +83,12 @@ pub struct FactorizedTable {
     rev: Vec<Vec<RowId>>,
     /// Total number of (left, right) pairs, i.e. the join cardinality.
     pairs: usize,
-    /// CSR views of `fwd`/`rev`, built lazily on first traversal after a
-    /// mutation. Behind a mutex so `csr_forward` can memoize through `&self`
-    /// (published snapshot views are shared immutably); every adjacency
-    /// mutation already holds `&mut self` and invalidates lock-free via
-    /// `Mutex::get_mut`.
-    csr: Mutex<CsrCache>,
+    /// CSR view of `fwd`, built lazily on first traversal after a mutation
+    /// (`None` means stale). Behind a mutex so `csr_forward` can memoize
+    /// through `&self` (published snapshot views are shared immutably);
+    /// every adjacency mutation already holds `&mut self` and invalidates
+    /// lock-free via `Mutex::get_mut`.
+    csr: Mutex<Option<Arc<Csr>>>,
     /// Monotonic content version bumped by `Catalog::factorized_mut`; see
     /// [`Table::content_epoch`].
     content_epoch: u64,
@@ -111,7 +103,7 @@ impl Clone for FactorizedTable {
             fwd: self.fwd.clone(),
             rev: self.rev.clone(),
             pairs: self.pairs,
-            // Share the built CSR views: they are immutable behind `Arc`s,
+            // Share the built CSR view: it is immutable behind an `Arc`,
             // and a later mutation on either clone invalidates only that
             // clone's cache. Keeps the cache warm across the catalog's
             // copy-on-write `Arc::make_mut`.
@@ -131,7 +123,7 @@ impl FactorizedTable {
             fwd: Vec::new(),
             rev: Vec::new(),
             pairs: 0,
-            csr: Mutex::new(CsrCache::default()),
+            csr: Mutex::new(None),
             content_epoch: 0,
         }
     }
@@ -150,14 +142,12 @@ impl FactorizedTable {
         self.content_epoch += 1;
     }
 
-    /// Drop both CSR views. Called by every adjacency mutation (row
+    /// Drop the CSR view. Called by every adjacency mutation (row
     /// inserts/deletes change the slot universe, link/unlink change the
     /// edges); in-place member `update_*` calls do NOT invalidate because
     /// they never touch the pointer lists.
     fn invalidate_csr(&mut self) {
-        let cache = self.csr.get_mut();
-        cache.fwd = None;
-        cache.rev = None;
+        *self.csr.get_mut() = None;
     }
 
     /// The forward (left slot → right neighbours) CSR view, building it on
@@ -165,34 +155,13 @@ impl FactorizedTable {
     /// and an `Arc` clone.
     pub fn csr_forward(&self) -> Arc<Csr> {
         let mut cache = self.csr.lock();
-        if let Some(c) = &cache.fwd {
+        if let Some(c) = &*cache {
             return Arc::clone(c);
         }
         let c = Arc::new(Csr::build(&self.fwd, self.left.slot_count()));
         m_csr_rebuilds().inc();
-        cache.fwd = Some(Arc::clone(&c));
+        *cache = Some(Arc::clone(&c));
         c
-    }
-
-    /// The reverse (right slot → left neighbours) CSR view, lazily built
-    /// like [`FactorizedTable::csr_forward`].
-    pub fn csr_reverse(&self) -> Arc<Csr> {
-        let mut cache = self.csr.lock();
-        if let Some(c) = &cache.rev {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(Csr::build(&self.rev, self.right.slot_count()));
-        m_csr_rebuilds().inc();
-        cache.rev = Some(Arc::clone(&c));
-        c
-    }
-
-    /// Stamp the catalog commit epoch into both member tables (forwarded
-    /// from `Catalog::factorized_mut`, the write choke point) so their
-    /// slot mutations record the epoch they happened in.
-    pub(crate) fn set_write_epoch(&mut self, epoch: u64) {
-        self.left.set_write_epoch(epoch);
-        self.right.set_write_epoch(epoch);
     }
 
     pub fn left(&self) -> &Table {
@@ -391,7 +360,7 @@ impl FactorizedTable {
             left,
             right,
             pairs: 0,
-            csr: Mutex::new(CsrCache::default()),
+            csr: Mutex::new(None),
             content_epoch: 0,
         };
         for (l, r) in links {
@@ -450,69 +419,6 @@ impl FactorizedTable {
         let mut out = Vec::with_capacity(self.pairs);
         out.extend(self.iter_join());
         out
-    }
-
-    /// Enumerate the join restricted to left rows passing `pred`.
-    pub fn enumerate_join_filtered(&self, pred: impl Fn(&Row) -> bool) -> Vec<Row> {
-        let mut out = Vec::new();
-        for (l, lrow) in self.left.scan() {
-            if !pred(lrow) {
-                continue;
-            }
-            for &r in self.neighbours_right(l) {
-                let rrow = self.right.get(r).expect("linked right row is live");
-                let mut row = Vec::with_capacity(lrow.len() + rrow.len());
-                row.extend_from_slice(lrow);
-                row.extend_from_slice(rrow);
-                out.push(row);
-            }
-        }
-        out
-    }
-
-    /// Aggregate pushdown: for each left row, `(left_row, COUNT(right))`
-    /// without materializing the join.
-    pub fn count_per_left(&self) -> Vec<(Row, u64)> {
-        self.left
-            .scan()
-            .map(|(l, lrow)| (lrow.clone(), self.neighbours_right(l).len() as u64))
-            .collect()
-    }
-
-    /// Aggregate pushdown: for each left row, `(left_row, SUM(right[col]))`.
-    /// NULLs are skipped, as in SQL SUM.
-    pub fn sum_right_per_left(&self, col: usize) -> StorageResult<Vec<(Row, Value)>> {
-        if col >= self.right.schema().arity() {
-            return Err(StorageError::ColumnNotFound {
-                table: format!("{}.right", self.name),
-                column: format!("#{col}"),
-            });
-        }
-        let mut out = Vec::with_capacity(self.left.len());
-        for (l, lrow) in self.left.scan() {
-            let mut sum = 0f64;
-            let mut any = false;
-            let mut all_int = true;
-            for &r in self.neighbours_right(l) {
-                let v = &self.right.get(r).expect("live")[col];
-                if let Some(x) = v.as_float() {
-                    sum += x;
-                    any = true;
-                    if !matches!(v, Value::Int(_)) {
-                        all_int = false;
-                    }
-                }
-            }
-            let v = if !any {
-                Value::Null
-            } else if all_int {
-                Value::Int(sum as i64)
-            } else {
-                Value::Float(sum)
-            };
-            out.push((lrow.clone(), v));
-        }
-        Ok(out)
     }
 
     /// Total join cardinality — O(1), the headline win of factorized
@@ -690,27 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_pushdown_matches_join() {
-        let mut f = ft();
-        let l1 = f.insert_left(vec![Value::Int(1), Value::str("a")]).unwrap();
-        let l2 = f.insert_left(vec![Value::Int(2), Value::str("b")]).unwrap();
-        let r1 = f.insert_right(vec![Value::Int(10), Value::Int(5)]).unwrap();
-        let r2 = f.insert_right(vec![Value::Int(20), Value::Int(7)]).unwrap();
-        f.link(l1, r1).unwrap();
-        f.link(l1, r2).unwrap();
-        f.link(l2, r1).unwrap();
-
-        let sums = f.sum_right_per_left(1).unwrap();
-        let s1 = sums.iter().find(|(l, _)| l[0] == Value::Int(1)).unwrap();
-        let s2 = sums.iter().find(|(l, _)| l[0] == Value::Int(2)).unwrap();
-        assert_eq!(s1.1, Value::Int(12));
-        assert_eq!(s2.1, Value::Int(5));
-
-        let counts = f.count_per_left();
-        assert_eq!(counts.iter().find(|(l, _)| l[0] == Value::Int(1)).unwrap().1, 2);
-    }
-
-    #[test]
     fn iter_join_streams_same_pairs_as_enumerate() {
         let mut f = ft();
         for i in 0..6 {
@@ -797,8 +682,6 @@ mod tests {
         // ... but an adjacency mutation does.
         f.link(l, r).unwrap();
         assert_eq!(f.csr_forward().edge_count(), 2);
-        // Reverse direction is cached independently.
-        assert_eq!(f.csr_reverse().neighbours_of(r.idx()).len(), 2);
     }
 
     #[test]
@@ -810,13 +693,11 @@ mod tests {
             f.link(l, r).unwrap();
         }
         let warm_fwd = f.csr_forward();
-        let warm_rev = f.csr_reverse();
         assert_eq!(warm_fwd.edge_count(), 4);
 
         f.truncate();
         let after = f.csr_forward();
         assert!(!Arc::ptr_eq(&warm_fwd, &after), "truncate dropped the cached forward view");
-        assert!(!Arc::ptr_eq(&warm_rev, &f.csr_reverse()), "and the reverse view");
         assert_eq!(after.edge_count(), 0);
         assert_eq!(f.iter_join_slots_csr(&after, 0..16).count(), 0, "no resurrected pairs");
 
@@ -912,18 +793,6 @@ mod tests {
         }
         // Every denormalized pair repeats the left payload AND the right row.
         assert!(f.approx_bytes() < f.denormalized_bytes() + 100 * 24);
-    }
-
-    #[test]
-    fn filtered_enumeration() {
-        let mut f = ft();
-        for i in 0..10 {
-            let l = f.insert_left(vec![Value::Int(i), Value::Null]).unwrap();
-            let r = f.insert_right(vec![Value::Int(100 + i), Value::Int(i)]).unwrap();
-            f.link(l, r).unwrap();
-        }
-        let out = f.enumerate_join_filtered(|l| l[0].as_int().unwrap() < 3);
-        assert_eq!(out.len(), 3);
     }
 }
 

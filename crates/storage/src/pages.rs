@@ -36,7 +36,7 @@
 //!
 //! A spilled page is column-chunk shaped: a slot-presence bitmap, then for
 //! each schema column the chunk of that column's values across the page's
-//! occupied slots, encoded with the WAL value codec (exact float-bit
+//! occupied slots, encoded with [`erbium_model::codec`] (exact float-bit
 //! round-trip, arrays/structs included). Decoding reassembles the rows.
 
 use crate::buffer_pool::{BufferPool, Extent, PAGE_SIZE};
@@ -44,7 +44,7 @@ use crate::error::StorageResult;
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::value::{DataType, Value};
-use crate::wal::{get_value, put_u32, put_value, Cursor};
+use erbium_model::codec::{get_value, put_u32, put_value, CodecResult, Cursor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -91,46 +91,23 @@ fn encode_page(page: &PageData, arity: usize) -> Vec<u8> {
 /// (callers treat that as an invariant violation: the spill file is
 /// process-local transient state, not untrusted input).
 fn decode_page(bytes: &[u8], arity: usize) -> Option<PageData> {
-    let mut c = Cursor::new(bytes);
-    let n = c.u32()? as usize;
-    let mut present = Vec::with_capacity(n.min(1 << 16));
-    for i in 0..n {
-        if i % 8 == 0 {
-            c.u8()?;
-        }
-    }
-    // Re-read the bitmap region (Cursor has no random access; recompute).
-    let bitmap = bytes.get(4..4 + n.div_ceil(8))?;
-    for i in 0..n {
-        present.push(bitmap[i / 8] & (1 << (i % 8)) != 0);
-    }
-    let occupied = present.iter().filter(|&&p| p).count();
-    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        let mut col = Vec::with_capacity(occupied);
-        for _ in 0..occupied {
-            col.push(get_value(&mut c)?);
-        }
-        cols.push(col);
-    }
-    if !c.is_done() {
-        return None;
-    }
-    let mut page: PageData = Vec::with_capacity(n);
-    let mut k = 0usize;
-    for &p in &present {
-        if p {
-            let mut row = Vec::with_capacity(arity);
-            for col in &cols {
-                row.push(col[k].clone());
+    fn decode(bytes: &[u8], arity: usize) -> CodecResult<PageData> {
+        let mut c = Cursor::new(bytes);
+        let n = c.u32()? as usize;
+        let bitmap = c.bytes(n.div_ceil(8))?;
+        let present = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
+        let occupied = (0..n).filter(|&i| present(i)).count();
+        let mut rows: Vec<Row> = (0..occupied).map(|_| Vec::with_capacity(arity)).collect();
+        for _ in 0..arity {
+            for row in &mut rows {
+                row.push(get_value(&mut c)?);
             }
-            k += 1;
-            page.push(Some(row));
-        } else {
-            page.push(None);
         }
+        c.finish()?;
+        let mut rows = rows.into_iter();
+        Ok((0..n).map(|i| if present(i) { rows.next() } else { None }).collect())
     }
-    Some(page)
+    decode(bytes, arity).ok()
 }
 
 /// One page's bookkeeping inside a [`RowStore`]. See the module docs for
@@ -585,6 +562,25 @@ mod tests {
             other => panic!("expected floats, got {other:?}"),
         }
         assert_eq!(page[2], back[2]);
+
+        // Malformed spill bytes decode to `None`, never a panic: every
+        // strict prefix, and a column of 100,000 nested array tags. A byte
+        // flip may still decode (to a different page).
+        for cut in 0..bytes.len() {
+            assert!(decode_page(&bytes[..cut], 2).is_none(), "prefix {cut}");
+        }
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0xFF;
+            let _ = decode_page(&flipped, 2);
+        }
+        let mut deep = vec![1, 0, 0, 0, 1]; // one slot, present
+        for _ in 0..100_000 {
+            deep.push(5); // array tag
+            put_u32(&mut deep, 1);
+        }
+        deep.push(0);
+        assert!(decode_page(&deep, 1).is_none());
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //! [magic "ERBSNAP1": 8 bytes] [body_len: u32 LE] [crc32(body): u32 LE] [body]
 //! ```
 //!
-//! The body reuses the WAL's binary value codec. Unlike the WAL — where a
-//! torn tail is expected and tolerated — any framing/CRC/decode failure in
-//! a snapshot is a hard [`StorageError::Corrupt`]: the file is written
-//! atomically (tmp + fsync + rename), so a damaged snapshot means real
-//! corruption, not a crash artifact.
+//! The body is written with the same [`erbium_model::codec`] as the WAL.
+//! Unlike the WAL — where a torn tail is expected and tolerated — any
+//! framing/CRC/decode failure in a snapshot is a hard
+//! [`StorageError::Corrupt`] (the `From<CodecError>` impl below is the one
+//! place that mapping lives): the file is written atomically (tmp + fsync +
+//! rename), so a damaged snapshot means real corruption, not a crash
+//! artifact.
 //!
 //! ## Incremental (delta) checkpoints
 //!
@@ -68,8 +70,9 @@ use crate::row::RowId;
 use crate::schema::TableSchema;
 use crate::stats::CatalogStats;
 use crate::table::Table;
-use crate::wal::{
-    crc32, get_row, put_row, put_str, put_u32, put_u64, scan_wal, Cursor, FactSide, WalRecord,
+use crate::wal::{scan_wal, FactSide, WalRecord};
+use erbium_model::codec::{
+    frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, Cursor,
 };
 use rustc_hash::FxHashMap;
 use std::io::Write;
@@ -127,6 +130,12 @@ fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("{ctx}: {e}"))
 }
 
+impl From<CodecError> for StorageError {
+    fn from(e: CodecError) -> StorageError {
+        corrupt(format!("checkpoint: {e}"))
+    }
+}
+
 // ---- encoding --------------------------------------------------------------
 
 fn put_table(buf: &mut Vec<u8>, t: &Table) {
@@ -167,6 +176,37 @@ fn put_slots(buf: &mut Vec<u8>, t: &Table) {
     }
 }
 
+/// One factorized structure: name, both member tables, the link pairs.
+fn put_fact(buf: &mut Vec<u8>, name: &str, ft: &FactorizedTable) {
+    put_str(buf, name);
+    put_table(buf, ft.left());
+    put_table(buf, ft.right());
+    let pairs = ft.link_pairs();
+    put_u32(buf, pairs.len() as u32);
+    for (l, r) in pairs {
+        put_u64(buf, l.0);
+        put_u64(buf, r.0);
+    }
+}
+
+/// The metadata area (E/R schema, mapping, version log all live here),
+/// sorted for deterministic bytes. Deltas carry it wholesale too: it is
+/// tiny relative to table data and per-key dirty tracking is not worth the
+/// bookkeeping.
+fn put_meta(buf: &mut Vec<u8>, cat: &Catalog) {
+    let mut meta: Vec<(&String, &serde_json::Value)> = cat.meta_entries().collect();
+    meta.sort_by_key(|(k, _)| k.as_str());
+    put_u32(buf, meta.len() as u32);
+    for (k, v) in meta {
+        put_str(buf, k);
+        put_str(buf, &v.to_string());
+    }
+}
+
+fn put_stats(buf: &mut Vec<u8>, stats: &CatalogStats) {
+    put_str(buf, &serde_json::to_string(stats).expect("catalog stats serialize"));
+}
+
 /// Serialize a whole catalog (plus the WAL's next transaction id) into the
 /// snapshot body.
 fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
@@ -181,39 +221,21 @@ fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
         put_table(&mut buf, t);
     }
 
-    // Factorized structures.
     let mut facts: Vec<(&String, &FactorizedTable)> = cat.factorized_iter().collect();
     facts.sort_by_key(|(n, _)| n.as_str());
     put_u32(&mut buf, facts.len() as u32);
     for (name, ft) in facts {
-        put_str(&mut buf, name);
-        put_table(&mut buf, ft.left());
-        put_table(&mut buf, ft.right());
-        let pairs = ft.link_pairs();
-        put_u32(&mut buf, pairs.len() as u32);
-        for (l, r) in pairs {
-            put_u64(&mut buf, l.0);
-            put_u64(&mut buf, r.0);
-        }
+        put_fact(&mut buf, name, ft);
     }
 
-    // Metadata area (E/R schema, mapping, version log all live here).
-    let mut meta: Vec<(&String, &serde_json::Value)> = cat.meta_entries().collect();
-    meta.sort_by_key(|(k, _)| k.as_str());
-    put_u32(&mut buf, meta.len() as u32);
-    for (k, v) in meta {
-        put_str(&mut buf, k);
-        put_str(&mut buf, &v.to_string());
-    }
+    put_meta(&mut buf, cat);
 
     // Optional trailing section: the statistics registry. Only emitted when
     // non-empty so a stat-less snapshot stays byte-identical to the
     // pre-stats format (and old readers that stop at the meta section would
     // reject only files that actually carry stats).
     if !cat.stats().is_empty() {
-        let stats_json =
-            serde_json::to_string(cat.stats()).expect("catalog stats serialize");
-        put_str(&mut buf, &stats_json);
+        put_stats(&mut buf, cat.stats());
     }
     buf
 }
@@ -221,19 +243,18 @@ fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
 // ---- decoding --------------------------------------------------------------
 
 fn get_table(c: &mut Cursor<'_>, pool: &Arc<BufferPool>) -> StorageResult<Table> {
-    let schema_json = c.str().ok_or_else(|| corrupt("snapshot: short table schema"))?;
-    let schema: TableSchema = serde_json::from_str(&schema_json)
+    let schema: TableSchema = serde_json::from_str(c.str()?)
         .map_err(|e| corrupt(format!("snapshot: bad table schema: {e}")))?;
-    let n_indexes = c.u32().ok_or_else(|| corrupt("snapshot: short index count"))? as usize;
-    let mut specs = Vec::with_capacity(n_indexes.min(1 << 10));
+    let n_indexes = c.count(9)?; // name length + column count + kind byte
+    let mut specs = Vec::with_capacity(n_indexes);
     for _ in 0..n_indexes {
-        let name = c.str().ok_or_else(|| corrupt("snapshot: short index name"))?;
-        let n_cols = c.u32().ok_or_else(|| corrupt("snapshot: short index columns"))? as usize;
-        let mut cols = Vec::with_capacity(n_cols.min(1 << 10));
+        let name = c.string()?;
+        let n_cols = c.count(4)?;
+        let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            cols.push(c.u32().ok_or_else(|| corrupt("snapshot: short index column"))? as usize);
+            cols.push(c.u32()? as usize);
         }
-        let kind = match c.u8().ok_or_else(|| corrupt("snapshot: short index kind"))? {
+        let kind = match c.u8()? {
             0 => IndexKind::Hash,
             1 => IndexKind::BTree,
             k => return Err(corrupt(format!("snapshot: unknown index kind {k}"))),
@@ -243,12 +264,12 @@ fn get_table(c: &mut Cursor<'_>, pool: &Arc<BufferPool>) -> StorageResult<Table>
     // Stream slots straight into a pool-bound table: `RowStore::push`
     // reclaims pages at page boundaries when over budget, so decoding a
     // table larger than the frame budget stays bounded.
-    let n = c.u32().ok_or_else(|| corrupt("snapshot: short slot count"))? as usize;
+    let n = c.count(1)?;
     let mut t = Table::with_pool(schema, pool.clone());
     for _ in 0..n {
-        let slot = match c.u8().ok_or_else(|| corrupt("snapshot: short slot flag"))? {
+        let slot = match c.u8()? {
             0 => None,
-            1 => Some(get_row(c).ok_or_else(|| corrupt("snapshot: short row"))?),
+            1 => Some(get_row(c)?),
             f => return Err(corrupt(format!("snapshot: bad slot flag {f}"))),
         };
         t.load_slot(slot).map_err(|e| corrupt(format!("snapshot: table rebuild failed: {e}")))?;
@@ -261,56 +282,61 @@ fn get_table(c: &mut Cursor<'_>, pool: &Arc<BufferPool>) -> StorageResult<Table>
     Ok(t)
 }
 
+fn get_fact(
+    c: &mut Cursor<'_>,
+    pool: &Arc<BufferPool>,
+) -> StorageResult<(String, FactorizedTable)> {
+    let name = c.string()?;
+    let left = get_table(c, pool)?;
+    let right = get_table(c, pool)?;
+    let n_pairs = c.count(16)?;
+    let mut links = Vec::with_capacity(n_pairs);
+    for _ in 0..n_pairs {
+        links.push((RowId(c.u64()?), RowId(c.u64()?)));
+    }
+    let ft = FactorizedTable::from_parts(&name, left, right, links)
+        .map_err(|e| corrupt(format!("snapshot: factorized rebuild failed: {e}")))?;
+    Ok((name, ft))
+}
+
+fn get_meta(c: &mut Cursor<'_>) -> StorageResult<FxHashMap<String, serde_json::Value>> {
+    let n_meta = c.count(8)?; // two length prefixes
+    let mut meta = FxHashMap::default();
+    for _ in 0..n_meta {
+        let k = c.string()?;
+        let v: serde_json::Value = serde_json::from_str(c.str()?)
+            .map_err(|e| corrupt(format!("snapshot: bad meta JSON under '{k}': {e}")))?;
+        meta.insert(k, v);
+    }
+    Ok(meta)
+}
+
+fn get_stats(c: &mut Cursor<'_>) -> StorageResult<CatalogStats> {
+    serde_json::from_str(c.str()?).map_err(|e| corrupt(format!("snapshot: bad stats JSON: {e}")))
+}
+
 fn decode_body(body: &[u8], pool: &Arc<BufferPool>) -> StorageResult<(Catalog, u64)> {
     let mut c = Cursor::new(body);
-    let next_txn = c.u64().ok_or_else(|| corrupt("snapshot: short header"))?;
+    let next_txn = c.u64()?;
     let mut cat = Catalog::with_pool(pool.clone());
 
-    let n_tables = c.u32().ok_or_else(|| corrupt("snapshot: short table count"))? as usize;
-    for _ in 0..n_tables {
+    for _ in 0..c.count(1)? {
         let t = get_table(&mut c, pool)?;
         cat.create_table(t).map_err(|e| corrupt(format!("snapshot: duplicate table: {e}")))?;
     }
-
-    let n_facts = c.u32().ok_or_else(|| corrupt("snapshot: short factorized count"))? as usize;
-    for _ in 0..n_facts {
-        let name = c.str().ok_or_else(|| corrupt("snapshot: short factorized name"))?;
-        let left = get_table(&mut c, pool)?;
-        let right = get_table(&mut c, pool)?;
-        let n_pairs = c.u32().ok_or_else(|| corrupt("snapshot: short pair count"))? as usize;
-        let mut links = Vec::with_capacity(n_pairs.min(1 << 20));
-        for _ in 0..n_pairs {
-            let l = c.u64().ok_or_else(|| corrupt("snapshot: short link"))?;
-            let r = c.u64().ok_or_else(|| corrupt("snapshot: short link"))?;
-            links.push((RowId(l), RowId(r)));
-        }
-        let ft = FactorizedTable::from_parts(&name, left, right, links)
-            .map_err(|e| corrupt(format!("snapshot: factorized rebuild failed: {e}")))?;
+    for _ in 0..c.count(1)? {
+        let (name, ft) = get_fact(&mut c, pool)?;
         cat.create_factorized(name, ft)
             .map_err(|e| corrupt(format!("snapshot: duplicate factorized: {e}")))?;
     }
-
-    let n_meta = c.u32().ok_or_else(|| corrupt("snapshot: short meta count"))? as usize;
-    for _ in 0..n_meta {
-        let k = c.str().ok_or_else(|| corrupt("snapshot: short meta key"))?;
-        let v = c.str().ok_or_else(|| corrupt("snapshot: short meta value"))?;
-        let v: serde_json::Value = serde_json::from_str(&v)
-            .map_err(|e| corrupt(format!("snapshot: bad meta JSON under '{k}': {e}")))?;
-        cat.put_meta(k, v);
-    }
+    cat.replace_meta(get_meta(&mut c)?);
 
     // Optional trailing section: the statistics registry (absent in
     // pre-stats snapshots and in snapshots taken before any ANALYZE).
     if !c.is_done() {
-        let s = c.str().ok_or_else(|| corrupt("snapshot: short stats section"))?;
-        let stats: CatalogStats = serde_json::from_str(&s)
-            .map_err(|e| corrupt(format!("snapshot: bad stats JSON: {e}")))?;
-        cat.set_stats(stats);
+        cat.set_stats(get_stats(&mut c)?);
     }
-
-    if !c.is_done() {
-        return Err(corrupt("snapshot: trailing bytes after body"));
-    }
+    c.finish()?;
     Ok((cat, next_txn))
 }
 
@@ -327,8 +353,7 @@ fn write_frame_atomic(
 ) -> StorageResult<()> {
     let mut out = Vec::with_capacity(body.len() + 16);
     out.extend_from_slice(magic);
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(body));
+    out.extend_from_slice(&frame_header(body));
     out.extend_from_slice(body);
 
     let final_path = dir.join(final_name);
@@ -351,25 +376,15 @@ fn write_frame_atomic(
 /// Read and CRC-verify a framed file, returning the body and its CRC (the
 /// CRC doubles as the content address deltas use to pin their base).
 fn read_frame(path: &Path, magic: &[u8; 8]) -> StorageResult<(Vec<u8>, u32)> {
-    let bytes =
+    let mut bytes =
         std::fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
-    if bytes.len() < magic.len() + 8 || &bytes[..magic.len()] != magic {
+    let mut c = Cursor::new(&bytes);
+    if c.bytes(magic.len())? != magic {
         return Err(corrupt("snapshot: bad magic"));
     }
-    let len_bytes: [u8; 4] =
-        bytes.get(8..12).and_then(|b| b.try_into().ok()).ok_or_else(|| corrupt("snapshot: short header"))?;
-    let crc_bytes: [u8; 4] =
-        bytes.get(12..16).and_then(|b| b.try_into().ok()).ok_or_else(|| corrupt("snapshot: short header"))?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let crc = u32::from_le_bytes(crc_bytes);
-    let body = bytes.get(16..16 + len).ok_or_else(|| corrupt("snapshot: short body"))?;
-    if bytes.len() != 16 + len {
-        return Err(corrupt("snapshot: trailing bytes after frame"));
-    }
-    if crc32(body) != crc {
-        return Err(corrupt("snapshot: body CRC mismatch"));
-    }
-    let mut bytes = bytes;
+    c.frame()?;
+    c.finish()?;
+    let crc = u32::from_le_bytes(bytes[12..16].try_into().expect("frame verified above"));
     bytes.drain(..16);
     Ok((bytes, crc))
 }
@@ -466,91 +481,45 @@ fn encode_delta_body(
 
     put_u32(&mut buf, facts.len() as u32);
     for name in facts {
-        let ft = cat.factorized(name)?;
-        put_str(&mut buf, name);
-        put_table(&mut buf, ft.left());
-        put_table(&mut buf, ft.right());
-        let pairs = ft.link_pairs();
-        put_u32(&mut buf, pairs.len() as u32);
-        for (l, r) in pairs {
-            put_u64(&mut buf, l.0);
-            put_u64(&mut buf, r.0);
-        }
+        put_fact(&mut buf, name, cat.factorized(name)?);
     }
 
-    // The metadata map and stats registry ride along wholesale: both are
-    // tiny relative to table data and per-key dirty tracking is not worth
-    // the bookkeeping.
-    let mut meta: Vec<(&String, &serde_json::Value)> = cat.meta_entries().collect();
-    meta.sort_by_key(|(k, _)| k.as_str());
-    put_u32(&mut buf, meta.len() as u32);
-    for (k, v) in meta {
-        put_str(&mut buf, k);
-        put_str(&mut buf, &v.to_string());
-    }
+    put_meta(&mut buf, cat);
     if cat.stats().is_empty() {
         buf.push(0);
     } else {
         buf.push(1);
-        let stats_json = serde_json::to_string(cat.stats()).expect("catalog stats serialize");
-        put_str(&mut buf, &stats_json);
+        put_stats(&mut buf, cat.stats());
     }
     Ok(buf)
 }
 
+/// The identifying header every delta body starts with.
+fn get_delta_header(c: &mut Cursor<'_>) -> StorageResult<(u64, u32, u64)> {
+    Ok((c.u64()?, c.u32()?, c.u64()?))
+}
+
 fn decode_delta_body(body: &[u8], pool: &Arc<BufferPool>) -> StorageResult<Delta> {
     let mut c = Cursor::new(body);
-    let seq = c.u64().ok_or_else(|| corrupt("delta: short seq"))?;
-    let base_crc = c.u32().ok_or_else(|| corrupt("delta: short base crc"))?;
-    let next_txn = c.u64().ok_or_else(|| corrupt("delta: short next txn"))?;
+    let (seq, base_crc, next_txn) = get_delta_header(&mut c)?;
 
-    let n_tables = c.u32().ok_or_else(|| corrupt("delta: short table count"))? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(1 << 10));
+    let n_tables = c.count(1)?;
+    let mut tables = Vec::with_capacity(n_tables);
     for _ in 0..n_tables {
         tables.push(get_table(&mut c, pool)?);
     }
-
-    let n_facts = c.u32().ok_or_else(|| corrupt("delta: short factorized count"))? as usize;
-    let mut facts = Vec::with_capacity(n_facts.min(1 << 10));
+    let n_facts = c.count(1)?;
+    let mut facts = Vec::with_capacity(n_facts);
     for _ in 0..n_facts {
-        let name = c.str().ok_or_else(|| corrupt("delta: short factorized name"))?;
-        let left = get_table(&mut c, pool)?;
-        let right = get_table(&mut c, pool)?;
-        let n_pairs = c.u32().ok_or_else(|| corrupt("delta: short pair count"))? as usize;
-        let mut links = Vec::with_capacity(n_pairs.min(1 << 20));
-        for _ in 0..n_pairs {
-            let l = c.u64().ok_or_else(|| corrupt("delta: short link"))?;
-            let r = c.u64().ok_or_else(|| corrupt("delta: short link"))?;
-            links.push((RowId(l), RowId(r)));
-        }
-        let ft = FactorizedTable::from_parts(&name, left, right, links)
-            .map_err(|e| corrupt(format!("delta: factorized rebuild failed: {e}")))?;
-        facts.push((name, ft));
+        facts.push(get_fact(&mut c, pool)?);
     }
-
-    let n_meta = c.u32().ok_or_else(|| corrupt("delta: short meta count"))? as usize;
-    let mut meta = FxHashMap::default();
-    for _ in 0..n_meta {
-        let k = c.str().ok_or_else(|| corrupt("delta: short meta key"))?;
-        let v = c.str().ok_or_else(|| corrupt("delta: short meta value"))?;
-        let v: serde_json::Value = serde_json::from_str(&v)
-            .map_err(|e| corrupt(format!("delta: bad meta JSON under '{k}': {e}")))?;
-        meta.insert(k, v);
-    }
-    let stats = match c.u8().ok_or_else(|| corrupt("delta: short stats flag"))? {
+    let meta = get_meta(&mut c)?;
+    let stats = match c.u8()? {
         0 => None,
-        1 => {
-            let s = c.str().ok_or_else(|| corrupt("delta: short stats section"))?;
-            Some(
-                serde_json::from_str(&s)
-                    .map_err(|e| corrupt(format!("delta: bad stats JSON: {e}")))?,
-            )
-        }
+        1 => Some(get_stats(&mut c)?),
         f => return Err(corrupt(format!("delta: bad stats flag {f}"))),
     };
-    if !c.is_done() {
-        return Err(corrupt("delta: trailing bytes after body"));
-    }
+    c.finish()?;
     Ok(Delta { seq, base_crc, next_txn, tables, facts, meta, stats })
 }
 
@@ -563,11 +532,7 @@ fn load_delta(path: &Path, pool: &Arc<BufferPool>) -> StorageResult<Delta> {
 /// enough for the checkpointer to tell live chain members from stale ones.
 fn delta_header(path: &Path) -> StorageResult<(u64, u32, u64)> {
     let (body, _) = read_frame(path, MAGIC2)?;
-    let mut c = Cursor::new(&body);
-    let seq = c.u64().ok_or_else(|| corrupt("delta: short seq"))?;
-    let base_crc = c.u32().ok_or_else(|| corrupt("delta: short base crc"))?;
-    let next_txn = c.u64().ok_or_else(|| corrupt("delta: short next txn"))?;
-    Ok((seq, base_crc, next_txn))
+    get_delta_header(&mut Cursor::new(&body))
 }
 
 /// What [`write_checkpoint`] decided to write.
@@ -1406,5 +1371,145 @@ mod tests {
             .unwrap();
         assert_eq!(rid, RowId(0), "free list rebuilt around the bulk rows");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn golden_catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![Column::not_null("id", DataType::Int), Column::new("name", DataType::Text)],
+            vec![0],
+        ));
+        t.create_index("by_name", vec![1], IndexKind::BTree).unwrap();
+        let r0 = t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        t.insert(vec![Value::Int(2), Value::Null]).unwrap();
+        t.delete(r0).unwrap();
+        cat.create_table(t).unwrap();
+        let mut ft = FactorizedTable::new(
+            "f",
+            TableSchema::new("l", vec![Column::not_null("lid", DataType::Int)], vec![0]),
+            TableSchema::new("r", vec![Column::not_null("rid", DataType::Int)], vec![0]),
+        );
+        let l = ft.insert_left(vec![Value::Int(1)]).unwrap();
+        let r = ft.insert_right(vec![Value::Int(10)]).unwrap();
+        ft.link(l, r).unwrap();
+        cat.create_factorized("f", ft).unwrap();
+        cat.put_meta("k", serde_json::from_str(r#"{"v": 1}"#).unwrap());
+        cat
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Minimal `ERBSNAP1` and `ERBSNAP2` bodies, bytes generated at the
+    /// commit before the codec moved to `erbium_model::codec` and the
+    /// factorized/metadata sections were folded into `put_fact`/`put_meta`:
+    /// the checkpoint format is pinned.
+    #[test]
+    fn golden_bodies_pin_the_checkpoint_format() {
+        let snap1 = [
+            "090000000000000001000000860000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65",
+            "223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254657874222c226e616d65223a",
+            "226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c227072696d6172795f6b6579",
+            "223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000001020000000202000000000000",
+            "0000010000000100000066580000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d6522",
+            "3a226c6964222c226e756c6c61626c65223a66616c73657d5d2c226e616d65223a226c222c227072696d6172795f6b65",
+            "79223a5b305d7d00000000010000000101000000020100000000000000580000007b22636f6c756d6e73223a5b7b2264",
+            "74797065223a22496e74222c226e616d65223a22726964222c226e756c6c61626c65223a66616c73657d5d2c226e616d",
+            "65223a2272222c227072696d6172795f6b6579223a5b305d7d00000000010000000101000000020a0000000000000001",
+            "0000000000000000000000000000000000000001000000010000006b070000007b2276223a317d",
+        ]
+        .concat();
+        let snap2 = [
+            "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
+            "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
+            "657874222c226e616d65223a226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c",
+            "227072696d6172795f6b6579223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000001",
+            "0200000002020000000000000000010000000100000066580000007b22636f6c756d6e73223a5b7b226474797065223a",
+            "22496e74222c226e616d65223a226c6964222c226e756c6c61626c65223a66616c73657d5d2c226e616d65223a226c22",
+            "2c227072696d6172795f6b6579223a5b305d7d00000000010000000101000000020100000000000000580000007b2263",
+            "6f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65223a22726964222c226e756c6c61626c65223a",
+            "66616c73657d5d2c226e616d65223a2272222c227072696d6172795f6b6579223a5b305d7d0000000001000000010100",
+            "0000020a00000000000000010000000000000000000000000000000000000001000000010000006b070000007b227622",
+            "3a317d00",
+        ]
+        .concat();
+        let mut cat = golden_catalog();
+        let pool = BufferPool::unbounded();
+
+        let body = encode_body(&cat, 9);
+        assert_eq!(hex(&body), snap1);
+        let (back, next_txn) = decode_body(&body, &pool).unwrap();
+        assert_eq!(next_txn, 9);
+        assert_catalogs_equal(&cat, &back);
+
+        let tables = ["t".to_string()];
+        let facts = ["f".to_string()];
+        let delta = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &tables, &facts).unwrap();
+        assert_eq!(hex(&delta), snap2);
+        let d = decode_delta_body(&delta, &pool).unwrap();
+        assert_eq!((d.seq, d.base_crc, d.next_txn), (2, 0xDEAD_BEEF, 11));
+        assert_eq!((d.tables.len(), d.facts.len(), d.meta.len()), (1, 1, 1));
+        assert!(d.stats.is_none());
+
+        // With statistics: ERBSNAP1 appends the stats string, ERBSNAP2 sets
+        // its flag byte and appends the same string.
+        cat.analyze();
+        let mut stats = Vec::new();
+        put_str(&mut stats, &serde_json::to_string(cat.stats()).unwrap());
+        assert_eq!(hex(&encode_body(&cat, 9)), format!("{snap1}{}", hex(&stats)));
+        let empty_delta = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &[], &[]).unwrap();
+        assert_eq!(
+            hex(&empty_delta),
+            format!("0200000000000000efbeadde0b00000000000000000000000000000001000000010000006b070000007b2276223a317d01{}", hex(&stats))
+        );
+    }
+
+    /// Every strict prefix of a body is an error, a byte flip is an error or
+    /// a catalog, and 100,000 nested array tags are an error — none panic.
+    #[test]
+    fn malformed_bodies_error_without_panicking() {
+        let cat = golden_catalog();
+        let pool = BufferPool::unbounded();
+        let body = encode_body(&cat, 9);
+        let tables = ["t".to_string()];
+        let delta = encode_delta_body(&cat, 1, 7, 9, &tables, &["f".to_string()]).unwrap();
+        for cut in 0..body.len() {
+            assert!(matches!(decode_body(&body[..cut], &pool), Err(StorageError::Corrupt(_))));
+        }
+        for cut in 0..delta.len() {
+            assert!(matches!(
+                decode_delta_body(&delta[..cut], &pool),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
+        for i in 0..body.len() {
+            let mut flipped = body.clone();
+            flipped[i] ^= 0xFF;
+            let _ = decode_body(&flipped, &pool);
+        }
+        for i in 0..delta.len() {
+            let mut flipped = delta.clone();
+            flipped[i] ^= 0xFF;
+            let _ = decode_delta_body(&flipped, &pool);
+        }
+
+        // One table whose single slot holds a 100,000-deep array.
+        let schema = TableSchema::new("d", vec![Column::new("v", DataType::Int.array_of())], vec![]);
+        let mut deep = Vec::new();
+        put_u64(&mut deep, 1);
+        put_u32(&mut deep, 1);
+        put_str(&mut deep, &serde_json::to_string(&schema).unwrap());
+        put_u32(&mut deep, 0); // no indexes
+        put_u32(&mut deep, 1); // one slot
+        deep.push(1);
+        put_u32(&mut deep, 1); // one column
+        for _ in 0..100_000 {
+            deep.push(5); // array tag
+            put_u32(&mut deep, 1);
+        }
+        deep.push(0);
+        assert!(matches!(decode_body(&deep, &pool), Err(StorageError::Corrupt(_))));
     }
 }

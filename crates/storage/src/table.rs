@@ -39,24 +39,11 @@ pub struct Table {
     live: usize,
     pk_index: Option<HashIndex>,
     indexes: Vec<SecondaryIndex>,
-    /// Catalog epoch of the transaction currently writing this table,
-    /// stamped by `Catalog::table_mut` before any mutation (0 for tables
-    /// mutated outside a catalog, e.g. during construction or WAL redo).
-    write_epoch: u64,
     /// Monotonic content version, bumped by `Catalog::table_mut` every time
     /// a writer checks the table out for mutation. Incremental checkpoints
     /// compare it against the version captured at the last checkpoint to
     /// decide whether the table must be re-serialized into a delta.
     content_epoch: u64,
-    /// Per-slot `[created_epoch, deleted_epoch)` visibility interval,
-    /// slot-aligned with `rows` and maintained by all five write paths
-    /// (insert / update / delete / restore / truncate). A live slot has
-    /// `deleted == u64::MAX`. Snapshot isolation itself is structural
-    /// (published views hold `Arc`s to immutable table versions); these
-    /// stamps make the epoch each slot (dis)appeared in observable, so
-    /// tests can assert the `created <= snapshot_epoch < deleted`
-    /// invariant against what a pinned snapshot actually sees.
-    epochs: Vec<(u64, u64)>,
 }
 
 impl Table {
@@ -82,9 +69,7 @@ impl Table {
             live: 0,
             pk_index,
             indexes: Vec::new(),
-            write_epoch: 0,
             content_epoch: 0,
-            epochs: Vec::new(),
         }
     }
 
@@ -121,41 +106,6 @@ impl Table {
     /// dirty-set maintenance, before the writer touches any row.
     pub(crate) fn bump_content_epoch(&mut self) {
         self.content_epoch += 1;
-    }
-
-    /// Stamp the catalog epoch that subsequent mutations belong to. Called
-    /// by `Catalog::table_mut` (the write choke point) so every slot
-    /// touched by a transaction records the epoch it was touched in.
-    pub(crate) fn set_write_epoch(&mut self, epoch: u64) {
-        self.write_epoch = epoch;
-    }
-
-    /// The epoch last stamped via [`Table::set_write_epoch`].
-    pub fn write_epoch(&self) -> u64 {
-        self.write_epoch
-    }
-
-    /// The `[created, deleted)` epoch interval of a slot, if it was ever
-    /// occupied. Live slots report `deleted == u64::MAX`.
-    pub fn slot_epochs(&self, slot: usize) -> Option<(u64, u64)> {
-        self.epochs.get(slot).copied()
-    }
-
-    /// Would `slot` hold a live row in a snapshot pinned at `epoch`?
-    /// True iff `created <= epoch < deleted`. This is the visibility
-    /// invariant snapshot-isolation tests check; the engine itself never
-    /// filters by it (published views are structurally immutable).
-    pub fn slot_visible_at(&self, slot: usize, epoch: u64) -> bool {
-        self.slot_epochs(slot).is_some_and(|(c, d)| c <= epoch && epoch < d)
-    }
-
-    /// Write a slot's epoch interval, growing the stamp vector as needed
-    /// (mirrors how `place_at` grows the slot vector during WAL redo).
-    fn stamp_slot(&mut self, slot: usize, created: u64, deleted: u64) {
-        if slot >= self.epochs.len() {
-            self.epochs.resize(slot + 1, (0, 0));
-        }
-        self.epochs[slot] = (created, deleted);
     }
 
     pub fn schema(&self) -> &TableSchema {
@@ -202,7 +152,6 @@ impl Table {
             }
         };
         self.live += 1;
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
         let row_ref = self.rows.get(rid.idx()).expect("just inserted");
         self.cols.set_row(rid.idx(), row_ref);
         if let Some(key) = self.schema.key_of(row_ref) {
@@ -260,13 +209,6 @@ impl Table {
             self.rows.push(Some(row));
         }
         self.live += n;
-        if self.epochs.len() < first + n {
-            self.epochs.resize(first + n, (0, 0));
-        }
-        let epoch = self.write_epoch;
-        for stamp in &mut self.epochs[first..first + n] {
-            *stamp = (epoch, u64::MAX);
-        }
         for slot in first..first + n {
             let rid = RowId(slot as u64);
             let row = self.rows.get(slot).expect("just appended");
@@ -323,10 +265,6 @@ impl Table {
         }
         self.cols.set_row(rid.idx(), &new_row);
         self.rows.set(rid.idx(), Some(new_row));
-        // An in-place update is a new row version: it becomes visible from
-        // the writing epoch onward (snapshots pinned earlier hold the old
-        // table version and never see it).
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
         Ok(old)
     }
 
@@ -338,9 +276,6 @@ impl Table {
             .ok_or_else(|| StorageError::RowNotFound { table: self.schema.name.clone(), row: rid.0 })?;
         self.free.push(rid.0);
         self.live -= 1;
-        if let Some(stamp) = self.epochs.get_mut(rid.idx()) {
-            stamp.1 = self.write_epoch;
-        }
         self.cols.clear_slot(rid.idx());
         if let Some(key) = self.schema.key_of(&row) {
             self.pk_index.as_mut().expect("pk index").remove(&key, rid);
@@ -368,7 +303,6 @@ impl Table {
         }
         self.rows.set(rid.idx(), Some(row));
         self.live += 1;
-        self.stamp_slot(rid.idx(), self.write_epoch, u64::MAX);
         let row_ref = self.rows.get(rid.idx()).expect("just restored").clone();
         self.cols.set_row(rid.idx(), &row_ref);
         if let Some(key) = self.schema.key_of(&row_ref) {
@@ -463,7 +397,6 @@ impl Table {
                 self.schema.canonicalize_row(&mut row);
                 self.rows.push(Some(row));
                 self.live += 1;
-                self.stamp_slot(i, self.write_epoch, u64::MAX);
                 let rid = RowId(i as u64);
                 let row_ref = self.rows.get(i).expect("just loaded").clone();
                 self.cols.set_row(i, &row_ref);
@@ -724,7 +657,6 @@ impl Table {
         self.rows.clear();
         self.cols.reset();
         self.free.clear();
-        self.epochs.clear();
         self.live = 0;
         if let Some(pk) = &mut self.pk_index {
             *pk = HashIndex::new();
@@ -899,13 +831,11 @@ mod tests {
         for r in rows.clone() {
             a.insert(r).unwrap();
         }
-        b.set_write_epoch(4);
         let (first, n) = b.bulk_append(rows).unwrap();
         assert_eq!((first, n), (0, 50));
         assert_eq!(a.all_rows(), b.all_rows());
         assert_eq!(a.compute_stats(), b.compute_stats());
         assert_eq!(b.lookup_pk(&Value::Int(17)).unwrap().1[0], Value::Int(17));
-        assert_eq!(b.slot_epochs(17), Some((4, u64::MAX)), "batch slots carry the write epoch");
     }
 
     #[test]
@@ -1057,32 +987,6 @@ mod tests {
         // A start beyond slot_count can never come from a correct morsel
         // partition; it must panic loudly in debug builds.
         let _ = t.scan_slots(100..200).count();
-    }
-
-    #[test]
-    fn slot_epoch_stamps_track_write_paths() {
-        let mut t = people();
-        t.set_write_epoch(3);
-        let r1 = t.insert(row(1, "ada", 36)).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((3, u64::MAX)));
-        assert!(t.slot_visible_at(r1.idx(), 3) && t.slot_visible_at(r1.idx(), 9));
-        assert!(!t.slot_visible_at(r1.idx(), 2), "not visible before creation");
-
-        t.set_write_epoch(5);
-        let old = t.delete(r1).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((3, 5)));
-        assert!(t.slot_visible_at(r1.idx(), 4) && !t.slot_visible_at(r1.idx(), 5));
-
-        t.set_write_epoch(6);
-        t.restore(r1, old).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((6, u64::MAX)));
-
-        t.set_write_epoch(8);
-        t.update(r1, row(1, "ada", 40)).unwrap();
-        assert_eq!(t.slot_epochs(r1.idx()), Some((8, u64::MAX)), "update is a new version");
-
-        t.truncate();
-        assert_eq!(t.slot_epochs(r1.idx()), None);
     }
 
     #[test]

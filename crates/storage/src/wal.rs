@@ -18,8 +18,8 @@
 //! ```
 //!
 //! The payload is a tag byte followed by a record-specific binary body (see
-//! [`WalRecord::encode`]). Values use a compact binary codec rather than
-//! JSON so that `Float` bit patterns (NaN included) round-trip exactly.
+//! [`WalRecord::encode`]), written with the shared [`erbium_model::codec`]
+//! (exact `Float` bit patterns, bounds-checked and depth-capped decoding).
 //!
 //! A torn tail — short header, short payload, or CRC mismatch — terminates
 //! the scan *cleanly*: everything before the tear is usable, the tear itself
@@ -36,7 +36,10 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::row::Row;
-use crate::value::Value;
+pub use erbium_model::codec::crc32;
+use erbium_model::codec::{
+    frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, CodecResult, Cursor,
+};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -57,179 +60,6 @@ impl Default for SyncPolicy {
     fn default() -> Self {
         SyncPolicy::EveryN(32)
     }
-}
-
-// ---- CRC32 ----------------------------------------------------------------
-
-/// IEEE CRC-32 (the polynomial used by zip/png), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-// ---- binary value codec ----------------------------------------------------
-
-const T_NULL: u8 = 0;
-const T_BOOL: u8 = 1;
-const T_INT: u8 = 2;
-const T_FLOAT: u8 = 3;
-const T_STR: u8 = 4;
-const T_ARRAY: u8 = 5;
-const T_STRUCT: u8 = 6;
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Cursor over a decode buffer. Every read is bounds-checked; a short buffer
-/// yields `None`, which the WAL scanner treats as a torn tail.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(bytes.try_into().ok()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(bytes.try_into().ok()?))
-    }
-
-    pub(crate) fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.buf.get(self.pos..self.pos + len)?;
-        self.pos += len;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-}
-
-pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(T_NULL),
-        Value::Bool(b) => {
-            buf.push(T_BOOL);
-            buf.push(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.push(T_INT);
-            buf.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Float(x) => {
-            buf.push(T_FLOAT);
-            buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(T_STR);
-            put_str(buf, s);
-        }
-        Value::Array(vs) => {
-            buf.push(T_ARRAY);
-            put_u32(buf, vs.len() as u32);
-            for x in vs {
-                put_value(buf, x);
-            }
-        }
-        Value::Struct(vs) => {
-            buf.push(T_STRUCT);
-            put_u32(buf, vs.len() as u32);
-            for x in vs {
-                put_value(buf, x);
-            }
-        }
-    }
-}
-
-pub(crate) fn get_value(c: &mut Cursor<'_>) -> Option<Value> {
-    match c.u8()? {
-        T_NULL => Some(Value::Null),
-        T_BOOL => Some(Value::Bool(c.u8()? != 0)),
-        T_INT => {
-            let mut b = [0u8; 8];
-            for e in &mut b {
-                *e = c.u8()?;
-            }
-            Some(Value::Int(i64::from_le_bytes(b)))
-        }
-        T_FLOAT => Some(Value::Float(f64::from_bits(c.u64()?))),
-        T_STR => Some(Value::Str(Arc::from(c.str()?.as_str()))),
-        T_ARRAY => {
-            let n = c.u32()? as usize;
-            let mut vs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                vs.push(get_value(c)?);
-            }
-            Some(Value::Array(vs))
-        }
-        T_STRUCT => {
-            let n = c.u32()? as usize;
-            let mut vs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                vs.push(get_value(c)?);
-            }
-            Some(Value::Struct(vs))
-        }
-        _ => None,
-    }
-}
-
-pub(crate) fn put_row(buf: &mut Vec<u8>, row: &Row) {
-    put_u32(buf, row.len() as u32);
-    for v in row {
-        put_value(buf, v);
-    }
-}
-
-pub(crate) fn get_row(c: &mut Cursor<'_>) -> Option<Row> {
-    let n = c.u32()? as usize;
-    let mut row = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        row.push(get_value(c)?);
-    }
-    Some(row)
 }
 
 // ---- records ---------------------------------------------------------------
@@ -303,11 +133,11 @@ fn put_side(buf: &mut Vec<u8>, side: FactSide) {
     });
 }
 
-fn get_side(c: &mut Cursor<'_>) -> Option<FactSide> {
+fn get_side(c: &mut Cursor<'_>) -> CodecResult<FactSide> {
     match c.u8()? {
-        0 => Some(FactSide::Left),
-        1 => Some(FactSide::Right),
-        _ => None,
+        0 => Ok(FactSide::Left),
+        1 => Ok(FactSide::Right),
+        tag => Err(CodecError::BadTag { what: "factorized side", tag }),
     }
 }
 
@@ -392,51 +222,53 @@ impl WalRecord {
         }
     }
 
-    /// Decode one record payload. `None` on any malformation (the scanner
-    /// treats that as a torn tail, never a panic).
-    pub fn decode(payload: &[u8]) -> Option<WalRecord> {
+    /// Decode one record payload; any malformation is an error (which the
+    /// scanner treats as a torn tail), never a panic.
+    pub fn decode(payload: &[u8]) -> CodecResult<WalRecord> {
         let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
             R_BEGIN => WalRecord::Begin { txn: c.u64()? },
             R_COMMIT => WalRecord::Commit { txn: c.u64()? },
             R_ABORT => WalRecord::Abort { txn: c.u64()? },
-            R_INSERT => WalRecord::Insert { table: c.str()?, rid: c.u64()?, row: get_row(&mut c)? },
-            R_UPDATE => WalRecord::Update { table: c.str()?, rid: c.u64()?, row: get_row(&mut c)? },
-            R_DELETE => WalRecord::Delete { table: c.str()?, rid: c.u64()? },
-            R_CREATE_TABLE => WalRecord::CreateTable { schema_json: c.str()? },
+            R_INSERT => {
+                WalRecord::Insert { table: c.string()?, rid: c.u64()?, row: get_row(&mut c)? }
+            }
+            R_UPDATE => {
+                WalRecord::Update { table: c.string()?, rid: c.u64()?, row: get_row(&mut c)? }
+            }
+            R_DELETE => WalRecord::Delete { table: c.string()?, rid: c.u64()? },
+            R_CREATE_TABLE => WalRecord::CreateTable { schema_json: c.string()? },
             R_FACT_INSERT => WalRecord::FactInsert {
-                name: c.str()?,
+                name: c.string()?,
                 side: get_side(&mut c)?,
                 rid: c.u64()?,
                 row: get_row(&mut c)?,
             },
             R_FACT_UPDATE => WalRecord::FactUpdate {
-                name: c.str()?,
+                name: c.string()?,
                 side: get_side(&mut c)?,
                 rid: c.u64()?,
                 row: get_row(&mut c)?,
             },
             R_FACT_DELETE => {
-                WalRecord::FactDelete { name: c.str()?, side: get_side(&mut c)?, rid: c.u64()? }
+                WalRecord::FactDelete { name: c.string()?, side: get_side(&mut c)?, rid: c.u64()? }
             }
-            R_FACT_LINK => WalRecord::FactLink { name: c.str()?, l: c.u64()?, r: c.u64()? },
-            R_FACT_UNLINK => WalRecord::FactUnlink { name: c.str()?, l: c.u64()?, r: c.u64()? },
+            R_FACT_LINK => WalRecord::FactLink { name: c.string()?, l: c.u64()?, r: c.u64()? },
+            R_FACT_UNLINK => WalRecord::FactUnlink { name: c.string()?, l: c.u64()?, r: c.u64()? },
             R_BULK_INSERT => {
-                let table = c.str()?;
+                let table = c.string()?;
                 let first = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
+                let n = c.count(4)?; // a row is at least its u32 length
+                let mut rows = Vec::with_capacity(n);
                 for _ in 0..n {
                     rows.push(get_row(&mut c)?);
                 }
                 WalRecord::BulkInsert { table, first, rows }
             }
-            _ => return None,
+            tag => return Err(CodecError::BadTag { what: "WAL record", tag }),
         };
-        if !c.is_done() {
-            return None; // trailing garbage inside a frame
-        }
-        Some(rec)
+        c.finish()?; // trailing garbage inside a frame
+        Ok(rec)
     }
 }
 
@@ -449,10 +281,8 @@ pub fn frame_record(out: &mut Vec<u8>, rec: &WalRecord) {
     let header = out.len();
     out.extend_from_slice(&[0u8; 8]);
     rec.encode(out);
-    let len = (out.len() - header - 8) as u32;
-    let crc = crc32(&out[header + 8..]);
-    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    out[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
+    let framing = frame_header(&out[header + 8..]);
+    out[header..header + 8].copy_from_slice(&framing);
 }
 
 fn io_err(ctx: &str, e: std::io::Error) -> StorageError {
@@ -704,34 +534,16 @@ pub fn scan_wal(path: &Path) -> StorageResult<WalScan> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
         Err(e) => return Err(io_err(&format!("open WAL {}", path.display()), e)),
     }
-    let mut pos = 0usize;
+    let mut frames = Cursor::new(&bytes);
     let mut open: Option<(u64, Vec<WalRecord>)> = None;
-    loop {
-        if pos == bytes.len() {
-            break; // clean EOF
-        }
-        let (Some(len_bytes), Some(crc_bytes)) = (
-            bytes.get(pos..pos + 4).and_then(|b| <[u8; 4]>::try_from(b).ok()),
-            bytes.get(pos + 4..pos + 8).and_then(|b| <[u8; 4]>::try_from(b).ok()),
-        ) else {
+    while !frames.is_done() {
+        // Short header, short payload, CRC mismatch and undecodable payload
+        // all end the log here: the one place a `CodecError` becomes a torn
+        // tail.
+        let Ok(rec) = frames.frame().and_then(WalRecord::decode) else {
             scan.torn_tail = true;
             break;
         };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        let crc = u32::from_le_bytes(crc_bytes);
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            scan.torn_tail = true;
-            break;
-        };
-        if crc32(payload) != crc {
-            scan.torn_tail = true;
-            break;
-        }
-        let Some(rec) = WalRecord::decode(payload) else {
-            scan.torn_tail = true;
-            break;
-        };
-        pos += 8 + len;
         scan.frames += 1;
         match rec {
             // `saturating_add`: a crafted frame carrying txn == u64::MAX
@@ -767,6 +579,7 @@ pub fn scan_wal(path: &Path) -> StorageResult<WalScan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -828,16 +641,102 @@ mod tests {
         let mut buf = Vec::new();
         WalRecord::Begin { txn: 1 }.encode(&mut buf);
         buf.push(0xAA);
-        assert!(WalRecord::decode(&buf).is_none());
-        assert!(WalRecord::decode(&[0xFF, 0, 0]).is_none());
-        assert!(WalRecord::decode(&[]).is_none());
+        assert_eq!(WalRecord::decode(&buf), Err(CodecError::TrailingBytes));
+        assert!(WalRecord::decode(&[0xFF, 0, 0]).is_err());
+        assert!(WalRecord::decode(&[]).is_err());
     }
 
+    /// One frame per record tag, bytes generated at the commit before the
+    /// codec moved to `erbium_model::codec`: the on-disk format is pinned.
     #[test]
-    fn crc_known_vector() {
-        // Standard check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn golden_frames_pin_the_wal_format() {
+        let recs = vec![
+            WalRecord::Begin { txn: 1 },
+            WalRecord::Commit { txn: 1 },
+            WalRecord::Abort { txn: 2 },
+            WalRecord::Insert {
+                table: "t".into(),
+                rid: 3,
+                row: vec![
+                    Value::Int(-7),
+                    Value::Float(1.5),
+                    Value::str("hé"),
+                    Value::Bool(true),
+                    Value::Null,
+                    Value::Array(vec![Value::Int(1), Value::Null]),
+                    Value::Struct(vec![Value::str("a"), Value::Float(f64::NAN)]),
+                ],
+            },
+            WalRecord::Update { table: "t".into(), rid: 3, row: vec![Value::Int(2)] },
+            WalRecord::Delete { table: "t".into(), rid: 3 },
+            WalRecord::CreateTable { schema_json: "{\"name\":\"x\"}".into() },
+            WalRecord::FactInsert {
+                name: "f".into(),
+                side: FactSide::Left,
+                rid: 4,
+                row: vec![Value::Int(7)],
+            },
+            WalRecord::FactUpdate {
+                name: "f".into(),
+                side: FactSide::Right,
+                rid: 5,
+                row: vec![Value::Null],
+            },
+            WalRecord::FactDelete { name: "f".into(), side: FactSide::Left, rid: 4 },
+            WalRecord::FactLink { name: "f".into(), l: 1, r: 2 },
+            WalRecord::FactUnlink { name: "f".into(), l: 1, r: 2 },
+            WalRecord::BulkInsert {
+                table: "t".into(),
+                first: 42,
+                rows: vec![vec![Value::Int(1), Value::str("a")], vec![]],
+            },
+        ];
+        let golden = [
+            "090000007300d83d010100000000000000",
+            "09000000b63c5504020100000000000000",
+            "09000000162fa19d030200000000000000",
+            "520000000475a1af04010000007403000000000000000700000002f9ffffffffffffff03000000000000f83f040300000068c3a9010100050200000002010000000000000000060200000004010000006103000000000000f87f",
+            "1b000000f898768f050100000074030000000000000001000000020200000000000000",
+            "0e000000ce7e2fd70601000000740300000000000000",
+            "11000000382b0bab070c0000007b226e616d65223a2278227d",
+            "1c000000331feae208010000006600040000000000000001000000020700000000000000",
+            "14000000e51c0ffd0901000000660105000000000000000100000000",
+            "0f0000004ae560750a0100000066000400000000000000",
+            "16000000d4cf548f0b010000006601000000000000000200000000000000",
+            "1600000094f18dea0c010000006601000000000000000200000000000000",
+            "290000007b9249e10d01000000742a00000000000000020000000200000002010000000000000004010000006100000000",
+        ];
+        assert_eq!(recs.len(), golden.len());
+        for (rec, hex) in recs.iter().zip(golden) {
+            let mut frame = Vec::new();
+            frame_record(&mut frame, rec);
+            let got: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{rec:?}");
+            assert_eq!(&WalRecord::decode(Cursor::new(&frame).frame().unwrap()).unwrap(), rec);
+        }
+    }
+
+    /// A CRC-valid frame of 100,000 nested array tags must end the scan as
+    /// a torn tail, not overflow the recovery stack.
+    #[test]
+    fn deeply_nested_frame_is_a_torn_tail() {
+        let mut payload = vec![R_INSERT];
+        put_str(&mut payload, "t");
+        put_u64(&mut payload, 0);
+        put_u32(&mut payload, 1);
+        for _ in 0..100_000 {
+            payload.push(5); // array tag
+            put_u32(&mut payload, 1);
+        }
+        payload.push(0);
+        assert_eq!(WalRecord::decode(&payload), Err(CodecError::TooDeep));
+        let path = temp_path("deep");
+        let mut file = frame_header(&payload).to_vec();
+        file.extend_from_slice(&payload);
+        std::fs::write(&path, &file).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert!(scan.torn_tail && scan.committed.is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     fn temp_path(tag: &str) -> PathBuf {

@@ -9,35 +9,15 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# Durability fault-injection suite (simulated crash at every WAL byte
-# offset, M1–M6, plus corruption — and, since PR 9, crash sweeps across
-# base + delta snapshot chains including torn delta tmp files). It
-# already ran above as part of the workspace tests; the named re-run
-# makes a recovery regression visible at a glance and keeps the suite
-# from being silently filtered out.
-cargo test -q --offline --test property_durability
-# Bulk-ingest suite: copy_from / COPY FROM atomicity (a duplicate key
-# anywhere rolls back the whole batch), plan-cache generation semantics
-# (exactly one invalidation per batch, none without ANALYZE-time stats),
-# and delta-checkpoint kinds + recovery chaining after bulk loads.
-cargo test -q --offline -p erbium-core --test bulk_ingest
-# Parallel-execution invariance sweep (bit-identical results across
-# columnar × threads × morsel × batch × fusion on M1–M6, an all-Value-
-# variant property fixture, + concurrent-query stress). The M6f arms
-# expand factorized joins through the CSR adjacency view, so this sweep
-# also gates CSR-vs-row bit-identity.
-cargo test -q --offline --test parallel_invariance
-# Columnar observability: EXPLAIN [cols=...], [columnar] metrics marker,
-# and the non-materialization proof via engine_columnar_cells_total
-# (pruned scans gather rows × pruned arity, not × table arity).
-cargo test -q --offline --test columnar_metrics
-# Observability suite: tracing spans over the full query lifecycle,
-# Prometheus export coverage, slow-query log, and the stats-survive-
-# recovery regression (optimizer statistics must outlive a checkpoint +
-# reopen; see DESIGN.md §10). Runs as part of the workspace tests too;
-# the named re-run keeps the regression visible at a glance.
-cargo test -q --offline -p erbium-core --test observability
-cargo test -q --offline -p erbium-obs
+# The workspace run above already covers every suite (durability fault
+# injection, bulk ingest, parallel invariance, columnar metrics,
+# observability); nothing is re-run by name.
+#
+# erbench (the BENCHMARK.json harness) is its own workspace, so the run
+# above never compiles it: build it and run its tests here, so a layer-API
+# change that breaks the benchmark fails tier-1. `--locked`: its Cargo.lock
+# must stay byte-identical.
+cargo test -q --offline --locked --manifest-path erbench/Cargo.toml
 # Overhead sentinel: with tracing disabled (the default), the
 # instrumentation added along the hot path must stay within run-to-run
 # noise of the PR-4 baseline on the morsel_waves bench (~9.7 ms).
@@ -87,6 +67,16 @@ if grep "^erbium-" crates/client/Cargo.toml | grep -v "^erbium-model \|^erbium-q
     echo "ERROR: crates/client may depend only on erbium-model and erbium-query" >&2
     exit 1
 fi
+# One of each: the CRC-32, the cursor and the Value codec live in
+# erbium-model's codec module and nowhere else.
+for def in "fn crc32" "fn put_value" "fn get_value" "struct Cursor"; do
+    n=$(grep -rn --include='*.rs' "\b$def\b" crates | wc -l)
+    if [ "$n" -ne 1 ]; then
+        echo "ERROR: expected exactly one '$def' under crates/, found $n" >&2
+        grep -rn --include='*.rs' "\b$def\b" crates >&2 || true
+        exit 1
+    fi
+done
 cargo clippy --offline --workspace --all-targets -- -D warnings
 # Benches must at least compile; running them is opt-in (slow).
 cargo bench --offline --workspace --no-run

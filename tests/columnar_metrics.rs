@@ -15,10 +15,17 @@
 
 use erbiumdb::core::obs::Registry;
 use erbiumdb::engine::{
-    execute_with_metrics, optimizer::optimize, AggCall, AggFunc, ExecContext, Expr, JoinKind,
-    Plan,
+    execute_streaming, optimizer::optimize, AggCall, AggFunc, ExecContext, ExecMetrics, Expr,
+    JoinKind, Plan,
 };
 use erbiumdb::storage::{Catalog, Column, DataType, Table, TableSchema, Value};
+
+/// Drain `plan` and return its rows with the final metrics tree.
+fn run(plan: &Plan, cat: &Catalog, ctx: &ExecContext) -> (Vec<Vec<Value>>, ExecMetrics) {
+    let mut qs = execute_streaming(plan, cat, ctx).unwrap();
+    let rows = qs.drain().unwrap();
+    (rows, qs.metrics())
+}
 
 fn counters() -> (u64, u64, u64) {
     let r = Registry::global();
@@ -68,7 +75,7 @@ fn pruned_columns_are_never_materialized() {
 
     let ctx = ExecContext::default(); // columnar on by default
     let (b0, f0, c0) = counters();
-    let (rows, metrics) = execute_with_metrics(&plan, &cat, &ctx).unwrap();
+    let (rows, metrics) = run(&plan, &cat, &ctx);
     let (b1, f1, c1) = counters();
 
     assert_eq!(rows.len(), ROWS as usize);
@@ -85,7 +92,7 @@ fn pruned_columns_are_never_materialized() {
     // counter moves and the metrics tree carries no [columnar] marker.
     let (b0, _, c0) = counters();
     let (rows_off, metrics_off) =
-        execute_with_metrics(&plan, &cat, &ctx.clone().with_columnar(false)).unwrap();
+        run(&plan, &cat, &ctx.clone().with_columnar(false));
     let (b1, _, c1) = counters();
     assert_eq!(rows_off, rows, "row path agrees bit-for-bit");
     assert_eq!((b1, c1), (b0, c0), "row path touches no columnar counters");
@@ -101,7 +108,7 @@ fn pruned_columns_are_never_materialized() {
         vec![Expr::col(1), Expr::col(2)],
     );
     let (_, f0, _) = counters();
-    let (joined, _) = execute_with_metrics(&join, &cat, &ctx).unwrap();
+    let (joined, _) = run(&join, &cat, &ctx);
     let (_, f1, _) = counters();
     assert_eq!(joined.len(), ROWS as usize, "unique (a,b) pairs self-join 1:1");
     assert!(f1 > f0, "ineligible build side is counted as a row-batch fallback");
@@ -114,7 +121,7 @@ fn pruned_columns_are_never_materialized() {
     );
     let agg = optimize(agg, &cat).unwrap();
     let (b0, _, c0) = counters();
-    let (groups, am) = execute_with_metrics(&agg, &cat, &ctx).unwrap();
+    let (groups, am) = run(&agg, &cat, &ctx);
     let (b1, _, c1) = counters();
     assert_eq!(groups.len(), 97);
     assert!(am.find("Aggregate").unwrap().columnar, "{}", am.render());

@@ -168,7 +168,7 @@ fn cancellation_mid_wave_surfaces_cancelled() {
 #[test]
 fn all_value_variants_bit_identical_columnar_on_off() {
     use erbiumdb::engine::{
-        execute_with_metrics, AggCall, AggFunc, BinOp, Expr, Plan, ScalarFunc,
+        execute_streaming, AggCall, AggFunc, BinOp, Expr, Plan, ScalarFunc,
     };
     use erbiumdb::storage::{Catalog, Column, DataType, Table, TableSchema};
 
@@ -325,13 +325,13 @@ fn all_value_variants_bit_identical_columnar_on_off() {
     ));
 
     for (name, plan) in &plans {
-        let reference = execute_with_metrics(
+        let reference = execute_streaming(
             plan,
             &cat,
             &ExecContext::default().with_threads(1).with_columnar(false),
         )
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .0;
+        .and_then(|mut qs| qs.drain())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         for threads in [1usize, 4] {
             for morsel in [7usize, 4096] {
                 for fusion in [true, false] {
@@ -342,7 +342,7 @@ fn all_value_variants_bit_identical_columnar_on_off() {
                             .with_batch_size(64)
                             .with_fusion(fusion)
                             .with_columnar(columnar);
-                        let (rows, _) = execute_with_metrics(plan, &cat, &ctx).unwrap();
+                        let rows = execute_streaming(plan, &cat, &ctx).unwrap().drain().unwrap();
                         // Vec<Value> equality is bit-faithful for floats
                         // only via to_bits; compare a rendered form that
                         // distinguishes NaN payload sign and -0.0.

@@ -1,7 +1,9 @@
 //! Property tests of the relational substrate: operators agree with naive
 //! reference implementations, and the optimizer never changes results.
 
-use erbiumdb::engine::{execute, execute_optimized, AggCall, AggFunc, BinOp, Expr, JoinKind, Plan};
+use erbiumdb::engine::{
+    execute, optimizer::optimize, AggCall, AggFunc, BinOp, Expr, JoinKind, Plan,
+};
 use erbiumdb::storage::{Catalog, Column, DataType, Row, Table, TableSchema, Value};
 use proptest::prelude::*;
 
@@ -147,7 +149,7 @@ proptest! {
             .filter(Expr::binary(op, Expr::col(col), Expr::lit(lit)))
             .project_columns(&[0, 3]);
         let plain = sorted(execute(&plan, &cat).unwrap());
-        let optimized = sorted(execute_optimized(&plan, &cat).unwrap());
+        let optimized = sorted(execute(&optimize(plan.clone(), &cat).unwrap(), &cat).unwrap());
         prop_assert_eq!(plain, optimized);
     }
 
@@ -181,7 +183,7 @@ proptest! {
             .unwrap()
             .filter(Expr::eq(Expr::col(0), Expr::lit(key)));
         let scanned = sorted(execute(&plan, &cat).unwrap());
-        let optimized = sorted(execute_optimized(&plan, &cat).unwrap());
+        let optimized = sorted(execute(&optimize(plan.clone(), &cat).unwrap(), &cat).unwrap());
         prop_assert_eq!(scanned, optimized);
     }
 }
