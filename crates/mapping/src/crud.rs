@@ -22,7 +22,7 @@ use crate::error::{MappingError, MappingResult};
 use crate::fragment::{CoFormat, HierarchyLayout};
 use crate::lower::{co_col, fk_col, rel_attr_col, EntityHome, Lowering, MvHome, RelHome, Side, TYPE_COL};
 use erbium_model::{EntitySet, Relationship};
-use erbium_storage::{Catalog, FactSide, Row, RowId, Transaction, Value};
+use erbium_storage::{Catalog, FactSide, FactorizedTable, Row, RowId, Table, Transaction, Value};
 use rustc_hash::FxHashMap;
 
 /// Map a lowering [`Side`] onto the storage layer's [`FactSide`].
@@ -31,6 +31,46 @@ fn fact_side(side: Side) -> FactSide {
         Side::Left => FactSide::Left,
         Side::Right => FactSide::Right,
     }
+}
+
+/// The member table holding `side` of a factorized structure.
+fn member(ft: &FactorizedTable, side: Side) -> &Table {
+    match side {
+        Side::Left => ft.left(),
+        Side::Right => ft.right(),
+    }
+}
+
+/// The live rows of `t` whose `cols` equal `key`, in slot order, found with
+/// [`Table::rows_eq`] — the one access path CRUD uses to find rows by a
+/// non-primary key (owner keys, foreign keys, relationship ends, the side
+/// keys of a denormalized table).
+fn keyed_rows<'t>(
+    t: &'t Table,
+    cols: &[usize],
+    key: &[Value],
+) -> impl Iterator<Item = (RowId, &'t Row)> {
+    t.rows_eq(cols, key).into_iter().map(move |rid| (rid, t.get(rid).expect("probed row is live")))
+}
+
+/// [`keyed_rows`], cloned out so the caller can write to the table.
+fn keyed_rows_owned(t: &Table, cols: &[usize], key: &[Value]) -> Vec<(RowId, Row)> {
+    keyed_rows(t, cols, key).map(|(rid, row)| (rid, row.clone())).collect()
+}
+
+/// Delete every row of `table` whose leading columns equal `key`: the
+/// multi-valued side rows of one instance, or one join-table pair.
+fn delete_prefixed(
+    cat: &mut Catalog,
+    txn: &mut Transaction,
+    table: &str,
+    key: &[Value],
+) -> MappingResult<()> {
+    let cols: Vec<usize> = (0..key.len()).collect();
+    for rid in cat.table(table)?.rows_eq(&cols, key) {
+        txn.delete(cat, table, rid)?;
+    }
+    Ok(())
 }
 
 /// Attribute-name → value map describing one entity instance. Multi-valued
@@ -400,13 +440,9 @@ impl<'a> EntityStore<'a> {
     ) -> MappingResult<()> {
         match format {
             CoFormat::Factorized => {
-                let ft = cat.factorized(table)?;
-                let member = match side {
-                    Side::Left => ft.left(),
-                    Side::Right => ft.right(),
-                };
-                let mut row = Vec::with_capacity(member.schema().arity());
-                for c in &member.schema().columns {
+                let schema = member(cat.factorized(table)?, side).schema();
+                let mut row = Vec::with_capacity(schema.arity());
+                for c in &schema.columns {
                     row.push(data.get(&c.name).cloned().unwrap_or(Value::Null));
                 }
                 txn.fact_insert(cat, table, fact_side(side), row)?;
@@ -518,14 +554,10 @@ impl<'a> EntityStore<'a> {
                     "'{entity}' lives in factorized structure '{table}'; use locate_factorized"
                 ))),
                 CoFormat::Denormalized => {
-                    let t = cat.table(table)?;
                     let key_cols = self.denorm_key_cols(cat, table, *side, entity)?;
-                    let rows = t.index_lookup(&key_cols, &kv).ok_or_else(|| {
-                        MappingError::Unsupported(format!("no key index on '{table}'"))
-                    })?;
-                    Ok(rows
-                        .first()
-                        .map(|(rid, row)| (table.clone(), *rid, (*row).clone())))
+                    Ok(keyed_rows(cat.table(table)?, &key_cols, key)
+                        .next()
+                        .map(|(rid, row)| (table.clone(), rid, row.clone())))
                 }
             },
             EntityHome::FoldedWeak { .. } => Err(MappingError::Unsupported(format!(
@@ -607,15 +639,11 @@ impl<'a> EntityStore<'a> {
                 return Ok(None);
             }
             EntityHome::CoLocated { table, side, format: CoFormat::Factorized } => {
-                let ft = cat.factorized(table)?;
-                let member = match side {
-                    Side::Left => ft.left(),
-                    Side::Right => ft.right(),
-                };
-                let Some((_, row)) = member.lookup_pk(&Self::key_value(key)) else {
+                let t = member(cat.factorized(table)?, *side);
+                let Some((_, row)) = t.lookup_pk(&Self::key_value(key)) else {
                     return Ok(None);
                 };
-                for (c, v) in member.schema().columns.iter().zip(row.iter()) {
+                for (c, v) in t.schema().columns.iter().zip(row.iter()) {
                     out.insert(c.name.clone(), v.clone());
                 }
                 // Fall through to pick up ancestor-level attributes below.
@@ -653,15 +681,11 @@ impl<'a> EntityStore<'a> {
                 }
                 EntityHome::CoLocated { table, side, format } => match format {
                     CoFormat::Factorized => {
-                        let ft = cat.factorized(table)?;
-                        let member = match side {
-                            Side::Left => ft.left(),
-                            Side::Right => ft.right(),
-                        };
-                        let Some((_, row)) = member.lookup_pk(&Self::key_value(key)) else {
+                        let t = member(cat.factorized(table)?, *side);
+                        let Some((_, row)) = t.lookup_pk(&Self::key_value(key)) else {
                             return Ok(None);
                         };
-                        for (c, v) in member.schema().columns.iter().zip(row.iter()) {
+                        for (c, v) in t.schema().columns.iter().zip(row.iter()) {
                             out.insert(c.name.clone(), v.clone());
                         }
                     }
@@ -696,15 +720,9 @@ impl<'a> EntityStore<'a> {
     }
 
     fn mv_values(&self, cat: &Catalog, table: &str, key: &[Value]) -> MappingResult<Vec<Value>> {
-        let t = cat.table(table)?;
-        let klen = key.len();
-        let mut out = Vec::new();
-        for (_, row) in t.scan() {
-            if row[..klen] == *key {
-                out.push(row[klen].clone());
-            }
-        }
-        Ok(out)
+        let cols: Vec<usize> = (0..key.len()).collect();
+        let rows = keyed_rows(cat.table(table)?, &cols, key);
+        Ok(rows.map(|(_, row)| row[key.len()].clone()).collect())
     }
 
     // ---- update ----------------------------------------------------------------
@@ -763,16 +781,7 @@ impl<'a> EntityStore<'a> {
         key: &[Value],
         value: &Value,
     ) -> MappingResult<()> {
-        let klen = key.len();
-        let rids: Vec<RowId> = cat
-            .table(table)?
-            .scan()
-            .filter(|(_, row)| row[..klen] == *key)
-            .map(|(rid, _)| rid)
-            .collect();
-        for rid in rids {
-            txn.delete(cat, table, rid)?;
-        }
+        delete_prefixed(cat, txn, table, key)?;
         let Value::Array(vals) = value else {
             return Err(MappingError::BadPayload(
                 "multi-valued attribute update requires an array value".into(),
@@ -809,13 +818,8 @@ impl<'a> EntityStore<'a> {
             }
             EntityHome::CoLocated { table, side, format } => match format {
                 CoFormat::Factorized => {
-                    let ft = cat.factorized(&table)?;
-                    let kv = Self::key_value(key);
-                    let member_t = match side {
-                        Side::Left => ft.left(),
-                        Side::Right => ft.right(),
-                    };
-                    let (rid, row) = member_t.lookup_pk(&kv).ok_or_else(|| {
+                    let member_t = member(cat.factorized(&table)?, side);
+                    let (rid, row) = member_t.lookup_pk(&Self::key_value(key)).ok_or_else(|| {
                         MappingError::BadPayload(format!("instance {key:?} of '{entity}' not found"))
                     })?;
                     let col = member_t.schema().require_column(name)?;
@@ -828,19 +832,10 @@ impl<'a> EntityStore<'a> {
                 CoFormat::Denormalized => {
                     // Every duplicated row must be rewritten — the update
                     // amplification the paper warns about.
-                    let kv = Self::key_value(key);
                     let key_cols = self.denorm_key_cols(cat, &table, side, &level.name)?;
-                    let col =
-                        cat.table(&table)?.schema().require_column(&co_col(side, name))?;
-                    let hits: Vec<(RowId, Row)> = cat
-                        .table(&table)?
-                        .index_lookup(&key_cols, &kv)
-                        .ok_or_else(|| {
-                            MappingError::Unsupported(format!("no key index on '{table}'"))
-                        })?
-                        .into_iter()
-                        .map(|(rid, row)| (rid, row.clone()))
-                        .collect();
+                    let t = cat.table(&table)?;
+                    let col = t.schema().require_column(&co_col(side, name))?;
+                    let hits = keyed_rows_owned(t, &key_cols, key);
                     if hits.is_empty() {
                         return Err(MappingError::BadPayload(format!(
                             "instance {key:?} of '{entity}' not found"
@@ -958,17 +953,7 @@ impl<'a> EntityStore<'a> {
             let es = self.lw.schema.require_entity(m)?.clone();
             for a in es.attributes.iter().filter(|a| a.multi_valued) {
                 if let MvHome::SideTable { table } = self.lw.mv_home(m, &a.name)? {
-                    let table = table.clone();
-                    let klen = key.len();
-                    let rids: Vec<RowId> = cat
-                        .table(&table)?
-                        .scan()
-                        .filter(|(_, row)| row[..klen] == *key)
-                        .map(|(rid, _)| rid)
-                        .collect();
-                    for rid in rids {
-                        txn.delete(cat, &table, rid)?;
-                    }
+                    delete_prefixed(cat, txn, table, key)?;
                 }
             }
         }
@@ -990,13 +975,8 @@ impl<'a> EntityStore<'a> {
                 }
                 EntityHome::CoLocated { table, side, format } => match format {
                     CoFormat::Factorized => {
-                        let ft = cat.factorized(&table)?;
-                        let kv = Self::key_value(key);
-                        let hit = match side {
-                            Side::Left => ft.left().lookup_pk(&kv).map(|(rid, _)| rid),
-                            Side::Right => ft.right().lookup_pk(&kv).map(|(rid, _)| rid),
-                        };
-                        if let Some(rid) = hit {
+                        let t = member(cat.factorized(&table)?, side);
+                        if let Some(rid) = t.lookup_pk(&Self::key_value(key)).map(|(rid, _)| rid) {
                             txn.fact_delete(cat, &table, fact_side(side), rid)?;
                             removed_any = true;
                         }
@@ -1072,14 +1052,27 @@ impl<'a> EntityStore<'a> {
         owner_key: &[Value],
     ) -> MappingResult<Vec<Vec<Value>>> {
         let klen = self.key_names(weak)?.len();
-        let olen = owner_key.len();
+        // Weak keys lead with the owner key, in the row and in the member.
+        let owner_cols: Vec<usize> = (0..owner_key.len()).collect();
+        let leading = |t: &Table| -> Vec<Vec<Value>> {
+            keyed_rows(t, &owner_cols, owner_key).map(|(_, row)| row[..klen].to_vec()).collect()
+        };
         match self.lw.entity_home(weak)? {
-            EntityHome::Table { table, .. } => {
-                let t = cat.table(table)?;
-                Ok(t.scan()
-                    .filter(|(_, row)| row[..olen] == *owner_key)
-                    .map(|(_, row)| row[..klen].to_vec())
-                    .collect())
+            EntityHome::Table { table, .. } => Ok(leading(cat.table(table)?)),
+            EntityHome::CoLocated { table, side, format: CoFormat::Factorized } => {
+                Ok(leading(member(cat.factorized(table)?, *side)))
+            }
+            EntityHome::CoLocated { table, side, format: CoFormat::Denormalized } => {
+                let key_cols = self.denorm_key_cols(cat, table, *side, weak)?;
+                let owner_cols = &key_cols[..owner_key.len()];
+                let mut out: Vec<Vec<Value>> = Vec::new();
+                for (_, row) in keyed_rows(cat.table(table)?, owner_cols, owner_key) {
+                    let kvals: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+                    if !kvals.iter().any(Value::is_null) && !out.contains(&kvals) {
+                        out.push(kvals);
+                    }
+                }
+                Ok(out)
             }
             EntityHome::FoldedWeak { owner, column } => {
                 let Some((table, _rid, row)) = self.locate_plain(cat, owner, owner_key)? else {
@@ -1106,43 +1099,6 @@ impl<'a> EntityStore<'a> {
                 }
                 Ok(out)
             }
-            EntityHome::CoLocated { table, side, format } => {
-                let mut out = Vec::new();
-                match format {
-                    CoFormat::Factorized => {
-                        let ft = cat.factorized(table)?;
-                        let member = match side {
-                            Side::Left => ft.left(),
-                            Side::Right => ft.right(),
-                        };
-                        for (_, row) in member.scan() {
-                            if row[..olen] == *owner_key {
-                                out.push(row[..klen].to_vec());
-                            }
-                        }
-                    }
-                    CoFormat::Denormalized => {
-                        let t = cat.table(table)?;
-                        let schema = t.schema();
-                        let key_cols: Vec<usize> = self
-                            .key_names(weak)?
-                            .iter()
-                            .map(|k| schema.require_column(&co_col(*side, k)))
-                            .collect::<Result<_, _>>()?;
-                        for (_, row) in t.scan() {
-                            let kvals: Vec<Value> =
-                                key_cols.iter().map(|&c| row[c].clone()).collect();
-                            if kvals.iter().any(Value::is_null) {
-                                continue;
-                            }
-                            if kvals[..olen] == *owner_key && !out.contains(&kvals) {
-                                out.push(kvals);
-                            }
-                        }
-                    }
-                }
-                Ok(out)
-            }
             EntityHome::Merged { .. } => Err(MappingError::Unsupported(
                 "weak entities cannot be merged into a hierarchy".into(),
             )),
@@ -1158,56 +1114,34 @@ impl<'a> EntityStore<'a> {
         entity: &str,
         key: &[Value],
     ) -> MappingResult<bool> {
-        let kv = Self::key_value(key);
         let key_cols = self.denorm_key_cols(cat, table, side, entity)?;
-        let hits: Vec<(RowId, Row)> = cat
-            .table(table)?
-            .index_lookup(&key_cols, &kv)
-            .ok_or_else(|| MappingError::Unsupported(format!("no key index on '{table}'")))?
-            .into_iter()
-            .map(|(rid, row)| (rid, row.clone()))
-            .collect();
+        let hits = keyed_rows_owned(cat.table(table)?, &key_cols, key);
         if hits.is_empty() {
             return Ok(false);
         }
-        let schema = cat.table(table)?.schema().clone();
+        let schema = cat.table(table)?.schema();
+        let arity = schema.arity();
         let other = match side {
             Side::Left => Side::Right,
             Side::Right => Side::Left,
         };
+        let other_cols: Vec<usize> = (0..arity)
+            .filter(|&i| strip_side(&schema.columns[i].name, other).is_some())
+            .collect();
         for (rid, row) in hits {
-            // Preserve the other side's data if this row is its only copy.
-            let other_has_data = schema
-                .columns
-                .iter()
-                .enumerate()
-                .any(|(i, c)| strip_side(&c.name, other).is_some() && !row[i].is_null());
+            let other_vals: Vec<Value> = other_cols.iter().map(|&i| row[i].clone()).collect();
             txn.delete(cat, table, rid)?;
-            if other_has_data {
-                // Re-insert a dangling row for the other side if no other
-                // row still mentions it.
-                let mut dangling = vec![Value::Null; schema.arity()];
-                for (i, c) in schema.columns.iter().enumerate() {
-                    if strip_side(&c.name, other).is_some() {
-                        dangling[i] = row[i].clone();
-                    }
+            // Preserve the other side's data if this row was its only copy:
+            // re-insert it as a dangling half-row unless another row still
+            // carries exactly those values.
+            if other_vals.iter().any(|v| !v.is_null())
+                && cat.table(table)?.rows_eq(&other_cols, &other_vals).is_empty()
+            {
+                let mut dangling = vec![Value::Null; arity];
+                for (&i, v) in other_cols.iter().zip(other_vals) {
+                    dangling[i] = v;
                 }
-                let still_mentioned = cat.table(table)?.scan().any(|(_, r)| {
-                    schema.columns.iter().enumerate().all(|(i, c)| {
-                        if strip_side(&c.name, other).is_some() {
-                            r[i] == row[i]
-                        } else {
-                            true
-                        }
-                    }) && schema
-                        .columns
-                        .iter()
-                        .enumerate()
-                        .any(|(i, c)| strip_side(&c.name, other).is_some() && !r[i].is_null())
-                });
-                if !still_mentioned {
-                    txn.insert(cat, table, dangling)?;
-                }
+                txn.insert(cat, table, dangling)?;
             }
         }
         Ok(true)
@@ -1328,22 +1262,8 @@ impl<'a> EntityStore<'a> {
         let schema = cat.table(table)?.schema().clone();
         let lcols = self.denorm_key_cols(cat, table, Side::Left, &rel.from.entity)?;
         let rcols = self.denorm_key_cols(cat, table, Side::Right, &rel.to.entity)?;
-        let lkv = Self::key_value(from_key);
-        let rkv = Self::key_value(to_key);
-        let lrows: Vec<(RowId, Row)> = cat
-            .table(table)?
-            .index_lookup(&lcols, &lkv)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(rid, r)| (rid, r.clone()))
-            .collect();
-        let rrows: Vec<(RowId, Row)> = cat
-            .table(table)?
-            .index_lookup(&rcols, &rkv)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(rid, r)| (rid, r.clone()))
-            .collect();
+        let lrows = keyed_rows_owned(cat.table(table)?, &lcols, from_key);
+        let rrows = keyed_rows_owned(cat.table(table)?, &rcols, to_key);
         if lrows.is_empty() || rrows.is_empty() {
             return Err(MappingError::BadPayload(format!(
                 "both sides must exist before linking '{}' in denormalized co-location",
@@ -1443,21 +1363,9 @@ impl<'a> EntityStore<'a> {
                 txn.update(cat, &table, rid, row)?;
                 Ok(())
             }
+            // The pair is the join table's primary key.
             RelHome::JoinTable { table } => {
-                let from_len = from_key.len();
-                let rids: Vec<RowId> = cat
-                    .table(&table)?
-                    .scan()
-                    .filter(|(_, row)| {
-                        row[..from_len] == *from_key
-                            && row[from_len..from_len + to_key.len()] == *to_key
-                    })
-                    .map(|(rid, _)| rid)
-                    .collect();
-                for rid in rids {
-                    txn.delete(cat, &table, rid)?;
-                }
-                Ok(())
+                delete_prefixed(cat, txn, &table, &[from_key, to_key].concat())
             }
             RelHome::CoLocated { table, format } => match format {
                 CoFormat::Factorized => {
@@ -1474,52 +1382,30 @@ impl<'a> EntityStore<'a> {
                     // halves as needed.
                     let schema = cat.table(&table)?.schema().clone();
                     let lcols = self.denorm_key_cols(cat, &table, Side::Left, &r.from.entity)?;
-                    let hits: Vec<(RowId, Row)> = cat
-                        .table(&table)?
-                        .index_lookup(&lcols, &Self::key_value(from_key))
-                        .unwrap_or_default()
-                        .into_iter()
-                        .map(|(rid, row)| (rid, row.clone()))
-                        .collect();
                     let rcols = self.denorm_key_cols(cat, &table, Side::Right, &r.to.entity)?;
-                    for (rid, row) in hits {
-                        let rvals: Vec<Value> = rcols.iter().map(|&c| row[c].clone()).collect();
-                        if rvals != to_key {
-                            continue;
-                        }
-                        // Does the left side appear in other rows?
-                        let l_elsewhere = cat
-                            .table(&table)?
-                            .index_lookup(&lcols, &Self::key_value(from_key))
-                            .unwrap_or_default()
-                            .len()
-                            > 1;
-                        let r_elsewhere = cat
-                            .table(&table)?
-                            .index_lookup(&rcols, &Self::key_value(to_key))
-                            .unwrap_or_default()
-                            .len()
-                            > 1;
-                        txn.delete(cat, &table, rid)?;
-                        if !l_elsewhere {
-                            let mut dangle = vec![Value::Null; schema.arity()];
-                            for (i, c) in schema.columns.iter().enumerate() {
-                                if strip_side(&c.name, Side::Left).is_some() {
-                                    dangle[i] = row[i].clone();
-                                }
-                            }
-                            txn.insert(cat, &table, dangle)?;
-                        }
-                        if !r_elsewhere {
-                            let mut dangle = vec![Value::Null; schema.arity()];
-                            for (i, c) in schema.columns.iter().enumerate() {
-                                if strip_side(&c.name, Side::Right).is_some() {
-                                    dangle[i] = row[i].clone();
-                                }
-                            }
-                            txn.insert(cat, &table, dangle)?;
-                        }
+                    let hits = keyed_rows_owned(cat.table(&table)?, &lcols, from_key);
+                    let Some((rid, row)) = hits
+                        .iter()
+                        .find(|(_, row)| rcols.iter().zip(to_key).all(|(&c, k)| row[c] == *k))
+                    else {
                         return Ok(());
+                    };
+                    // A side that appears in no other row keeps a dangling
+                    // half-row.
+                    let l_elsewhere = hits.len() > 1;
+                    let r_elsewhere = cat.table(&table)?.rows_eq(&rcols, to_key).len() > 1;
+                    txn.delete(cat, &table, *rid)?;
+                    for (side, elsewhere) in [(Side::Left, l_elsewhere), (Side::Right, r_elsewhere)]
+                    {
+                        if !elsewhere {
+                            let mut dangle = vec![Value::Null; schema.arity()];
+                            for (i, c) in schema.columns.iter().enumerate() {
+                                if strip_side(&c.name, side).is_some() {
+                                    dangle[i] = row[i].clone();
+                                }
+                            }
+                            txn.insert(cat, &table, dangle)?;
+                        }
                     }
                     Ok(())
                 }
@@ -1528,7 +1414,9 @@ impl<'a> EntityStore<'a> {
     }
 
     /// Remove every instance of `rel` in which the given instance of
-    /// `entity` participates.
+    /// `entity` participates. The instances are found by following the
+    /// edges out of that instance — a probe of the relationship's home on
+    /// `entity`'s end — never by a pass over the whole relationship.
     fn unlink_all(
         &self,
         cat: &mut Catalog,
@@ -1538,11 +1426,82 @@ impl<'a> EntityStore<'a> {
         key: &[Value],
     ) -> MappingResult<()> {
         let is_from = rel.from.entity == entity;
-        for inst in self.extract_relationship(cat, &rel.name)? {
-            let this_key = if is_from { &inst.from_key } else { &inst.to_key };
-            if this_key == key {
-                self.unlink(cat, txn, &rel.name, &inst.from_key, &inst.to_key)?;
+        let (mine, theirs, other) = if is_from {
+            (Side::Left, Side::Right, &rel.to.entity)
+        } else {
+            (Side::Right, Side::Left, &rel.from.entity)
+        };
+        let other_len = self.key_names(other)?.len();
+        // Keys of the other end of every instance, in slot order.
+        let mut others: Vec<Vec<Value>> = Vec::new();
+        match self.lw.rel_home(&rel.name)? {
+            // The owner's cascade deletes the weak rows themselves.
+            RelHome::ImplicitWeak { .. } => {}
+            RelHome::JoinTable { table } => {
+                let (mine_cols, theirs_cols) = if is_from {
+                    (0..key.len(), key.len()..key.len() + other_len)
+                } else {
+                    (other_len..other_len + key.len(), 0..other_len)
+                };
+                let mine_cols: Vec<usize> = mine_cols.collect();
+                others.extend(
+                    keyed_rows(cat.table(table)?, &mine_cols, key)
+                        .map(|(_, row)| row[theirs_cols.clone()].to_vec()),
+                );
             }
+            // The caller skips the many side (its foreign key goes with its
+            // own row), so `entity` is the one side and `other` the many.
+            RelHome::Folded { many_entity, one_entity } => {
+                for table in self.fk_tables(many_entity)? {
+                    let t = cat.table(&table)?;
+                    let fk_cols: Vec<usize> = self
+                        .key_names(one_entity)?
+                        .iter()
+                        .map(|k| t.schema().require_column(&fk_col(&rel.name, k)))
+                        .collect::<Result<_, _>>()?;
+                    // Merged tables hold the whole hierarchy.
+                    let ty_col = t.schema().column_index(TYPE_COL);
+                    others.extend(
+                        keyed_rows(t, &fk_cols, key)
+                            .filter(|(_, row)| {
+                                let ty = |c: usize| row[c].as_str().unwrap_or_default();
+                                ty_col.is_none_or(|c| self.in_subtree(many_entity, ty(c)))
+                            })
+                            .map(|(_, row)| row[..other_len].to_vec()),
+                    );
+                }
+            }
+            RelHome::CoLocated { table, format: CoFormat::Factorized } => {
+                let ft = cat.factorized(table)?;
+                if let Some((rid, _)) = member(ft, mine).lookup_pk(&Self::key_value(key)) {
+                    let mut linked = if is_from {
+                        ft.neighbours_right(rid).to_vec()
+                    } else {
+                        ft.neighbours_left(rid).to_vec()
+                    };
+                    linked.sort_unstable();
+                    let their_rows = member(ft, theirs);
+                    others.extend(linked.into_iter().map(|r| {
+                        their_rows.get(r).expect("linked row live")[..other_len].to_vec()
+                    }));
+                }
+            }
+            RelHome::CoLocated { table, format: CoFormat::Denormalized } => {
+                let mine_cols = self.denorm_key_cols(cat, table, mine, entity)?;
+                let theirs_cols = self.denorm_key_cols(cat, table, theirs, other)?;
+                for (_, row) in keyed_rows(cat.table(table)?, &mine_cols, key) {
+                    let other_key: Vec<Value> =
+                        theirs_cols.iter().map(|&c| row[c].clone()).collect();
+                    // A dangling half-row is no instance.
+                    if !other_key.iter().any(Value::is_null) {
+                        others.push(other_key);
+                    }
+                }
+            }
+        }
+        for other_key in others {
+            let (from, to) = if is_from { (key, &other_key[..]) } else { (&other_key[..], key) };
+            self.unlink(cat, txn, &rel.name, from, to)?;
         }
         Ok(())
     }
@@ -1593,12 +1552,7 @@ impl<'a> EntityStore<'a> {
             }
             EntityHome::CoLocated { table, side, format } => match format {
                 CoFormat::Factorized => {
-                    let ft = cat.factorized(table)?;
-                    let member = match side {
-                        Side::Left => ft.left(),
-                        Side::Right => ft.right(),
-                    };
-                    for (_, row) in member.scan() {
+                    for (_, row) in member(cat.factorized(table)?, *side).scan() {
                         out.push(row[..klen].to_vec());
                     }
                 }
@@ -1846,14 +1800,9 @@ impl<'a> EntityStore<'a> {
                             cat.table(table)?.lookup_pk(&Self::key_value(key)).is_some()
                         }
                         EntityHome::CoLocated { table, side, format } => match format {
-                            CoFormat::Factorized => {
-                                let ft = cat.factorized(table)?;
-                                let member = match side {
-                                    Side::Left => ft.left(),
-                                    Side::Right => ft.right(),
-                                };
-                                member.lookup_pk(&Self::key_value(key)).is_some()
-                            }
+                            CoFormat::Factorized => member(cat.factorized(table)?, *side)
+                                .lookup_pk(&Self::key_value(key))
+                                .is_some(),
                             CoFormat::Denormalized => {
                                 self.locate_plain(cat, &cur, key)?.is_some()
                             }

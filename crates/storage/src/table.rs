@@ -152,20 +152,22 @@ impl Table {
             }
         };
         self.live += 1;
-        let row_ref = self.rows.get(rid.idx()).expect("just inserted");
-        self.cols.set_row(rid.idx(), row_ref);
-        if let Some(key) = self.schema.key_of(row_ref) {
-            self.pk_index.as_mut().expect("pk index").insert(key, rid);
-        }
-        // Borrow juggling: clone the row for index maintenance to keep the
-        // hot path simple; secondary indexes are rare on write-heavy tables.
-        if !self.indexes.is_empty() {
-            let row_clone = row_ref.clone();
-            for idx in &mut self.indexes {
-                idx.insert(&row_clone, rid);
-            }
-        }
+        self.index_slot(rid);
         Ok(rid)
+    }
+
+    /// Mirror the freshly stored row at `rid` into the column view, the
+    /// primary key and every secondary index. Borrows the stored row and
+    /// the maintained structures as disjoint fields, so nothing is cloned.
+    fn index_slot(&mut self, rid: RowId) {
+        let row = self.rows.get(rid.idx()).expect("slot just stored");
+        self.cols.set_row(rid.idx(), row);
+        if let Some(key) = self.schema.key_of(row) {
+            self.pk_index.as_mut().expect("key_of implies pk index").insert(key, rid);
+        }
+        for idx in &mut self.indexes {
+            idx.insert(row, rid);
+        }
     }
 
     /// Append a batch of rows at the tail in one shot — the bulk-ingest
@@ -303,14 +305,7 @@ impl Table {
         }
         self.rows.set(rid.idx(), Some(row));
         self.live += 1;
-        let row_ref = self.rows.get(rid.idx()).expect("just restored").clone();
-        self.cols.set_row(rid.idx(), &row_ref);
-        if let Some(key) = self.schema.key_of(&row_ref) {
-            self.pk_index.as_mut().expect("pk index").insert(key, rid);
-        }
-        for idx in &mut self.indexes {
-            idx.insert(&row_ref, rid);
-        }
+        self.index_slot(rid);
         Ok(())
     }
 
@@ -397,15 +392,7 @@ impl Table {
                 self.schema.canonicalize_row(&mut row);
                 self.rows.push(Some(row));
                 self.live += 1;
-                let rid = RowId(i as u64);
-                let row_ref = self.rows.get(i).expect("just loaded").clone();
-                self.cols.set_row(i, &row_ref);
-                if let Some(key) = self.schema.key_of(&row_ref) {
-                    self.pk_index.as_mut().expect("key_of implies pk index").insert(key, rid);
-                }
-                for idx in &mut self.indexes {
-                    idx.insert(&row_ref, rid);
-                }
+                self.index_slot(RowId(i as u64));
             }
         }
         Ok(())
@@ -442,8 +429,11 @@ impl Table {
             .map(|(i, row)| (RowId(i as u64), row))
     }
 
-    /// Iterate live rows with their ids.
+    /// Iterate live rows with their ids. Every call counts once in
+    /// `erbium_storage_table_scans_total`, so a keyed path that falls back
+    /// to a full pass shows up in the metrics.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> {
+        m_table_scans().inc();
         self.scan_slots(0..self.rows.len())
     }
 
@@ -530,16 +520,71 @@ impl Table {
     /// Find a secondary index whose key is exactly `columns` (in order), or
     /// the primary key if it matches. Returns the rows for `key`.
     pub fn index_lookup(&self, columns: &[usize], key: &Value) -> Option<Vec<(RowId, &Row)>> {
-        if columns == self.schema.primary_key.as_slice() && self.pk_index.is_some() {
-            return Some(self.lookup_pk(key).into_iter().collect());
+        let rids = self.index_rids(columns, key)?;
+        Some(rids.into_iter().filter_map(|rid| self.get(rid).map(|r| (rid, r))).collect())
+    }
+
+    /// Row ids for `key` from the primary key or a secondary index declared
+    /// on exactly `columns`; `None` when no such index exists.
+    fn index_rids(&self, columns: &[usize], key: &Value) -> Option<Vec<RowId>> {
+        if columns == self.schema.primary_key.as_slice() {
+            if let Some(pk) = &self.pk_index {
+                return Some(pk.get(key).to_vec());
+            }
         }
-        let idx = self.indexes.iter().find(|i| i.columns == columns)?;
-        Some(
-            idx.lookup(key)
-                .into_iter()
-                .filter_map(|rid| self.get(rid).map(|r| (rid, r)))
-                .collect(),
-        )
+        Some(self.indexes.iter().find(|i| i.columns == columns)?.lookup(key))
+    }
+
+    /// Ids of the live rows whose `columns` equal `key` (one value per
+    /// column, `Value` equality, so `Int(3)` matches `Float(3.0)` and NULL
+    /// matches NULL), in slot order. This is the equality probe keyed
+    /// access goes through: the primary key or a secondary index declared
+    /// on exactly `columns` answers it when one exists; otherwise one typed
+    /// pass over the column mirror does, with the key converted to each
+    /// column's type once up front (a string becomes one dictionary code).
+    /// Only array/struct columns, which have no typed vector, read rows.
+    pub fn rows_eq(&self, columns: &[usize], key: &[Value]) -> Vec<RowId> {
+        debug_assert_eq!(columns.len(), key.len(), "one key value per column");
+        if self.has_index_on(columns) {
+            let probe = match key {
+                [v] => v.clone(),
+                vs => Value::Struct(vs.to_vec()),
+            };
+            let mut rids = self.index_rids(columns, &probe).unwrap_or_default();
+            rids.sort_unstable();
+            return rids;
+        }
+        let mut typed = Vec::with_capacity(columns.len());
+        let mut untyped = Vec::new();
+        for (&c, k) in columns.iter().zip(key) {
+            match self.cols.slice(c) {
+                Some(slice) => match CellEq::new(slice, k) {
+                    Some(eq) => typed.push(eq),
+                    None => return Vec::new(),
+                },
+                None => untyped.push((c, k)),
+            }
+        }
+        let live = self.cols.live();
+        // One tight compare loop over the first selective column yields the
+        // candidates; liveness, validity and the other columns are checked
+        // on those alone.
+        let candidates = match typed.iter().find_map(CellEq::positions) {
+            Some(slots) => slots,
+            None => (0..self.cols.len()).collect(),
+        };
+        candidates
+            .into_iter()
+            .filter(|&slot| live.get(slot) && typed.iter().all(|eq| eq.matches(slot)))
+            .filter(|&slot| {
+                untyped.is_empty()
+                    || self
+                        .rows
+                        .get(slot)
+                        .is_some_and(|row| untyped.iter().all(|(c, k)| row[*c] == **k))
+            })
+            .map(|slot| RowId(slot as u64))
+            .collect()
     }
 
     /// Does an equality-capable index exist on exactly these columns?
@@ -783,6 +828,90 @@ fn dict_column_stats(
     out.min = min.map(|c| Value::Str(std::sync::Arc::clone(dict.get(c))));
     out.max = max.map(|c| Value::Str(std::sync::Arc::clone(dict.get(c))));
     (out, bytes)
+}
+
+/// One column's test for [`Table::rows_eq`]: the key already converted to
+/// the column's representation, so each slot costs one typed compare.
+enum CellEq<'a> {
+    Int(&'a [i64], &'a Bitmap, i64),
+    /// An Int column probed with a Float key: compared the way `Value`
+    /// compares the two, through `f64`.
+    IntAsFloat(&'a [i64], &'a Bitmap, f64),
+    Float(&'a [f64], &'a Bitmap, f64),
+    Bool(&'a [bool], &'a Bitmap, bool),
+    Str(&'a [u32], &'a Bitmap, u32),
+    Null(&'a Bitmap),
+}
+
+impl<'a> CellEq<'a> {
+    /// `None` when no stored cell can equal `key` (a type the column never
+    /// holds, or a string absent from its dictionary).
+    fn new(slice: ColumnSlice<'a>, key: &Value) -> Option<CellEq<'a>> {
+        Some(match (slice, key) {
+            (ColumnSlice::Int { valid, .. }
+            | ColumnSlice::Float { valid, .. }
+            | ColumnSlice::Bool { valid, .. }
+            | ColumnSlice::Str { valid, .. }, Value::Null) => CellEq::Null(valid),
+            (ColumnSlice::Int { data, valid }, Value::Int(k)) => CellEq::Int(data, valid, *k),
+            (ColumnSlice::Int { data, valid }, Value::Float(k)) => {
+                CellEq::IntAsFloat(data, valid, *k)
+            }
+            (ColumnSlice::Float { data, valid }, Value::Int(_) | Value::Float(_)) => {
+                CellEq::Float(data, valid, key.as_float()?)
+            }
+            (ColumnSlice::Bool { data, valid }, Value::Bool(k)) => CellEq::Bool(data, valid, *k),
+            (ColumnSlice::Str { codes, valid, dict }, Value::Str(k)) => {
+                CellEq::Str(codes, valid, dict.code_of(k)?)
+            }
+            _ => return None,
+        })
+    }
+
+    /// Slots whose stored payload equals the key, validity and liveness
+    /// unchecked (a cleared slot keeps its old payload): one branch-light
+    /// pass over the raw vector. `None` for a NULL key, which only the
+    /// validity bitmap can answer.
+    fn positions(&self) -> Option<Vec<usize>> {
+        fn scan<T: Copy>(data: &[T], hit: impl Fn(T) -> bool) -> Vec<usize> {
+            data.iter().enumerate().filter(|(_, x)| hit(**x)).map(|(i, _)| i).collect()
+        }
+        Some(match *self {
+            CellEq::Int(data, _, k) => scan(data, |x| x == k),
+            CellEq::IntAsFloat(data, _, k) => scan(data, |x| (x as f64).total_cmp(&k).is_eq()),
+            // `total_cmp` equality is bit equality.
+            CellEq::Float(data, _, k) => scan(data, |x| x.to_bits() == k.to_bits()),
+            CellEq::Bool(data, _, k) => scan(data, |x| x == k),
+            CellEq::Str(codes, _, k) => scan(codes, |x| x == k),
+            CellEq::Null(_) => return None,
+        })
+    }
+
+    #[inline]
+    fn matches(&self, slot: usize) -> bool {
+        match *self {
+            CellEq::Int(data, valid, k) => valid.get(slot) && data[slot] == k,
+            CellEq::IntAsFloat(data, valid, k) => {
+                valid.get(slot) && (data[slot] as f64).total_cmp(&k).is_eq()
+            }
+            CellEq::Float(data, valid, k) => valid.get(slot) && data[slot].to_bits() == k.to_bits(),
+            CellEq::Bool(data, valid, k) => valid.get(slot) && data[slot] == k,
+            CellEq::Str(codes, valid, k) => valid.get(slot) && codes[slot] == k,
+            CellEq::Null(valid) => !valid.get(slot),
+        }
+    }
+}
+
+/// Counts [`Table::scan`] calls: full passes over a table's rows. Handle
+/// interned once per process (same pattern as the WAL metrics).
+fn m_table_scans() -> &'static erbium_obs::Counter {
+    static H: std::sync::OnceLock<std::sync::Arc<erbium_obs::Counter>> =
+        std::sync::OnceLock::new();
+    H.get_or_init(|| {
+        erbium_obs::Registry::global().counter(
+            "erbium_storage_table_scans_total",
+            "Full row scans of a table (Table::scan calls)",
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1101,6 +1230,43 @@ mod tests {
         assert!(!t.live_slots().get(19));
         assert!(t.live_slots().get(3), "restored slot is live again");
         assert_eq!(t.column_slice(0).unwrap().value_at(7), Value::Int(200), "freed slot recycled");
+    }
+
+    /// `rows_eq` agrees with a filtered scan for every column shape, every
+    /// live value, NULL, cross-type numeric keys and absent keys — on the
+    /// typed pass and with an index declared on the probed columns.
+    #[test]
+    fn rows_eq_matches_filtered_scan() {
+        let mut t = churned_mixed_table();
+        let reference = |t: &Table, cols: &[usize], key: &[Value]| -> Vec<RowId> {
+            t.scan()
+                .filter(|(_, r)| cols.iter().zip(key).all(|(&c, k)| r[c] == *k))
+                .map(|(rid, _)| rid)
+                .collect()
+        };
+        let mut probes: Vec<(Vec<usize>, Vec<Value>)> = Vec::new();
+        for c in 0..5 {
+            let mut keys: Vec<Value> = t.scan().map(|(_, r)| r[c].clone()).collect();
+            keys.extend([Value::Null, Value::str("absent"), Value::Int(-1), Value::Bool(true)]);
+            probes.extend(keys.into_iter().map(|k| (vec![c], vec![k])));
+        }
+        // Int keys on the Float column, Float keys on the Int column.
+        probes.push((vec![1], vec![Value::Int(6)]));
+        probes.push((vec![0], vec![Value::Float(4.0)]));
+        probes.push((vec![0], vec![Value::Float(4.5)]));
+        // Composite keys, one half typed and one half array.
+        for (_, r) in t.scan() {
+            probes.push((vec![3, 2], vec![r[3].clone(), r[2].clone()]));
+            probes.push((vec![4, 0], vec![r[4].clone(), r[0].clone()]));
+        }
+        for (cols, key) in &probes {
+            assert_eq!(t.rows_eq(cols, key), reference(&t, cols, key), "{cols:?} = {key:?}");
+        }
+        assert_eq!(t.rows_eq(&[0], &[Value::Int(2)]), vec![RowId(2)], "primary-key probe");
+        t.create_index("by_tag_flag", vec![3, 2], IndexKind::Hash).unwrap();
+        for (cols, key) in probes.iter().filter(|(c, _)| c == &[3, 2]) {
+            assert_eq!(t.rows_eq(cols, key), reference(&t, cols, key), "indexed {key:?}");
+        }
     }
 
     #[test]

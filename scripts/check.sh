@@ -67,6 +67,16 @@ if grep "^erbium-" crates/client/Cargo.toml | grep -v "^erbium-model \|^erbium-q
     echo "ERROR: crates/client may depend only on erbium-model and erbium-query" >&2
     exit 1
 fi
+# CRUD probes, extraction scans: above the `// ---- extraction` section
+# marker, crates/mapping/src/crud.rs finds rows through `Table::rows_eq`
+# or a primary-key lookup. A full `.scan()` or an `extract_relationship(`
+# call there is a CRUD path quietly going back to O(table).
+if awk '/\/\/ ---- extraction/ { exit }
+        /\.scan\(\)|extract_relationship\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/mapping/src/crud.rs; then
+    echo "ERROR: table scan or relationship extraction on a CRUD path in crud.rs" >&2
+    exit 1
+fi
 # One of each: the CRC-32, the cursor and the Value codec live in
 # erbium-model's codec module and nowhere else.
 for def in "fn crc32" "fn put_value" "fn get_value" "struct Cursor"; do
