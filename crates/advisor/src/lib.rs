@@ -32,6 +32,6 @@ pub mod stats;
 pub mod workload;
 
 pub use cost::estimate_plan;
-pub use search::{Advisor, DesignChoice, Recommendation, SearchConfig};
+pub use search::{Advisor, DesignChoice, Recommendation};
 pub use stats::{synthesize, LogicalStats};
 pub use workload::{Workload, WorkloadQuery};

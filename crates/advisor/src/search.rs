@@ -141,18 +141,14 @@ impl Design {
     }
 }
 
-/// Search configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SearchConfig {
-    /// Maximum coordinate-descent sweeps.
-    pub max_sweeps: usize,
-}
+/// Coordinate-descent sweeps before the search stops even if a sweep still
+/// improved the design.
+const MAX_SWEEPS: usize = 4;
 
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig { max_sweeps: 4 }
-    }
-}
+const HIERARCHY_OPTIONS: [HierarchyChoice; 3] =
+    [HierarchyChoice::Delta, HierarchyChoice::Merged, HierarchyChoice::Full];
+const CO_OPTIONS: [CoChoice; 3] =
+    [CoChoice::Separate, CoChoice::Factorized, CoChoice::Denormalized];
 
 /// The advisor's output.
 #[derive(Debug, Clone)]
@@ -170,7 +166,6 @@ pub struct Recommendation {
 pub struct Advisor {
     schema: ErSchema,
     stats: LogicalStats,
-    config: SearchConfig,
 }
 
 impl Advisor {
@@ -180,19 +175,13 @@ impl Advisor {
         Ok(Advisor {
             schema: lw.schema.clone(),
             stats: LogicalStats::gather(cat, lw)?,
-            config: SearchConfig::default(),
         })
     }
 
     /// Create an advisor from explicit logical statistics (e.g. projected
     /// future data volumes).
     pub fn from_stats(schema: ErSchema, stats: LogicalStats) -> Advisor {
-        Advisor { schema, stats, config: SearchConfig::default() }
-    }
-
-    pub fn with_config(mut self, config: SearchConfig) -> Advisor {
-        self.config = config;
-        self
+        Advisor { schema, stats }
     }
 
     /// Estimated total workload cost under one candidate mapping; `None`
@@ -217,103 +206,38 @@ impl Advisor {
 
     /// Run the search and return the best design found.
     pub fn recommend(&self, workload: &Workload) -> MappingResult<Recommendation> {
-        let mut design = Design::normalized(&self.schema);
+        let design = Design::normalized(&self.schema);
         let baseline_mapping = design.to_mapping(&self.schema)?;
         let (baseline_cost, _) = self
             .cost_of(&baseline_mapping, workload)
             .ok_or_else(|| erbium_mapping::MappingError::Unsupported(
                 "workload cannot run under the normalized mapping".into(),
             ))?;
-        let mut best_cost = baseline_cost;
-        let mut evaluated = 1usize;
+        let mut s = Search { design, best: baseline_cost, evaluated: 1 };
 
-        for _sweep in 0..self.config.max_sweeps {
+        for _sweep in 0..MAX_SWEEPS {
             let mut improved = false;
-            // Hierarchy layouts.
-            for i in 0..design.hierarchies.len() {
-                for choice in
-                    [HierarchyChoice::Delta, HierarchyChoice::Merged, HierarchyChoice::Full]
-                {
-                    let old = design.hierarchies[i].1;
-                    if old == choice {
-                        continue;
-                    }
-                    design.hierarchies[i].1 = choice;
-                    evaluated += 1;
-                    match design
-                        .to_mapping(&self.schema)
-                        .ok()
-                        .and_then(|m| self.cost_of(&m, workload))
-                    {
-                        Some((c, _)) if c < best_cost => {
-                            best_cost = c;
-                            improved = true;
-                        }
-                        _ => design.hierarchies[i].1 = old,
-                    }
-                }
+            for i in 0..s.design.hierarchies.len() {
+                let opts = HIERARCHY_OPTIONS;
+                improved |= self.try_options(workload, &mut s, |d| &mut d.hierarchies[i].1, &opts);
             }
-            // Multi-valued placements.
-            for i in 0..design.mv_inline.len() {
-                let old = design.mv_inline[i].1;
-                design.mv_inline[i].1 = !old;
-                evaluated += 1;
-                match design
-                    .to_mapping(&self.schema)
-                    .ok()
-                    .and_then(|m| self.cost_of(&m, workload))
-                {
-                    Some((c, _)) if c < best_cost => {
-                        best_cost = c;
-                        improved = true;
-                    }
-                    _ => design.mv_inline[i].1 = old,
-                }
+            for i in 0..s.design.mv_inline.len() {
+                let opts = [!s.design.mv_inline[i].1];
+                improved |= self.try_options(workload, &mut s, |d| &mut d.mv_inline[i].1, &opts);
             }
-            // Weak folding.
-            for i in 0..design.weak_folded.len() {
-                let old = design.weak_folded[i].1;
-                design.weak_folded[i].1 = !old;
-                evaluated += 1;
-                match design
-                    .to_mapping(&self.schema)
-                    .ok()
-                    .and_then(|m| self.cost_of(&m, workload))
-                {
-                    Some((c, _)) if c < best_cost => {
-                        best_cost = c;
-                        improved = true;
-                    }
-                    _ => design.weak_folded[i].1 = old,
-                }
+            for i in 0..s.design.weak_folded.len() {
+                let opts = [!s.design.weak_folded[i].1];
+                improved |= self.try_options(workload, &mut s, |d| &mut d.weak_folded[i].1, &opts);
             }
-            // Co-location.
-            for i in 0..design.colocate.len() {
-                for choice in [CoChoice::Separate, CoChoice::Factorized, CoChoice::Denormalized] {
-                    let old = design.colocate[i].1;
-                    if old == choice {
-                        continue;
-                    }
-                    design.colocate[i].1 = choice;
-                    evaluated += 1;
-                    match design
-                        .to_mapping(&self.schema)
-                        .ok()
-                        .and_then(|m| self.cost_of(&m, workload))
-                    {
-                        Some((c, _)) if c < best_cost => {
-                            best_cost = c;
-                            improved = true;
-                        }
-                        _ => design.colocate[i].1 = old,
-                    }
-                }
+            for i in 0..s.design.colocate.len() {
+                let opts = CO_OPTIONS;
+                improved |= self.try_options(workload, &mut s, |d| &mut d.colocate[i].1, &opts);
             }
             if !improved {
                 break;
             }
         }
-        let mapping = design.to_mapping(&self.schema)?;
+        let mapping = s.design.to_mapping(&self.schema)?;
         let (cost, per_query) = self
             .cost_of(&mapping, workload)
             .expect("winning design was evaluated during the search");
@@ -322,8 +246,47 @@ impl Advisor {
             cost,
             baseline_cost,
             per_query,
-            choices: design.describe(),
-            candidates_evaluated: evaluated,
+            choices: s.design.describe(),
+            candidates_evaluated: s.evaluated,
         })
     }
+
+    /// One coordinate-descent move on the dimension `slot` selects: set it
+    /// to each of `options` in turn (skipping its current value), keep an
+    /// option that makes the workload cheaper than the best so far, and
+    /// restore the previous value otherwise. Returns whether any option
+    /// was kept.
+    fn try_options<T: Copy + PartialEq>(
+        &self,
+        workload: &Workload,
+        s: &mut Search,
+        slot: impl Fn(&mut Design) -> &mut T,
+        options: &[T],
+    ) -> bool {
+        let mut improved = false;
+        for &option in options {
+            let old = *slot(&mut s.design);
+            if old == option {
+                continue;
+            }
+            *slot(&mut s.design) = option;
+            s.evaluated += 1;
+            match s.design.to_mapping(&self.schema).ok().and_then(|m| self.cost_of(&m, workload)) {
+                Some((c, _)) if c < s.best => {
+                    s.best = c;
+                    improved = true;
+                }
+                _ => *slot(&mut s.design) = old,
+            }
+        }
+        improved
+    }
+}
+
+/// The state of one search: the current design, the workload cost of the
+/// cheapest design seen, and how many candidates were costed.
+struct Search {
+    design: Design,
+    best: f64,
+    evaluated: usize,
 }
