@@ -10,14 +10,15 @@
 //! * [`stats::LogicalStats`] — mapping-independent statistics gathered once
 //!   from the current database (entity extent sizes, average multi-valued
 //!   fan-outs, relationship cardinalities);
-//! * [`stats::synthesize`] — projected physical table statistics for *any*
-//!   candidate mapping, derived analytically (no data movement while
-//!   searching);
-//! * [`cost`] — a calibrated plan-cost estimator: each candidate mapping is
-//!   installed schema-only into a phantom catalog, the workload queries are
-//!   rewritten against it with the real [`erbium_mapping::QueryRewriter`]
-//!   (so candidate costs reflect exactly the plans that would run), and the
-//!   plans are costed bottom-up against the synthesized statistics;
+//! * [`stats::synthesize`] — projected physical table statistics, per
+//!   column, for *any* candidate mapping, derived analytically (no data
+//!   movement while searching) — the advisor's only costing code;
+//! * [`Advisor::cost_of`] — a what-if client of the engine: each candidate
+//!   mapping is installed schema-only into a phantom catalog carrying the
+//!   synthesized statistics, the workload queries are rewritten with the
+//!   real [`erbium_mapping::QueryRewriter`] and optimized as on an ANALYZEd
+//!   database (so candidate costs reflect exactly the plans that would
+//!   run), and each plan is priced with `erbium_engine::cost::plan_cost`;
 //! * [`search`] — the design dimensions (multi-valued placement, hierarchy
 //!   layout, weak-entity folding, relationship co-location) and a greedy
 //!   coordinate-descent search with restarts over them.
@@ -26,12 +27,10 @@
 //! estimated workload cost, the per-query breakdown, and an explanation of
 //! each design choice.
 
-pub mod cost;
 pub mod search;
 pub mod stats;
 pub mod workload;
 
-pub use cost::estimate_plan;
 pub use search::{Advisor, DesignChoice, Recommendation};
 pub use stats::{synthesize, LogicalStats};
 pub use workload::{Workload, WorkloadQuery};

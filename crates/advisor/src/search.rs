@@ -17,9 +17,9 @@
 //! mapping validator — the search can only ever propose covers that
 //! satisfy the paper's reversibility/CRUD requirements.
 
-use crate::cost::estimate_plan;
 use crate::stats::{synthesize, LogicalStats};
 use crate::workload::Workload;
+use erbium_engine::cost::plan_cost;
 use erbium_mapping::{presets, CoFormat, Lowering, Mapping, MappingResult, QueryRewriter};
 use erbium_model::ErSchema;
 use erbium_storage::Catalog;
@@ -186,20 +186,31 @@ impl Advisor {
 
     /// Estimated total workload cost under one candidate mapping; `None`
     /// if the mapping is invalid or cannot serve some workload query.
-    pub fn cost_of(&self, mapping: &Mapping, workload: &Workload) -> Option<(f64, Vec<(String, f64)>)> {
+    ///
+    /// A what-if run of the engine: the candidate is installed schema-only
+    /// into a phantom catalog that carries [`synthesize`]d statistics in
+    /// place of data, each query is rewritten and optimized exactly as on
+    /// an ANALYZEd database (so the cost-based passes shape the plan), and
+    /// the plan is priced with the engine's [`plan_cost`].
+    pub fn cost_of(
+        &self,
+        mapping: &Mapping,
+        workload: &Workload,
+    ) -> Option<(f64, Vec<(String, f64)>)> {
         let lw = Lowering::build(&self.schema, mapping).ok()?;
-        // Phantom catalog: schemas only, no rows.
         let mut cat = Catalog::new();
         lw.install(&mut cat).ok()?;
-        let synth = synthesize(&lw, &self.schema, &self.stats).ok()?;
+        for (name, stats) in synthesize(&lw, &self.schema, &self.stats).ok()? {
+            cat.put_stats(name, stats);
+        }
         let rewriter = QueryRewriter::new(&lw, &cat);
         let mut total = 0.0;
         let mut per_query = Vec::new();
         for q in &workload.queries {
             let plan = rewriter.rewrite_optimized(&q.stmt).ok()?;
-            let est = estimate_plan(&plan, &synth);
-            total += est.cost * q.weight;
-            per_query.push((q.sql.clone(), est.cost));
+            let cost = plan_cost(&plan, &cat)?;
+            total += cost * q.weight;
+            per_query.push((q.sql.clone(), cost));
         }
         Some((total, per_query))
     }
@@ -213,25 +224,23 @@ impl Advisor {
             .ok_or_else(|| erbium_mapping::MappingError::Unsupported(
                 "workload cannot run under the normalized mapping".into(),
             ))?;
-        let mut s = Search { design, best: baseline_cost, evaluated: 1 };
+        let mut s = Search { advisor: self, workload, design, best: baseline_cost, evaluated: 1 };
 
         for _sweep in 0..MAX_SWEEPS {
             let mut improved = false;
             for i in 0..s.design.hierarchies.len() {
-                let opts = HIERARCHY_OPTIONS;
-                improved |= self.try_options(workload, &mut s, |d| &mut d.hierarchies[i].1, &opts);
+                improved |= s.try_options(|d| &mut d.hierarchies[i].1, &HIERARCHY_OPTIONS);
             }
             for i in 0..s.design.mv_inline.len() {
-                let opts = [!s.design.mv_inline[i].1];
-                improved |= self.try_options(workload, &mut s, |d| &mut d.mv_inline[i].1, &opts);
+                let flip = [!s.design.mv_inline[i].1];
+                improved |= s.try_options(|d| &mut d.mv_inline[i].1, &flip);
             }
             for i in 0..s.design.weak_folded.len() {
-                let opts = [!s.design.weak_folded[i].1];
-                improved |= self.try_options(workload, &mut s, |d| &mut d.weak_folded[i].1, &opts);
+                let flip = [!s.design.weak_folded[i].1];
+                improved |= s.try_options(|d| &mut d.weak_folded[i].1, &flip);
             }
             for i in 0..s.design.colocate.len() {
-                let opts = CO_OPTIONS;
-                improved |= self.try_options(workload, &mut s, |d| &mut d.colocate[i].1, &opts);
+                improved |= s.try_options(|d| &mut d.colocate[i].1, &CO_OPTIONS);
             }
             if !improved {
                 break;
@@ -250,43 +259,46 @@ impl Advisor {
             candidates_evaluated: s.evaluated,
         })
     }
+}
 
+/// One run of [`Advisor::recommend`]: the current design, the workload cost
+/// of the cheapest design seen, and how many candidates were costed.
+struct Search<'a> {
+    advisor: &'a Advisor,
+    workload: &'a Workload,
+    design: Design,
+    best: f64,
+    evaluated: usize,
+}
+
+impl Search<'_> {
     /// One coordinate-descent move on the dimension `slot` selects: set it
     /// to each of `options` in turn (skipping its current value), keep an
     /// option that makes the workload cheaper than the best so far, and
     /// restore the previous value otherwise. Returns whether any option
     /// was kept.
     fn try_options<T: Copy + PartialEq>(
-        &self,
-        workload: &Workload,
-        s: &mut Search,
+        &mut self,
         slot: impl Fn(&mut Design) -> &mut T,
         options: &[T],
     ) -> bool {
         let mut improved = false;
         for &option in options {
-            let old = *slot(&mut s.design);
+            let old = *slot(&mut self.design);
             if old == option {
                 continue;
             }
-            *slot(&mut s.design) = option;
-            s.evaluated += 1;
-            match s.design.to_mapping(&self.schema).ok().and_then(|m| self.cost_of(&m, workload)) {
-                Some((c, _)) if c < s.best => {
-                    s.best = c;
+            *slot(&mut self.design) = option;
+            self.evaluated += 1;
+            let mapping = self.design.to_mapping(&self.advisor.schema).ok();
+            match mapping.and_then(|m| self.advisor.cost_of(&m, self.workload)) {
+                Some((c, _)) if c < self.best => {
+                    self.best = c;
                     improved = true;
                 }
-                _ => *slot(&mut s.design) = old,
+                _ => *slot(&mut self.design) = old,
             }
         }
         improved
     }
-}
-
-/// The state of one search: the current design, the workload cost of the
-/// cheapest design seen, and how many candidates were costed.
-struct Search {
-    design: Design,
-    best: f64,
-    evaluated: usize,
 }

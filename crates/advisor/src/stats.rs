@@ -1,29 +1,39 @@
 //! Mapping-independent statistics and per-candidate projection.
 
+use erbium_engine::cost::BYTES_PER_VALUE;
+use erbium_mapping::lower::{weak_col, TableSpec};
 use erbium_mapping::{
     CoFormat, EntityStore, Fragment, HierarchyLayout, Lowering, MappingResult,
 };
 use erbium_model::ErSchema;
-use erbium_storage::{Catalog, TableStats};
+use erbium_storage::{Catalog, Column, ColumnStats, TableStats};
 use rustc_hash::FxHashMap;
 
-/// Average bytes assumed per attribute value when projecting physical sizes
-/// from logical statistics (the same convention
-/// [`erbium_storage::TableStats`] gathering uses for numeric values).
-const BYTES_PER_VALUE: f64 = 8.0;
-
 /// Build a [`TableStats`] for a structure that does not physically exist
-/// yet: a projected row count and total byte volume, with no per-column
-/// detail (`columns` stays empty — consumers fall back to shape-based
-/// selectivity heuristics exactly as the engine's estimator does for
-/// unknown columns).
-fn projected(rows: f64, width: f64) -> TableStats {
+/// yet: a projected row count, a total byte volume of `width` values per
+/// row, and one [`ColumnStats`] per column of `columns`, in order.
+///
+/// Every column is taken to be as distinct as the structure has rows, and
+/// never less than 1: a zero NDV on both keys of a join would leave the
+/// engine's join estimate with a denominator of 1 — a cartesian product.
+/// Array columns named in `fanouts` carry that average element count.
+fn projected<'a>(
+    rows: f64,
+    width: f64,
+    columns: impl IntoIterator<Item = &'a Column>,
+    fanouts: &[(String, f64)],
+) -> TableStats {
     let rows = rows.max(0.0);
-    TableStats {
-        row_count: rows.round() as u64,
-        columns: Vec::new(),
-        total_bytes: (rows * width * BYTES_PER_VALUE).round() as u64,
-    }
+    let row_count = rows.round() as u64;
+    let columns = columns
+        .into_iter()
+        .map(|c| ColumnStats {
+            ndv: row_count.max(1),
+            avg_array_len: fanouts.iter().find(|(n, _)| *n == c.name).map_or(0.0, |(_, f)| *f),
+            ..ColumnStats::default()
+        })
+        .collect();
+    TableStats { row_count, columns, total_bytes: (rows * width * BYTES_PER_VALUE).round() as u64 }
 }
 
 /// Logical statistics of a database instance — properties of the data, not
@@ -120,11 +130,13 @@ impl LogicalStats {
 }
 
 /// Project physical table statistics for every structure of a candidate
-/// lowering, from logical statistics alone. The result uses the same
-/// [`TableStats`] type that `Catalog::analyze` gathers for live tables, so
-/// the advisor's cost model and the engine's cardinality estimator speak
-/// one statistics language; synthesized entries simply carry no per-column
-/// detail.
+/// lowering, from logical statistics alone — the only costing code the
+/// advisor owns. Entries are keyed, and their columns ordered, exactly as
+/// `Catalog::analyze` would gather them from the installed lowering
+/// (factorized structures under `name`, `name#left` and `name#right`), so
+/// installed with `Catalog::put_stats` they let the engine's optimizer and
+/// `erbium_engine::cost::plan_cost` treat the candidate as an ANALYZEd
+/// database.
 pub fn synthesize(
     lw: &Lowering,
     schema: &ErSchema,
@@ -132,6 +144,9 @@ pub fn synthesize(
 ) -> MappingResult<FxHashMap<String, TableStats>> {
     let mut out = FxHashMap::default();
     for frag in &lw.mapping.fragments {
+        let spec = lw.tables.iter().find(|t| t.name() == frag.table());
+        // Array columns of the structure, with their average element count.
+        let mut fanouts: Vec<(String, f64)> = Vec::new();
         let (rows, width) = match frag {
             Fragment::Entity {
                 entity,
@@ -158,7 +173,9 @@ pub fn synthesize(
                     for a in &es.attributes {
                         if a.multi_valued {
                             if inline_multivalued.contains(&a.name) {
-                                width += ls.fanout(ce, &a.name);
+                                let fanout = ls.fanout(ce, &a.name);
+                                width += fanout;
+                                fanouts.push((a.name.clone(), fanout));
                             }
                         } else {
                             width += 1.0;
@@ -173,6 +190,7 @@ pub fn synthesize(
                         0.0
                     };
                     width += per_owner * wes.attributes.len() as f64;
+                    fanouts.push((weak_col(w), per_owner));
                 }
                 width += folded_relationships.len() as f64;
                 (rows, width)
@@ -192,8 +210,10 @@ pub fn synthesize(
                 let r = ls.extent(&rel.to.entity) as f64;
                 // Side-specific entries so member scans are costed by their
                 // actual extents.
-                out.insert(format!("{table}#left"), projected(l, 4.0));
-                out.insert(format!("{table}#right"), projected(r, 4.0));
+                if let Some(TableSpec::Factorized { left, right, .. }) = spec {
+                    out.insert(format!("{table}#left"), projected(l, 4.0, &left.columns, &[]));
+                    out.insert(format!("{table}#right"), projected(r, 4.0, &right.columns, &[]));
+                }
                 match format {
                     // Denormalized: one row per pair plus dangling rows.
                     CoFormat::Denormalized => (pairs.max(l).max(r), 8.0),
@@ -203,7 +223,14 @@ pub fn synthesize(
                 }
             }
         };
-        out.insert(frag.table().to_string(), projected(rows, width));
+        let columns: Vec<&Column> = match spec {
+            Some(TableSpec::Plain { schema, .. }) => schema.columns.iter().collect(),
+            Some(TableSpec::Factorized { left, right, .. }) => {
+                left.columns.iter().chain(&right.columns).collect()
+            }
+            None => Vec::new(),
+        };
+        out.insert(frag.table().to_string(), projected(rows, width, columns, &fanouts));
     }
     Ok(out)
 }

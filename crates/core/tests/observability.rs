@@ -140,6 +140,34 @@ fn optimizer_stats_survive_checkpoint_and_reopen() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `stats_missing` is the alarm for statistics lost in recovery, so it must
+/// only count plans of the database itself. The advisor optimizes every
+/// workload query under every candidate cover on a phantom catalog; those
+/// catalogs carry synthesized statistics, so asking for advice on a live,
+/// never-ANALYZEd database leaves the counter flat while the cost-based
+/// passes run on every candidate.
+#[test]
+fn advise_does_not_trip_the_stats_missing_alarm() {
+    let _g = lock();
+    let mut db = Database::new();
+    populate(&mut db, 30);
+    let wl = erbium_core::advisor::Workload::new()
+        .query("SELECT p.name FROM person p WHERE p.score = 3")
+        .unwrap()
+        .query("SELECT m.name, m.rank FROM mentor m")
+        .unwrap();
+    let missing_before = counter("erbium_optimizer_stats_missing_total").get();
+    let cbo_before = counter("erbium_optimizer_cbo_applied_total").get();
+    let rec = db.advise(&wl).unwrap();
+    assert!(rec.candidates_evaluated > 1, "the search costed several candidates");
+    assert_eq!(
+        counter("erbium_optimizer_stats_missing_total").get(),
+        missing_before,
+        "advice is not a stats-loss event"
+    );
+    assert!(counter("erbium_optimizer_cbo_applied_total").get() > cbo_before);
+}
+
 // ---- tracing ---------------------------------------------------------------
 
 #[test]

@@ -14,7 +14,11 @@
 //!
 //! The same estimates annotate `EXPLAIN` output and
 //! [`crate::metrics::ExecMetrics`] trees (`est=` column), which is what
-//! makes estimate-vs-actual q-error visible per operator.
+//! makes estimate-vs-actual q-error visible per operator. [`plan_cost`]
+//! turns them into a relative price for a whole plan; it is the only plan
+//! cost function in the workspace, and the mapping advisor ranks candidate
+//! covers with it over statistics it synthesizes for tables that hold no
+//! data.
 
 use crate::expr::{BinOp, Expr};
 use crate::metrics::ExecMetrics;
@@ -432,6 +436,65 @@ fn range_bounds_sel(ce: Option<&ColEst>, lo: Option<&Value>, hi: Option<&Value>)
     ((hi_frac - lo_frac).max(0.0)) * (1.0 - c.null_frac)
 }
 
+// ---- plan cost -----------------------------------------------------------------
+
+/// Bytes per attribute value that turn a table's `total_bytes` into a row
+/// width (in values) for the scan weight of [`plan_cost`]; statistics
+/// synthesized for tables that hold no data use the same convention.
+pub const BYTES_PER_VALUE: f64 = 8.0;
+
+/// Relative execution cost of `plan`: unit-free work, roughly the rows each
+/// operator touches, with scans weighted by row width. Only the ranking of
+/// alternatives is meaningful — the mapping advisor prices one workload
+/// under many candidate covers with it.
+///
+/// Every cardinality comes from [`estimate`], and the function is total or
+/// nothing in the same way: `None` as soon as any leaf lacks statistics.
+pub fn plan_cost(plan: &Plan, cat: &Catalog) -> Option<f64> {
+    let rows = |p: &Plan| estimate(p, cat).map(|e| e.rows);
+    let cost = |p: &Plan| plan_cost(p, cat);
+    Some(match &plan.kind {
+        PlanKind::Scan { table, .. } => {
+            let stats = cat.table_stats(table)?;
+            stats.row_count as f64 * (1.0 + 0.1 * stats.avg_row_bytes() / BYTES_PER_VALUE)
+        }
+        PlanKind::IndexLookup { .. } => 2.0 * rows(plan)?,
+        PlanKind::IndexRange { table, .. } => {
+            rows(plan)? + table_estimate(cat, table)?.rows.max(2.0).log2()
+        }
+        PlanKind::FactorizedScan { table, side, .. } => {
+            let key = match side {
+                FactorizedSide::Left => format!("{table}#left"),
+                FactorizedSide::Right => format!("{table}#right"),
+                FactorizedSide::Join => table.clone(),
+            };
+            table_estimate(cat, &key)?.rows
+        }
+        PlanKind::FactorizedCount { .. } => 1.0,
+        PlanKind::Filter { input, .. } | PlanKind::Distinct { input } => {
+            cost(input)? + rows(input)?
+        }
+        PlanKind::Project { input, exprs } => {
+            cost(input)? + 0.05 * exprs.len() as f64 * rows(input)?
+        }
+        PlanKind::Join { left, right, .. } => {
+            cost(left)? + cost(right)? + rows(left)? + 1.5 * rows(right)? + 0.5 * rows(plan)?
+        }
+        PlanKind::Aggregate { input, .. } => cost(input)? + 1.2 * rows(input)?,
+        PlanKind::Unnest { input, .. } => cost(input)? + rows(plan)?,
+        PlanKind::Sort { input, .. } => {
+            let n = rows(input)?.max(2.0);
+            cost(input)? + 0.2 * n * n.log2()
+        }
+        PlanKind::Limit { input, .. } => cost(input)?,
+        // Each branch pays a small fixed overhead.
+        PlanKind::Union { inputs } => {
+            inputs.iter().map(|i| Some(cost(i)? + 0.5)).sum::<Option<f64>>()?
+        }
+        PlanKind::Values { rows } => rows.len() as f64,
+    })
+}
+
 // ---- explain / metrics annotation ------------------------------------------
 
 /// Render `plan.explain()` with per-node `est=N` row estimates appended.
@@ -479,7 +542,8 @@ fn zip_annotate(metrics: &mut ExecMetrics, plan: &Plan, cat: &Catalog) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use erbium_storage::{Column, DataType, Table, TableSchema};
+    use crate::plan::Field;
+    use erbium_storage::{Column, ColumnStats, DataType, Table, TableSchema};
 
     fn analyzed_cat() -> Catalog {
         let mut c = Catalog::new();
@@ -672,5 +736,64 @@ mod tests {
         // est=0 and actual=0 floor to 1/1 → perfect score, not NaN.
         let z = ExecMetrics { est_rows: Some(0.0), ..ExecMetrics::default() };
         assert_eq!(z.q_error(), Some(1.0));
+    }
+
+    // ---- plan cost ------------------------------------------------------
+
+    /// A catalog holding only statistics (no tables): a one-column table per
+    /// `(name, rows)`, its column as distinct as the table has rows.
+    fn stats_only(tables: &[(&str, u64)]) -> Catalog {
+        let mut c = Catalog::new();
+        for &(name, rows) in tables {
+            let column = ColumnStats { ndv: rows, ..ColumnStats::default() };
+            let columns = vec![column];
+            c.put_stats(name, TableStats { row_count: rows, columns, total_bytes: rows * 24 });
+        }
+        c
+    }
+
+    fn scan(table: &str, filters: Vec<Expr>) -> Plan {
+        Plan {
+            kind: PlanKind::Scan { table: table.into(), filters, projection: None },
+            fields: vec![Field::new("x", DataType::Int)],
+        }
+    }
+
+    /// `left ⋈ right` on their first columns.
+    fn join(left: &str, right: &str) -> Plan {
+        let key = || vec![Expr::col(0)];
+        scan(left, vec![]).join(scan(right, vec![]), JoinKind::Inner, key(), key())
+    }
+
+    #[test]
+    fn index_lookup_beats_scan() {
+        let c = stats_only(&[("t", 1_000_000)]);
+        let filtered = scan("t", vec![Expr::eq(Expr::col(0), Expr::lit(1i64))]);
+        let lookup = Plan {
+            kind: PlanKind::IndexLookup {
+                table: "t".into(),
+                columns: vec![0],
+                keys: vec![Value::Int(1)],
+                residual: vec![],
+            },
+            fields: vec![Field::new("x", DataType::Int)],
+        };
+        let scan_cost = plan_cost(&filtered, &c).unwrap();
+        let lookup_cost = plan_cost(&lookup, &c).unwrap();
+        assert!(lookup_cost < scan_cost / 100.0, "lookup={lookup_cost} scan={scan_cost}");
+    }
+
+    #[test]
+    fn join_cost_grows_with_inputs() {
+        let c = stats_only(&[("a", 1_000), ("b", 100_000)]);
+        assert!(plan_cost(&join("a", "b"), &c).unwrap() > plan_cost(&join("a", "a"), &c).unwrap());
+    }
+
+    #[test]
+    fn plan_cost_needs_stats_on_every_leaf() {
+        let c = stats_only(&[("a", 1_000)]);
+        assert!(plan_cost(&scan("a", vec![]), &c).is_some());
+        assert!(plan_cost(&scan("b", vec![]), &c).is_none());
+        assert!(plan_cost(&join("a", "b"), &c).is_none(), "one leaf without stats prices nothing");
     }
 }

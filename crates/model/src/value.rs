@@ -210,8 +210,8 @@ impl Value {
         }
     }
 
-    /// Rough in-memory footprint in bytes; used by statistics and the
-    /// advisor cost model.
+    /// Rough in-memory footprint in bytes; statistics sum it into
+    /// `total_bytes`, which sets the scan weight of the engine's plan cost.
     pub fn approx_size(&self) -> usize {
         match self {
             Value::Null | Value::Bool(_) => 1,

@@ -1,7 +1,8 @@
 //! Table and column statistics.
 //!
-//! Consumed by the query optimizer (join ordering, index selection) and by
-//! the mapping advisor's cost model. Statistics are recomputed on demand via
+//! Consumed by the engine's estimator, cost-based passes and `plan_cost`;
+//! the mapping advisor synthesizes the same type for candidate mappings
+//! that hold no data. Statistics are recomputed on demand via
 //! [`crate::table::Table::compute_stats`]; they are estimates, not
 //! transactionally maintained truths.
 
@@ -111,18 +112,6 @@ impl TableStats {
         match self.columns.get(col) {
             Some(c) if c.ndv > 0 => 1.0 / c.ndv as f64,
             _ => 0.1,
-        }
-    }
-
-    /// Fraction of NULLs in column `col` (0.0 when the table is empty or the
-    /// column is unknown).
-    pub fn null_frac(&self, col: usize) -> f64 {
-        if self.row_count == 0 {
-            return 0.0;
-        }
-        match self.columns.get(col) {
-            Some(c) => c.null_count as f64 / self.row_count as f64,
-            None => 0.0,
         }
     }
 

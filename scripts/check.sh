@@ -77,9 +77,16 @@ if awk '/\/\/ ---- extraction/ { exit }
     echo "ERROR: table scan or relationship extraction on a CRUD path in crud.rs" >&2
     exit 1
 fi
+# One cost model: the advisor prices candidate covers with the engine's
+# estimate-backed plan_cost and never walks a plan itself.
+if grep -rn "PlanKind::" crates/advisor/src; then
+    echo "ERROR: crates/advisor/src walks a plan; price it with erbium_engine::cost::plan_cost" >&2
+    exit 1
+fi
 # One of each: the CRC-32, the cursor and the Value codec live in
-# erbium-model's codec module and nowhere else.
-for def in "fn crc32" "fn put_value" "fn get_value" "struct Cursor"; do
+# erbium-model's codec module and nowhere else; the plan cost function in
+# erbium-engine's cost module.
+for def in "fn crc32" "fn put_value" "fn get_value" "struct Cursor" "fn plan_cost"; do
     n=$(grep -rn --include='*.rs' "\b$def\b" crates | wc -l)
     if [ "$n" -ne 1 ]; then
         echo "ERROR: expected exactly one '$def' under crates/, found $n" >&2
