@@ -126,7 +126,11 @@ fn query_params_reuses_template_plan() {
 fn prepared_executes_never_reparse() {
     let _g = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut db = seeded();
-    let stmt = db.prepare("SELECT p.name FROM person p WHERE p.id = ?").unwrap();
+    // A template text no other test sends: the tracer is process-wide and
+    // other tests in this binary run queries concurrently, so only spans of
+    // this text's query ids are counted.
+    const SQL: &str = "SELECT nr.name FROM person nr WHERE nr.id = ?";
+    let stmt = db.prepare(SQL).unwrap();
 
     let tracer = erbium_core::obs::Tracer::global();
     tracer.set_enabled(true);
@@ -137,7 +141,14 @@ fn prepared_executes_never_reparse() {
     let spans = tracer.recent_spans();
     tracer.set_enabled(false);
 
-    let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+    let ours: std::collections::HashSet<u64> = spans
+        .iter()
+        .filter(|s| s.name == "query" && s.detail.as_deref() == Some(SQL))
+        .map(|s| s.query_id)
+        .collect();
+    assert_eq!(ours.len(), 8, "one query id per execute");
+    let names: Vec<&str> =
+        spans.iter().filter(|s| ours.contains(&s.query_id)).map(|s| s.name).collect();
     assert!(
         !names.contains(&"parse") && !names.contains(&"plan"),
         "prepared execution must skip parse and plan entirely, saw spans: {names:?}"

@@ -117,8 +117,19 @@ pub fn estimate(plan: &Plan, cat: &Catalog) -> Option<Estimate> {
         PlanKind::IndexRange { table, column, lo, hi, residual } => {
             let base = table_estimate(cat, table)?;
             let ce = base.cols.get(*column).and_then(|c| c.as_ref());
-            let sel =
-                range_bounds_sel(ce, lo.as_ref().map(|(v, _)| v), hi.as_ref().map(|(v, _)| v));
+            // A parameter bound is unknown until execution: default range
+            // selectivity, as for a non-literal comparison.
+            fn lit(b: &Option<(Expr, bool)>) -> Option<Option<&Value>> {
+                match b {
+                    None => Some(None),
+                    Some((Expr::Lit(v), _)) => Some(Some(v)),
+                    Some(_) => None,
+                }
+            }
+            let sel = match (lit(lo), lit(hi)) {
+                (Some(lo), Some(hi)) => range_bounds_sel(ce, lo, hi),
+                _ => DEFAULT_RANGE_SEL,
+            };
             let mut est = Estimate { rows: base.rows * sel, cols: base.cols };
             apply_filters(&mut est, residual);
             Some(est)
@@ -413,7 +424,7 @@ fn eq_sel(ce: Option<&ColEst>) -> f64 {
 
 /// Selectivity of an (optionally half-open) `[lo, hi]` range over a column,
 /// by linear interpolation inside the gathered min/max. Used for the
-/// `IndexRange` plan node, whose bounds are literal [`Value`]s.
+/// `IndexRange` plan node with literal bounds.
 fn range_bounds_sel(ce: Option<&ColEst>, lo: Option<&Value>, hi: Option<&Value>) -> f64 {
     let Some(c) = ce else { return DEFAULT_RANGE_SEL };
     let (Some(cmin), Some(cmax)) =
@@ -617,6 +628,26 @@ mod tests {
     }
 
     #[test]
+    fn param_range_bound_takes_default_selectivity() {
+        let c = analyzed_cat();
+        let range = |hi: Expr| Plan {
+            kind: PlanKind::IndexRange {
+                table: "t".into(),
+                column: 2,
+                lo: None,
+                hi: Some((hi, false)),
+                residual: vec![],
+            },
+            fields: Plan::scan(&c, "t").unwrap().fields,
+        };
+        let lit = estimate(&range(Expr::lit(100i64)), &c).unwrap().rows;
+        assert!((lit - 100.0).abs() < 2.0, "interpolated from min/max: {lit}");
+        let param = estimate(&range(Expr::Param(0)), &c).unwrap().rows;
+        assert!((param - 1000.0 * DEFAULT_RANGE_SEL).abs() < 1e-9, "{param}");
+        assert!(plan_cost(&range(Expr::Param(0)), &c).is_some());
+    }
+
+    #[test]
     fn join_divides_by_key_ndv() {
         let c = analyzed_cat();
         let p = Plan::scan(&c, "t").unwrap().join(
@@ -773,7 +804,7 @@ mod tests {
             kind: PlanKind::IndexLookup {
                 table: "t".into(),
                 columns: vec![0],
-                keys: vec![Value::Int(1)],
+                keys: vec![Expr::lit(1i64)],
                 residual: vec![],
             },
             fields: vec![Field::new("x", DataType::Int)],

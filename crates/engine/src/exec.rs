@@ -359,7 +359,7 @@ mod tests {
             kind: PlanKind::IndexLookup {
                 table: "emp".into(),
                 columns: vec![0],
-                keys: vec![Value::Int(11), Value::Int(12)],
+                keys: vec![Expr::lit(11i64), Expr::lit(12i64)],
                 residual: vec![],
             },
             fields: Plan::scan(&c, "emp").unwrap().fields,

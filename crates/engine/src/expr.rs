@@ -211,6 +211,16 @@ impl Expr {
         }
     }
 
+    /// The value of a bound index key or range bound: a literal. A `Param`
+    /// here means [`crate::plan::bind_params`] did not run.
+    pub(crate) fn bound_value(&self) -> EngineResult<&Value> {
+        match self {
+            Expr::Lit(v) => Ok(v),
+            Expr::Param(n) => Err(unbound(*n)),
+            other => Err(EngineError::Plan(format!("index key {other} is not a literal"))),
+        }
+    }
+
     /// Is this expression free of column references (a constant)?
     pub fn is_constant(&self) -> bool {
         self.columns().is_empty()
@@ -224,9 +234,7 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| EngineError::Plan(format!("column #{i} out of range ({})", row.len()))),
             Expr::Lit(v) => Ok(v.clone()),
-            Expr::Param(n) => Err(EngineError::Plan(format!(
-                "unbound parameter ?{n} — bind_params must run before execution"
-            ))),
+            Expr::Param(n) => Err(unbound(*n)),
             Expr::Binary { op, left, right } => {
                 let l = left.eval(row)?;
                 // Short-circuit Kleene AND/OR.
@@ -336,6 +344,10 @@ fn eval_or(l: Value, r: Value) -> EngineResult<Value> {
         (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
         _ => Value::Null,
     })
+}
+
+fn unbound(n: u16) -> EngineError {
+    EngineError::Plan(format!("unbound parameter ?{n} — bind_params must run before execution"))
 }
 
 fn eval_binary(op: BinOp, l: Value, r: Value) -> EngineResult<Value> {

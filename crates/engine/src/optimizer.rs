@@ -7,9 +7,11 @@
 //!    adjacent filters; push predicates through projections (by inlining
 //!    the projected expressions), into the matching side of joins, into
 //!    all branches of unions, and finally into scans.
-//! 3. **Index selection** — a scan filtered by `col = literal` or
-//!    `col IN <set>` turns into an [`PlanKind::IndexLookup`] when the table
-//!    has an index on exactly that column.
+//! 3. **Index selection** — a scan filtered by `col = k` or `col IN <set>`
+//!    turns into an [`PlanKind::IndexLookup`] when the table has an index on
+//!    exactly that column, and `col < k` (etc.) into an
+//!    [`PlanKind::IndexRange`] on a BTree index; `k` is a non-NULL literal
+//!    or a `?` parameter, so a cached template keeps its access path.
 //! 4. **Cost-based passes** — only when the catalog carries
 //!    ANALYZE-gathered statistics (see [`crate::cost`]): greedy reordering
 //!    of inner-join chains ([`reorder_joins`]) and hash-join build-side
@@ -999,25 +1001,35 @@ pub fn select_indexes(plan: Plan, cat: &Catalog) -> EngineResult<Plan> {
     Ok(Plan { kind, fields })
 }
 
-/// If some filter is `Col(i) = lit` or `Col(i) IN <set>` and the table has
-/// an index on column `i`, return the lookup spec plus residual filters.
+/// An operand an index can probe with: a non-NULL literal, or a parameter
+/// bound per execution. A `?` later bound to NULL matches nothing, which the
+/// executor handles, so the cached template keeps its index.
+fn is_probe(e: &Expr) -> bool {
+    match e {
+        Expr::Lit(v) => !v.is_null(),
+        Expr::Param(_) => true,
+        _ => false,
+    }
+}
+
+/// If some filter is `Col(i) = k` (`k` a probe, see [`is_probe`]) or
+/// `Col(i) IN <set>` and the table has an index on column `i`, return the
+/// lookup spec plus residual filters.
 fn extract_index_lookup(
     table: &erbium_storage::Table,
     filters: &[Expr],
-) -> Option<(Vec<usize>, Vec<Value>, Vec<Expr>)> {
+) -> Option<(Vec<usize>, Vec<Expr>, Vec<Expr>)> {
     for (pos, f) in filters.iter().enumerate() {
         let (col, keys) = match f {
             Expr::Binary { op: BinOp::Eq, left, right } => match (&**left, &**right) {
-                (Expr::Col(i), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(i)) if !v.is_null() => {
-                    (*i, vec![v.clone()])
-                }
+                (Expr::Col(i), k) | (k, Expr::Col(i)) if is_probe(k) => (*i, vec![k.clone()]),
                 _ => continue,
             },
             Expr::InSet { expr, set } => match &**expr {
                 Expr::Col(i) => {
                     let mut keys: Vec<Value> = set.iter().cloned().collect();
                     keys.sort();
-                    (*i, keys)
+                    (*i, keys.into_iter().map(Expr::Lit).collect())
                 }
                 _ => continue,
             },
@@ -1036,11 +1048,12 @@ fn extract_index_lookup(
     None
 }
 
-/// If some filter is a comparison `Col(i) <op> lit` and the table has an
-/// ordered (BTree) index on column `i`, return the range spec plus residual
-/// filters. Only single-bound ranges are extracted; a second bound on the
-/// same column stays residual (still correct, marginally less tight).
-type RangeBound = Option<(Value, bool)>;
+/// If some filter is a comparison `Col(i) <op> k` (`k` a probe) and the
+/// table has an ordered (BTree) index on column `i`, return the range spec
+/// plus residual filters. Only single-bound ranges are extracted; a second
+/// bound on the same column stays residual (still correct, marginally less
+/// tight).
+type RangeBound = Option<(Expr, bool)>;
 
 fn extract_index_range(
     table: &erbium_storage::Table,
@@ -1049,10 +1062,10 @@ fn extract_index_range(
     use erbium_storage::IndexKind;
     for (pos, f) in filters.iter().enumerate() {
         let Expr::Binary { op, left, right } = f else { continue };
-        let (col, lit, op) = match (&**left, &**right) {
-            (Expr::Col(i), Expr::Lit(v)) if !v.is_null() => (*i, v.clone(), *op),
-            (Expr::Lit(v), Expr::Col(i)) if !v.is_null() => {
-                // Mirror the comparison: lit < col ≡ col > lit.
+        let (col, k, op) = match (&**left, &**right) {
+            (Expr::Col(i), k) if is_probe(k) => (*i, k.clone(), *op),
+            (k, Expr::Col(i)) if is_probe(k) => {
+                // Mirror the comparison: k < col ≡ col > k.
                 let mirrored = match op {
                     BinOp::Lt => BinOp::Gt,
                     BinOp::Le => BinOp::Ge,
@@ -1060,15 +1073,15 @@ fn extract_index_range(
                     BinOp::Ge => BinOp::Le,
                     other => *other,
                 };
-                (*i, v.clone(), mirrored)
+                (*i, k.clone(), mirrored)
             }
             _ => continue,
         };
         let (lo, hi) = match op {
-            BinOp::Lt => (None, Some((lit, false))),
-            BinOp::Le => (None, Some((lit, true))),
-            BinOp::Gt => (Some((lit, false)), None),
-            BinOp::Ge => (Some((lit, true)), None),
+            BinOp::Lt => (None, Some((k, false))),
+            BinOp::Le => (None, Some((k, true))),
+            BinOp::Gt => (Some((k, false)), None),
+            BinOp::Ge => (Some((k, true)), None),
             _ => continue,
         };
         let has_btree = table
@@ -1265,7 +1278,7 @@ mod tests {
         match &opt.kind {
             PlanKind::IndexLookup { columns, keys, .. } => {
                 assert_eq!(columns, &vec![0]);
-                assert_eq!(keys, &vec![Value::Int(42)]);
+                assert_eq!(keys, &vec![Expr::lit(42i64)]);
             }
             other => panic!("expected index lookup, got {other:?}"),
         }
@@ -1484,7 +1497,7 @@ mod range_tests {
     use super::*;
     use crate::exec::execute;
     use crate::plan::Plan;
-    use erbium_storage::{Column, DataType, IndexKind, Table, TableSchema};
+    use erbium_storage::{Column, DataType, IndexKind, Row, Table, TableSchema};
 
     fn cat_with_btree() -> Catalog {
         let mut c = Catalog::new();
@@ -1508,11 +1521,7 @@ mod range_tests {
             .unwrap()
             .filter(Expr::binary(BinOp::Lt, Expr::col(0), Expr::lit(10i64)));
         let opt = optimize(p.clone(), &c).unwrap();
-        assert!(
-            matches!(&opt.kind, PlanKind::IndexRange { hi: Some((Value::Int(10), false)), .. }),
-            "{}",
-            opt.explain()
-        );
+        assert!(opt.explain().starts_with("IndexRange t col=#0 [∞ .. 10]"), "{}", opt.explain());
         let mut a = execute(&p, &c).unwrap();
         let mut b = execute(&opt, &c).unwrap();
         a.sort();
@@ -1531,7 +1540,7 @@ mod range_tests {
         ));
         let opt = optimize(p.clone(), &c).unwrap();
         match &opt.kind {
-            PlanKind::IndexRange { lo: Some((Value::Int(90), true)), residual, .. } => {
+            PlanKind::IndexRange { lo: Some((Expr::Lit(Value::Int(90)), true)), residual, .. } => {
                 assert_eq!(residual.len(), 1);
             }
             other => panic!("expected range, got {other:?}"),
@@ -1552,6 +1561,109 @@ mod range_tests {
             .filter(Expr::binary(BinOp::Gt, Expr::col(1), Expr::lit(5i64)));
         let opt = optimize(p, &c).unwrap();
         assert!(matches!(&opt.kind, PlanKind::Scan { .. }));
+    }
+
+    /// `id` plus a nullable `k` (NULL on even ids, else the id) with an
+    /// index of `kind` on `k`.
+    fn cat_with_nullable_index(kind: IndexKind) -> Catalog {
+        let mut c = Catalog::new();
+        let mut t = Table::new(TableSchema::new(
+            "n",
+            vec![Column::not_null("id", DataType::Int), Column::new("k", DataType::Int)],
+            vec![0],
+        ));
+        for i in 0..10i64 {
+            let k = if i % 2 == 0 { Value::Null } else { Value::Int(i) };
+            t.insert(vec![Value::Int(i), k]).unwrap();
+        }
+        t.create_index("by_k", vec![1], kind).unwrap();
+        c.create_table(t).unwrap();
+        c
+    }
+
+    /// Optimize `p`, check the leaf became `leaf`, and return the rows of
+    /// the scan plan and of the optimized one, both sorted.
+    fn scan_vs_optimized(p: Plan, c: &Catalog, leaf: &str) -> (Vec<Row>, Vec<Row>) {
+        let opt = optimize(p.clone(), c).unwrap();
+        assert!(opt.explain().starts_with(leaf), "{}", opt.explain());
+        let mut a = execute(&p, c).unwrap();
+        let mut b = execute(&opt, c).unwrap();
+        a.sort();
+        b.sort();
+        (a, b)
+    }
+
+    #[test]
+    fn in_set_with_null_through_index_matches_scan() {
+        let c = cat_with_nullable_index(IndexKind::Hash);
+        let p = Plan::scan(&c, "n")
+            .unwrap()
+            .filter(Expr::in_set(Expr::col(1), vec![Value::Int(1), Value::Null]));
+        let (scan, opt) = scan_vs_optimized(p, &c, "IndexLookup");
+        assert_eq!(scan, vec![vec![Value::Int(1), Value::Int(1)]]);
+        assert_eq!(opt, scan);
+    }
+
+    #[test]
+    fn open_range_through_index_excludes_nulls() {
+        let c = cat_with_nullable_index(IndexKind::BTree);
+        let lt5 = Expr::binary(BinOp::Lt, Expr::col(1), Expr::lit(5i64));
+        let five_ge = Expr::binary(BinOp::Ge, Expr::lit(5i64), Expr::col(1));
+        let gt5 = Expr::binary(BinOp::Gt, Expr::col(1), Expr::lit(5i64));
+        for (pred, want) in [(lt5, 2), (five_ge, 3), (gt5, 2)] {
+            let p = Plan::scan(&c, "n").unwrap().filter(pred.clone());
+            let (scan, opt) = scan_vs_optimized(p, &c, "IndexRange");
+            assert_eq!(scan.len(), want, "{pred}");
+            assert_eq!(opt, scan, "{pred}");
+        }
+    }
+
+    #[test]
+    fn param_key_keeps_the_index_and_binds_per_execution() {
+        use crate::plan::{bind_params, param_count};
+        let c = cat_with_nullable_index(IndexKind::Hash);
+        let template = optimize(
+            Plan::scan(&c, "n").unwrap().filter(Expr::eq(Expr::col(1), Expr::Param(0))),
+            &c,
+        )
+        .unwrap();
+        let explain = template.explain();
+        assert!(explain.starts_with("IndexLookup n cols=[1] keys=[?0]"), "{explain}");
+        assert_eq!(param_count(&template), 1, "the moved `?` still counts");
+        assert!(bind_params(&template, &[]).is_err());
+        let run = |v: Value| execute(&bind_params(&template, &[v]).unwrap(), &c).unwrap();
+        let three = vec![vec![Value::Int(3), Value::Int(3)]];
+        assert_eq!(run(Value::Int(3)), three);
+        assert_eq!(run(Value::Float(3.0)), three);
+        assert!(run(Value::Int(4)).is_empty());
+        assert!(run(Value::Null).is_empty(), "`k = NULL` holds for no row");
+    }
+
+    #[test]
+    fn param_bound_keeps_the_range_and_binds_per_execution() {
+        use crate::plan::{bind_params, param_count};
+        let c = cat_with_nullable_index(IndexKind::BTree);
+        let template = optimize(
+            Plan::scan(&c, "n")
+                .unwrap()
+                .filter(Expr::binary(BinOp::Gt, Expr::Param(0), Expr::col(1))),
+            &c,
+        )
+        .unwrap();
+        let explain = template.explain();
+        assert!(explain.starts_with("IndexRange n col=#1 [∞ .. ?0]"), "{explain}");
+        assert_eq!(param_count(&template), 1);
+        for v in [Value::Int(5), Value::Float(7.5), Value::Null] {
+            let lit = Plan::scan(&c, "n")
+                .unwrap()
+                .filter(Expr::binary(BinOp::Gt, Expr::Lit(v.clone()), Expr::col(1)));
+            let mut want = execute(&lit, &c).unwrap();
+            let bound = bind_params(&template, std::slice::from_ref(&v)).unwrap();
+            let mut got = execute(&bound, &c).unwrap();
+            want.sort();
+            got.sort();
+            assert_eq!(got, want, "bound to {v}");
+        }
     }
 
     #[test]

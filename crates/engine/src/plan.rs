@@ -72,16 +72,19 @@ pub enum PlanKind {
     /// projection, so filter-only columns are read but never materialized.
     Scan { table: String, filters: Vec<Expr>, projection: Option<Vec<usize>> },
     /// Point lookups through an index on `columns` for each key in `keys`,
-    /// with residual filters applied to fetched rows.
-    IndexLookup { table: String, columns: Vec<usize>, keys: Vec<Value>, residual: Vec<Expr> },
+    /// with residual filters applied to fetched rows. Each key is a literal
+    /// or a `Param` that [`bind_params`] turns into one, so a cached
+    /// template keeps its index; a NULL key matches nothing.
+    IndexLookup { table: String, columns: Vec<usize>, keys: Vec<Expr>, residual: Vec<Expr> },
     /// Range scan through a BTree index on one column, with residual
-    /// filters applied to fetched rows. Bounds are inclusive/exclusive per
-    /// the flags; `None` means unbounded.
+    /// filters applied to fetched rows. Bounds are literals or `Param`s,
+    /// inclusive/exclusive per the flags; `None` means unbounded, NULL
+    /// entries never qualify, and a NULL bound matches nothing.
     IndexRange {
         table: String,
         column: usize,
-        lo: Option<(Value, bool)>,
-        hi: Option<(Value, bool)>,
+        lo: Option<(Expr, bool)>,
+        hi: Option<(Expr, bool)>,
         residual: Vec<Expr>,
     },
     /// Read a factorized structure.
@@ -337,7 +340,17 @@ impl Plan {
                 out.push('\n');
             }
             PlanKind::IndexLookup { table, columns, keys, residual } => {
-                let _ = write!(out, "{pad}IndexLookup {table} cols={columns:?} keys={}", keys.len());
+                // An `IN` list can carry thousands of keys: show the first few.
+                const SHOWN: usize = 8;
+                let _ = write!(
+                    out,
+                    "{pad}IndexLookup {table} cols={columns:?} keys=[{}",
+                    join_exprs(&keys[..keys.len().min(SHOWN)])
+                );
+                if keys.len() > SHOWN {
+                    let _ = write!(out, ", … {} more", keys.len() - SHOWN);
+                }
+                out.push(']');
                 if !residual.is_empty() {
                     let _ = write!(out, " residual=[{}]", join_exprs(residual));
                 }
@@ -345,7 +358,7 @@ impl Plan {
                 out.push('\n');
             }
             PlanKind::IndexRange { table, column, lo, hi, residual } => {
-                let fmt_bound = |b: &Option<(Value, bool)>| match b {
+                let fmt_bound = |b: &Option<(Expr, bool)>| match b {
                     None => "∞".to_string(),
                     Some((v, true)) => format!("{v}="),
                     Some((v, false)) => format!("{v}"),
@@ -521,15 +534,19 @@ pub fn param_count(plan: &Plan) -> usize {
 }
 
 /// Visit every expression in a plan tree (filters, predicates, projections,
-/// join keys, sort keys, aggregate arguments — everywhere an [`Expr`] can
-/// hide).
+/// join keys, sort keys, aggregate arguments, index keys and range bounds —
+/// everywhere an [`Expr`] can hide).
 fn walk_exprs(plan: &Plan, f: &mut impl FnMut(&Expr)) {
     match &plan.kind {
         PlanKind::Scan { filters, .. } | PlanKind::FactorizedScan { filters, .. } => {
             filters.iter().for_each(&mut *f)
         }
-        PlanKind::IndexLookup { residual, .. } => residual.iter().for_each(&mut *f),
-        PlanKind::IndexRange { residual, .. } => residual.iter().for_each(&mut *f),
+        PlanKind::IndexLookup { keys, residual, .. } => {
+            keys.iter().chain(residual).for_each(&mut *f)
+        }
+        PlanKind::IndexRange { lo, hi, residual, .. } => {
+            lo.iter().chain(hi).map(|(e, _)| e).chain(residual).for_each(&mut *f)
+        }
         PlanKind::FactorizedCount { .. } | PlanKind::Values { .. } => {}
         PlanKind::Filter { input, predicate } => {
             f(predicate);
@@ -616,6 +633,8 @@ pub fn bind_params(plan: &Plan, params: &[Value]) -> EngineResult<Plan> {
     }
     fn bind_plan(plan: &Plan, params: &[Value]) -> Plan {
         let bind_vec = |es: &[Expr]| es.iter().map(|e| bind_expr(e, params)).collect();
+        let bind_bound =
+            |b: &Option<(Expr, bool)>| b.as_ref().map(|(e, inc)| (bind_expr(e, params), *inc));
         let kind = match &plan.kind {
             PlanKind::Scan { table, filters, projection } => PlanKind::Scan {
                 table: table.clone(),
@@ -625,14 +644,14 @@ pub fn bind_params(plan: &Plan, params: &[Value]) -> EngineResult<Plan> {
             PlanKind::IndexLookup { table, columns, keys, residual } => PlanKind::IndexLookup {
                 table: table.clone(),
                 columns: columns.clone(),
-                keys: keys.clone(),
+                keys: bind_vec(keys),
                 residual: bind_vec(residual),
             },
             PlanKind::IndexRange { table, column, lo, hi, residual } => PlanKind::IndexRange {
                 table: table.clone(),
                 column: *column,
-                lo: lo.clone(),
-                hi: hi.clone(),
+                lo: bind_bound(lo),
+                hi: bind_bound(hi),
                 residual: bind_vec(residual),
             },
             PlanKind::FactorizedScan { table, side, filters } => PlanKind::FactorizedScan {
@@ -773,6 +792,17 @@ mod tests {
         assert!(text.contains("Project"));
         assert!(text.contains("Filter"));
         assert!(text.contains("Scan t"));
+    }
+
+    #[test]
+    fn explain_prints_lookup_keys() {
+        let lookup = |keys: Vec<Expr>| {
+            let (table, columns, residual) = ("t".into(), vec![0], vec![]);
+            Plan { kind: PlanKind::IndexLookup { table, columns, keys, residual }, fields: vec![] }
+        };
+        assert_eq!(lookup(vec![Expr::Param(0)]).explain(), "IndexLookup t cols=[0] keys=[?0]\n");
+        let many = lookup((0..10i64).map(Expr::lit).collect()).explain();
+        assert!(many.contains("keys=[0, 1, 2, 3, 4, 5, 6, 7, … 2 more]"), "{many}");
     }
 
     #[test]

@@ -77,7 +77,7 @@ use crate::vplan::{self, VecPred};
 use erbium_storage::{Catalog, ColumnSlice, FactorizedTable, Row, RowId, Table, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -182,20 +182,17 @@ pub(crate) fn compile<'a>(
                 .iter()
                 .find(|i| i.columns == [*column])
                 .ok_or_else(|| EngineError::Plan(format!("no index on #{column} of '{table}'")))?;
-            use std::ops::Bound;
-            let lo_b = match lo {
-                None => Bound::Unbounded,
-                Some((v, true)) => Bound::Included(v),
-                Some((v, false)) => Bound::Excluded(v),
+            // NULL sorts first in the index's total order, so excluding it
+            // from below keeps an open-ended range to the non-NULL entries
+            // the comparison it replaces would pass.
+            let null = Value::Null;
+            let lo_b = range_bound(lo, Bound::Excluded(&null))?;
+            let rids = match (lo_b, range_bound(hi, Bound::Unbounded)?) {
+                (Some(lo_b), Some(hi_b)) => idx.lookup_range(lo_b, hi_b).ok_or_else(|| {
+                    EngineError::Plan(format!("index on #{column} of '{table}' is not ordered"))
+                })?,
+                _ => Vec::new(),
             };
-            let hi_b = match hi {
-                None => Bound::Unbounded,
-                Some((v, true)) => Bound::Included(v),
-                Some((v, false)) => Bound::Excluded(v),
-            };
-            let rids = idx.lookup_range(lo_b, hi_b).ok_or_else(|| {
-                EngineError::Plan(format!("index on #{column} of '{table}' is not ordered"))
-            })?;
             let m = OpMetrics::new(format!("IndexRange {table}"), vec![]);
             (
                 Box::new(IndexRangeStream {
@@ -874,7 +871,7 @@ struct IndexLookupStream<'a> {
     t: &'a Table,
     table_name: &'a str,
     columns: &'a [usize],
-    keys: &'a [Value],
+    keys: &'a [Expr],
     residual: &'a [Expr],
     next_key: usize,
     batch: usize,
@@ -885,8 +882,12 @@ impl RowStream for IndexLookupStream<'_> {
     fn next_batch(&mut self) -> EngineResult<Option<Vec<Row>>> {
         let mut out = Vec::new();
         while self.next_key < self.keys.len() && out.len() < self.batch {
-            let key = &self.keys[self.next_key];
+            let key = self.keys[self.next_key].bound_value()?;
             self.next_key += 1;
+            // `col = NULL` holds for no row, NULL-keyed entries included.
+            if key.is_null() {
+                continue;
+            }
             let matches = self.t.index_lookup(self.columns, key).ok_or_else(|| {
                 EngineError::Plan(format!(
                     "no index on {:?} of '{}'",
@@ -905,6 +906,21 @@ impl RowStream for IndexLookupStream<'_> {
         }
         Ok(if out.is_empty() { None } else { Some(out) })
     }
+}
+
+/// One end of an index range, or `None` for a NULL bound, which no entry
+/// satisfies (`col < NULL` holds for no row).
+fn range_bound<'v>(
+    b: &'v Option<(Expr, bool)>,
+    open: Bound<&'v Value>,
+) -> EngineResult<Option<Bound<&'v Value>>> {
+    let Some((e, inclusive)) = b else { return Ok(Some(open)) };
+    let v = e.bound_value()?;
+    Ok(match (v.is_null(), inclusive) {
+        (true, _) => None,
+        (false, true) => Some(Bound::Included(v)),
+        (false, false) => Some(Bound::Excluded(v)),
+    })
 }
 
 struct IndexRangeStream<'a> {

@@ -15,8 +15,9 @@
 //!    [`current_query_id`] + [`QueryIdScope::enter`].
 //! 3. **Pluggable sinks.** Finished spans always land in a bounded
 //!    in-memory ring buffer (cheap post-hoc inspection, powers tests) and
-//!    optionally stream to a JSONL file (one object per line) for
-//!    offline workload analysis.
+//!    optionally stream to a buffered JSONL file (one object per line) for
+//!    offline workload analysis; the file is complete once the sink is
+//!    detached or replaced, or tracing is disabled.
 //!
 //! This is deliberately *not* a general tracing framework: no span
 //! parents, no levels, no fields beyond a static name + optional detail
@@ -25,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -50,7 +51,7 @@ pub struct SpanRecord {
 
 struct TracerState {
     ring: VecDeque<SpanRecord>,
-    file: Option<File>,
+    file: Option<BufWriter<File>>,
 }
 
 /// The process-global tracer.
@@ -75,9 +76,16 @@ impl Tracer {
         })
     }
 
-    /// Enable or disable tracing process-wide.
+    /// Enable or disable tracing process-wide. Disabling flushes the JSONL
+    /// sink, if one is attached.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
+        if !on {
+            if let Some(f) = self.state.lock().unwrap().file.as_mut() {
+                // Best-effort, like every sink write: see `record`.
+                let _ = f.flush();
+            }
+        }
     }
 
     /// Is tracing currently enabled?
@@ -87,14 +95,19 @@ impl Tracer {
     }
 
     /// Attach a JSONL file sink (one span object per line). Pass `None`
-    /// to detach. The ring buffer keeps recording either way.
+    /// to detach. The ring buffer keeps recording either way. The sink is
+    /// buffered; the sink this call replaces is flushed first, and its
+    /// flush error is returned.
     pub fn set_jsonl_sink(&self, path: Option<&std::path::Path>) -> std::io::Result<()> {
         let file = match path {
-            Some(p) => Some(File::create(p)?),
+            Some(p) => Some(BufWriter::new(File::create(p)?)),
             None => None,
         };
-        self.state.lock().unwrap().file = file;
-        Ok(())
+        let old = std::mem::replace(&mut self.state.lock().unwrap().file, file);
+        match old {
+            Some(mut f) => f.flush(),
+            None => Ok(()),
+        }
     }
 
     /// Allocate a fresh query id (monotonic, process-wide, never 0).
@@ -323,11 +336,18 @@ mod tests {
         t.set_enabled(true);
         t.clear();
         drop(span("file_test"));
+        // The sink is buffered: disabling tracing flushes it...
         t.set_enabled(false);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"span\":\"file_test\""), "got: {text}");
+        // ...and so does detaching it.
+        t.set_enabled(true);
+        drop(span("file_test_2"));
         t.set_jsonl_sink(None).unwrap();
+        t.set_enabled(false);
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(text.contains("\"span\":\"file_test\""), "got: {text}");
+        assert!(text.contains("\"span\":\"file_test_2\""), "got: {text}");
     }
 
     #[test]
