@@ -9,7 +9,7 @@ use erbium_mapping::{
     presets, BulkEntity, EntityData, EntityStore, Lowering, Mapping, QueryRewriter,
 };
 use erbium_model::{ErGraph, ErSchema};
-use erbium_query::Statement;
+use erbium_query::{SelectStmt, Statement};
 use erbium_storage::{
     snapshot, Catalog, CheckpointKind, Row, SyncPolicy, Transaction, Value, Wal, WAL_FILE,
 };
@@ -221,7 +221,8 @@ fn m_slow_queries() -> &'static erbium_obs::Counter {
 
 /// An ErbiumDB database instance.
 pub struct Database {
-    pub(crate) schema: ErSchema,
+    /// `Arc` so publishing a read view shares it; DDL copies it on write.
+    pub(crate) schema: Arc<ErSchema>,
     pub(crate) catalog: Catalog,
     /// `Arc` so a pinned [`crate::Snapshot`] keeps the lowering it was
     /// planned against alive while the writer remaps underneath it.
@@ -275,7 +276,7 @@ impl Database {
     /// [`install`]: Database::install
     pub fn new() -> Database {
         Database {
-            schema: ErSchema::new(),
+            schema: Arc::default(),
             catalog: Catalog::new(),
             lowering: None,
             policy: None,
@@ -291,7 +292,7 @@ impl Database {
     pub fn with_schema(schema: ErSchema) -> DbResult<Database> {
         schema.validate()?;
         Ok(Database {
-            schema,
+            schema: Arc::new(schema),
             catalog: Catalog::new(),
             lowering: None,
             policy: None,
@@ -308,7 +309,7 @@ impl Database {
     /// mapping layer and wrap it afterwards).
     pub fn from_parts(catalog: Catalog, lowering: Lowering) -> Database {
         Database {
-            schema: lowering.schema.clone(),
+            schema: Arc::new(lowering.schema.clone()),
             catalog,
             lowering: Some(Arc::new(lowering)),
             policy: None,
@@ -364,7 +365,7 @@ impl Database {
             }
             _ => None,
         };
-        let schema = lowering.as_ref().map(|lw| lw.schema.clone()).unwrap_or_default();
+        let schema = Arc::new(lowering.as_ref().map(|lw| lw.schema.clone()).unwrap_or_default());
 
         let wal = Wal::open(dir.join(WAL_FILE), opts.sync, recovered.next_txn)?;
         Ok(Database {
@@ -437,22 +438,22 @@ impl Database {
             match stmt {
                 Statement::CreateEntity(ce) => {
                     self.require_not_installed()?;
-                    self.schema.add_entity(ce.to_entity_set()?)?;
+                    Arc::make_mut(&mut self.schema).add_entity(ce.to_entity_set()?)?;
                     self.plan_cache.invalidate();
                 }
                 Statement::CreateRelationship(cr) => {
                     self.require_not_installed()?;
-                    self.schema.add_relationship(cr.to_relationship()?)?;
+                    Arc::make_mut(&mut self.schema).add_relationship(cr.to_relationship()?)?;
                     self.plan_cache.invalidate();
                 }
                 Statement::DropEntity(name) => {
                     self.require_not_installed()?;
-                    self.schema.remove_entity(&name)?;
+                    Arc::make_mut(&mut self.schema).remove_entity(&name)?;
                     self.plan_cache.invalidate();
                 }
                 Statement::DropRelationship(name) => {
                     self.require_not_installed()?;
-                    self.schema.remove_relationship(&name)?;
+                    Arc::make_mut(&mut self.schema).remove_relationship(&name)?;
                     self.plan_cache.invalidate();
                 }
                 Statement::InstallMapping => {
@@ -848,7 +849,7 @@ impl Database {
         let lw = self.lowering.take().ok_or(DbError::NotInstalled)?;
         match Migrator::apply(&mut self.catalog, &lw, &op) {
             Ok((new_lw, report)) => {
-                self.schema = new_lw.schema.clone();
+                self.schema = Arc::new(new_lw.schema.clone());
                 let mut log = VersionLog::load(&self.catalog)?;
                 log.record(&new_lw, report.description.clone());
                 log.save(&mut self.catalog)?;
@@ -895,7 +896,7 @@ impl Database {
         let mut log = VersionLog::load(&self.catalog)?;
         match log.rollback_to(&mut self.catalog, &lw, version) {
             Ok((new_lw, report)) => {
-                self.schema = new_lw.schema.clone();
+                self.schema = Arc::new(new_lw.schema.clone());
                 self.lowering = Some(Arc::new(new_lw));
                 self.plan_cache.invalidate();
                 self.checkpoint_after_structural_change()?;
@@ -965,19 +966,24 @@ impl QueryCtx<'_> {
         if let Some(plan) = self.plan_cache.get(self.plan_generation, sql) {
             return Ok(plan);
         }
-        self.plan_fresh(sql)
+        self.plan_fresh(sql, self.parse(sql)?)
     }
 
-    /// Parse, policy-check, rewrite, optimize, and cache. The policy check
-    /// runs only here — a cache hit skips it, which is sound because
-    /// [`Database::set_policy`] invalidates the cache (the generation
-    /// encodes the policy a plan was approved under).
-    fn plan_fresh(&self, sql: &str) -> DbResult<Arc<Plan>> {
+    /// Parse `sql` under the `parse` span, once per plan-cache miss. An
+    /// uninstalled database fails before the text is looked at.
+    fn parse(&self, sql: &str) -> DbResult<Statement> {
+        self.lowering.ok_or(DbError::NotInstalled)?;
+        let _span = erbium_obs::span("parse");
+        erbium_query::parse_single(sql).map_err(|e| DbError::Parse(e.to_string()))
+    }
+
+    /// Policy-check, rewrite, optimize, and cache the parsed `sql`, which
+    /// must be a SELECT. The policy check runs only here — a cache hit
+    /// skips it, which is sound because [`Database::set_policy`]
+    /// invalidates the cache (the generation encodes the policy a plan was
+    /// approved under).
+    fn plan_fresh(&self, sql: &str, stmt: Statement) -> DbResult<Arc<Plan>> {
         let lw = self.lowering.ok_or(DbError::NotInstalled)?;
-        let stmt = {
-            let _span = erbium_obs::span("parse");
-            erbium_query::parse_single(sql).map_err(|e| DbError::Parse(e.to_string()))?
-        };
         let Statement::Select(sel) = stmt else {
             return Err(DbError::Parse("query() expects a SELECT".into()));
         };
@@ -991,6 +997,22 @@ impl QueryCtx<'_> {
         let plan = Arc::new(rewriter.rewrite_optimized(&sel)?);
         self.plan_cache.insert(self.plan_generation, sql, Arc::clone(&plan));
         Ok(plan)
+    }
+
+    /// `EXPLAIN SELECT ...`: the optimized plan with estimates, one line
+    /// per row. Never cached and never counted as a query.
+    fn explain(&self, sel: &SelectStmt) -> DbResult<QueryResult> {
+        let lw = self.lowering.ok_or(DbError::NotInstalled)?;
+        if let Some(policy) = self.policy {
+            policy.check(self.schema, sel).map_err(DbError::PolicyViolation)?;
+        }
+        let rewriter = QueryRewriter::new(lw, self.catalog);
+        let plan = rewriter.rewrite_optimized(sel)?;
+        let rows = erbium_engine::explain_with_estimates(&plan, self.catalog)
+            .lines()
+            .map(|l| vec![Value::str(l)])
+            .collect();
+        Ok(QueryResult { columns: vec!["plan".into()], rows, metrics: None })
     }
 
     /// Single entry point behind `query`/`query_params`/`query_with` (on
@@ -1011,23 +1033,8 @@ impl QueryCtx<'_> {
         // Probe the cache before anything else: a hit skips parsing
         // entirely. Only SELECT plans are ever inserted, so an
         // `EXPLAIN ...` text can't false-hit — it misses and is recognized
-        // by the parse below.
+        // by the one parse below.
         let cached = self.plan_cache.get(self.plan_generation, sql);
-        if cached.is_none() {
-            if let Ok(Statement::Explain(sel)) = erbium_query::parse_single(sql) {
-                let lw = self.lowering.ok_or(DbError::NotInstalled)?;
-                if let Some(policy) = self.policy {
-                    policy.check(self.schema, &sel).map_err(DbError::PolicyViolation)?;
-                }
-                let rewriter = QueryRewriter::new(lw, self.catalog);
-                let plan = rewriter.rewrite_optimized(&sel)?;
-                let rows = erbium_engine::explain_with_estimates(&plan, self.catalog)
-                    .lines()
-                    .map(|l| vec![Value::str(l)])
-                    .collect();
-                return Ok(QueryResult { columns: vec!["plan".into()], rows, metrics: None });
-            }
-        }
         // Query lifecycle instrumentation: a fresh query id scopes every
         // span opened below (parse/plan/optimize on a cache miss, execute
         // here, plus any storage spans the query triggers on this thread).
@@ -1038,7 +1045,10 @@ impl QueryCtx<'_> {
 
         let plan = match cached {
             Some(plan) => plan,
-            None => self.plan_fresh(sql)?,
+            None => match self.parse(sql)? {
+                Statement::Explain(sel) => return self.explain(&sel),
+                stmt => self.plan_fresh(sql, stmt)?,
+            },
         };
         // Parameter binding happens here, after the cache, so the cached
         // entry stays parameter-shaped and is shared by every binding.

@@ -54,7 +54,7 @@ pub(crate) struct ReadView {
     /// Catalog epoch this view pins; row slots created at a later epoch
     /// are structurally absent from this view's tables.
     epoch: u64,
-    pub(crate) schema: ErSchema,
+    pub(crate) schema: Arc<ErSchema>,
     pub(crate) catalog: Catalog,
     pub(crate) lowering: Option<Arc<Lowering>>,
     pub(crate) policy: Option<AccessPolicy>,
@@ -133,7 +133,7 @@ fn capture_view(db: &Database, seq: u64) -> ReadView {
     ReadView {
         seq,
         epoch: db.catalog.epoch(),
-        schema: db.schema.clone(),
+        schema: Arc::clone(&db.schema),
         catalog: db.catalog.clone(),
         lowering: db.lowering.clone(),
         policy: db.policy.clone(),
@@ -149,12 +149,19 @@ impl SharedDatabase {
         Arc::new(capture_view(db, seq))
     }
 
-    /// Swap in `view` if it is newer than what's published.
+    /// Swap in `view` if it is newer than what's published. The view that
+    /// loses is dropped after the lock is released: it may hold the last
+    /// reference to superseded table versions, and freeing them must not
+    /// stall `snapshot()` callers.
     fn publish(&self, view: Arc<ReadView>) {
-        let mut cur = self.inner.published.write();
-        if view.seq > cur.seq {
-            *cur = view;
-        }
+        let _stale = {
+            let mut cur = self.inner.published.write();
+            if view.seq > cur.seq {
+                std::mem::replace(&mut *cur, view)
+            } else {
+                view
+            }
+        };
     }
 
     /// Run a mutating operation under the writer lock and publish the

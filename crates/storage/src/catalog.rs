@@ -8,6 +8,7 @@
 //! schema version history.
 
 use crate::buffer_pool::BufferPool;
+use crate::cow::cow_mut;
 use crate::error::{StorageError, StorageResult};
 use crate::factorized::FactorizedTable;
 use crate::stats::{CatalogStats, TableStats};
@@ -24,7 +25,12 @@ use std::sync::Arc;
 /// / [`Catalog::factorized_mut`], which copy-on-write (`Arc::make_mut`) the
 /// table iff a snapshot still shares it. Readers therefore keep a fully
 /// consistent, immutable view (rows, columns, indexes, stats) with no locks
-/// held while the writer keeps mutating.
+/// held while the writer keeps mutating. A table copy is itself shallow in
+/// its pages, index shards and dictionary chunks, which the write then
+/// detaches one by one. The metadata area and the statistics registry are
+/// shared the same way and copied only by the rare writes to them
+/// (install, ANALYZE, evolve, remap, and the first write that marks a
+/// table's statistics stale).
 #[derive(Debug, Clone)]
 pub struct Catalog {
     /// The buffer pool every table installed in this catalog is bound to.
@@ -33,10 +39,10 @@ pub struct Catalog {
     pool: Arc<BufferPool>,
     tables: FxHashMap<String, Arc<Table>>,
     factorized: FxHashMap<String, Arc<FactorizedTable>>,
-    meta: FxHashMap<String, serde_json::Value>,
+    meta: Arc<FxHashMap<String, serde_json::Value>>,
     /// ANALYZE-gathered statistics, keyed by table name (factorized
     /// structures contribute `name`, `name#left`, `name#right`).
-    stats: CatalogStats,
+    stats: Arc<CatalogStats>,
     /// Commit epoch: advanced once per transaction by the database layer
     /// ([`Catalog::advance_epoch`]); a pinned snapshot records the epoch it
     /// was taken at. Process-local: recovery restarts at 0.
@@ -71,8 +77,8 @@ impl Catalog {
             pool,
             tables: FxHashMap::default(),
             factorized: FxHashMap::default(),
-            meta: FxHashMap::default(),
-            stats: CatalogStats::default(),
+            meta: Arc::default(),
+            stats: Arc::default(),
             epoch: 0,
             dirty_tables: FxHashSet::default(),
             dirty_facts: FxHashSet::default(),
@@ -151,7 +157,7 @@ impl Catalog {
     pub fn drop_table(&mut self, name: &str) -> StorageResult<Table> {
         let t =
             self.tables.remove(name).ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
-        self.stats.remove(name);
+        self.remove_stats(name);
         self.dirty_tables.remove(name);
         self.structural_dirty = true;
         Ok(Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone()))
@@ -171,15 +177,14 @@ impl Catalog {
     /// table, `Arc::make_mut` detaches a private copy first (copy-on-write)
     /// — the snapshot keeps the old version.
     pub fn table_mut(&mut self, name: &str) -> StorageResult<&mut Table> {
-        let t = self
-            .tables
-            .get_mut(name)
-            .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
-        self.stats.mark_stale(name);
+        if !self.tables.contains_key(name) {
+            return Err(StorageError::TableNotFound(name.to_string()));
+        }
+        self.mark_stats_stale(name);
         if !self.dirty_tables.contains(name) {
             self.dirty_tables.insert(name.to_string());
         }
-        let t = Arc::make_mut(t);
+        let t = cow_mut(self.tables.get_mut(name).expect("checked above"));
         t.bump_content_epoch();
         Ok(t)
     }
@@ -214,9 +219,9 @@ impl Catalog {
             .factorized
             .remove(name)
             .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
-        self.stats.remove(name);
-        self.stats.remove(&format!("{name}#left"));
-        self.stats.remove(&format!("{name}#right"));
+        for key in [name.to_string(), format!("{name}#left"), format!("{name}#right")] {
+            self.remove_stats(&key);
+        }
         self.dirty_facts.remove(name);
         self.structural_dirty = true;
         Ok(Arc::try_unwrap(ft).unwrap_or_else(|shared| (*shared).clone()))
@@ -236,13 +241,13 @@ impl Catalog {
         if !self.factorized.contains_key(name) {
             return Err(StorageError::TableNotFound(name.to_string()));
         }
-        self.stats.mark_stale(name);
-        self.stats.mark_stale(&format!("{name}#left"));
-        self.stats.mark_stale(&format!("{name}#right"));
+        for key in [name.to_string(), format!("{name}#left"), format!("{name}#right")] {
+            self.mark_stats_stale(&key);
+        }
         if !self.dirty_facts.contains(name) {
             self.dirty_facts.insert(name.to_string());
         }
-        let ft = Arc::make_mut(self.factorized.get_mut(name).expect("checked above"));
+        let ft = cow_mut(self.factorized.get_mut(name).expect("checked above"));
         ft.bump_content_epoch();
         Ok(ft)
     }
@@ -303,12 +308,12 @@ impl Catalog {
     /// delta carries the full metadata map — it is tiny and versioning it
     /// per-key is not worth the bookkeeping).
     pub(crate) fn replace_meta(&mut self, meta: FxHashMap<String, serde_json::Value>) {
-        self.meta = meta;
+        self.meta = Arc::new(meta);
     }
 
     /// Store a metadata document under a key (overwrites).
     pub fn put_meta(&mut self, key: impl Into<String>, value: serde_json::Value) {
-        self.meta.insert(key.into(), value);
+        Arc::make_mut(&mut self.meta).insert(key.into(), value);
     }
 
     /// Fetch a metadata document.
@@ -318,7 +323,10 @@ impl Catalog {
 
     /// Remove a metadata document.
     pub fn delete_meta(&mut self, key: &str) -> Option<serde_json::Value> {
-        self.meta.remove(key)
+        if !self.meta.contains_key(key) {
+            return None;
+        }
+        Arc::make_mut(&mut self.meta).remove(key)
     }
 
     /// Serialize a typed document into metadata.
@@ -356,13 +364,13 @@ impl Catalog {
     /// Mutable sweep over all plain tables without stats bookkeeping
     /// (WAL-redo epilogue: free-list rebuild).
     pub(crate) fn tables_iter_mut(&mut self) -> impl Iterator<Item = &mut Table> {
-        self.tables.values_mut().map(Arc::make_mut)
+        self.tables.values_mut().map(cow_mut)
     }
 
     /// Mutable sweep over all factorized structures without stats
     /// bookkeeping (WAL-redo epilogue: free-list rebuild).
     pub(crate) fn factorized_iter_mut(&mut self) -> impl Iterator<Item = &mut FactorizedTable> {
-        self.factorized.values_mut().map(Arc::make_mut)
+        self.factorized.values_mut().map(cow_mut)
     }
 
     /// Total live rows across all plain tables.
@@ -386,7 +394,22 @@ impl Catalog {
     /// this to cost candidate mappings over *synthesized* statistics without
     /// populating any data.
     pub fn put_stats(&mut self, name: impl Into<String>, stats: TableStats) {
-        self.stats.put(name, stats);
+        Arc::make_mut(&mut self.stats).put(name, stats);
+    }
+
+    /// Flag one statistics entry stale, copying the registry only when that
+    /// flips a fresh entry: every commit passes through here.
+    fn mark_stats_stale(&mut self, name: &str) {
+        if self.stats.get(name).is_some() && !self.stats.is_stale(name) {
+            Arc::make_mut(&mut self.stats).mark_stale(name);
+        }
+    }
+
+    /// Drop one statistics entry, copying the registry only if it has one.
+    fn remove_stats(&mut self, name: &str) {
+        if self.stats.get(name).is_some() {
+            Arc::make_mut(&mut self.stats).remove(name);
+        }
     }
 
     /// Replace the whole statistics registry. Recovery uses this to restore
@@ -395,7 +418,7 @@ impl Catalog {
     /// the ordinary [`Catalog::table_mut`] / [`Catalog::factorized_mut`]
     /// paths.
     pub(crate) fn set_stats(&mut self, stats: CatalogStats) {
-        self.stats = stats;
+        self.stats = Arc::new(stats);
     }
 
     /// Recompute statistics for just the named plain tables. The bulk-ingest
@@ -412,7 +435,7 @@ impl Catalog {
             }
             if let Some(t) = self.tables.get(name) {
                 let fresh = t.compute_stats();
-                self.stats.put(name.clone(), fresh);
+                Arc::make_mut(&mut self.stats).put(name.clone(), fresh);
                 written += 1;
             }
         }
@@ -428,8 +451,9 @@ impl Catalog {
         let mut written = 0;
         let table_stats: Vec<(String, TableStats)> =
             self.tables.iter().map(|(n, t)| (n.clone(), t.compute_stats())).collect();
+        let registry = Arc::make_mut(&mut self.stats);
         for (name, stats) in table_stats {
-            self.stats.put(name, stats);
+            registry.put(name, stats);
             written += 1;
         }
         let fact_stats: Vec<(String, TableStats, TableStats, TableStats)> = self
@@ -441,9 +465,9 @@ impl Catalog {
             })
             .collect();
         for (name, left, right, join) in fact_stats {
-            self.stats.put(format!("{name}#left"), left);
-            self.stats.put(format!("{name}#right"), right);
-            self.stats.put(name, join);
+            registry.put(format!("{name}#left"), left);
+            registry.put(format!("{name}#right"), right);
+            registry.put(name, join);
             written += 3;
         }
         written

@@ -19,17 +19,32 @@
 //! have no typed vector ([`ColumnVec::Other`]); readers fall back to the
 //! row view for those.
 
+use crate::cow::{cow_mut, ShardedMap};
 use crate::row::Row;
 use crate::schema::TableSchema;
 use crate::value::{DataType, Value};
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
 /// A growable bitmap (one bit per table slot).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for Bitmap {
+    fn clone(&self) -> Bitmap {
+        Bitmap { words: clone_with_room(&self.words), len: self.len }
+    }
+}
+
+/// A copy of `v` with `v`'s spare capacity. A column vector is copied when
+/// a commit first writes a table a snapshot shares, and that commit then
+/// appends: an exact-length copy would be reallocated and copied again.
+fn clone_with_room<T: Copy>(v: &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.capacity());
+    out.extend_from_slice(v);
+    out
 }
 
 impl Bitmap {
@@ -84,29 +99,39 @@ impl Bitmap {
     }
 }
 
+/// Strings per dictionary chunk (a power of two: codes split by shift and
+/// mask).
+const DICT_CHUNK: usize = 64;
+
 /// Append-only string dictionary shared by one Text column.
 ///
-/// Codes are dense `u32` indexes into `strings`. The dictionary never
+/// Codes are dense `u32` indexes into the strings. The dictionary never
 /// shrinks: deleting rows leaves dead entries behind (the validity/live
 /// bitmaps govern visibility), so codes stay stable for the life of the
 /// table. Statistics compute the *live* NDV exactly by tracking which
 /// codes are referenced by live slots.
+///
+/// The strings sit in fixed-size `Arc`'d chunks and the reverse map is a
+/// [`ShardedMap`], so under a published snapshot interning a new string
+/// copies the tail chunk and one map shard, never the whole dictionary.
 #[derive(Debug, Clone, Default)]
 pub struct StringDict {
-    strings: Vec<Arc<str>>,
-    map: FxHashMap<Arc<str>, u32>,
+    chunks: Vec<Arc<Vec<Arc<str>>>>,
+    map: ShardedMap<Arc<str>, u32>,
 }
 
 impl StringDict {
     /// Code for `s`, interning it on first sight.
     pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&c) = self.map.get(s) {
-            return c;
-        }
-        let c = self.strings.len() as u32;
-        self.strings.push(Arc::clone(s));
-        self.map.insert(Arc::clone(s), c);
-        c
+        let next = self.len() as u32;
+        let chunks = &mut self.chunks;
+        self.map.get_or_insert_with(s.as_ref(), || Arc::clone(s), || {
+            if (next as usize).is_multiple_of(DICT_CHUNK) {
+                chunks.push(Arc::new(Vec::with_capacity(DICT_CHUNK)));
+            }
+            cow_mut(chunks.last_mut().expect("a chunk with room")).push(Arc::clone(s));
+            next
+        })
     }
 
     /// Code for `s` if it is already interned (no insertion). Used by
@@ -119,16 +144,23 @@ impl StringDict {
     /// The string behind a code.
     #[inline]
     pub fn get(&self, code: u32) -> &Arc<str> {
-        &self.strings[code as usize]
+        let c = code as usize;
+        &self.chunks[c / DICT_CHUNK][c % DICT_CHUNK]
     }
 
     /// Number of interned strings (live or dead).
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.map.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.map.len() == 0
+    }
+
+    /// Chunks and map shards not shared with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared_with(&self, other: &StringDict) -> usize {
+        crate::cow::unshared(&self.chunks, &other.chunks) + self.map.unshared_with(&other.map)
     }
 }
 
@@ -137,7 +169,7 @@ impl StringDict {
 /// `data[i]` is meaningful only when `valid.get(i)` — cleared or
 /// never-written slots keep whatever default value was there (the validity
 /// bitmap, combined with the table's live bitmap, governs visibility).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum ColumnVec {
     Int { data: Vec<i64>, valid: Bitmap },
     Float { data: Vec<f64>, valid: Bitmap },
@@ -146,6 +178,28 @@ pub enum ColumnVec {
     /// Array/struct columns stay row-only: no typed vector exists and
     /// readers must go through the row view.
     Other,
+}
+
+impl Clone for ColumnVec {
+    fn clone(&self) -> ColumnVec {
+        match self {
+            ColumnVec::Int { data, valid } => {
+                ColumnVec::Int { data: clone_with_room(data), valid: valid.clone() }
+            }
+            ColumnVec::Float { data, valid } => {
+                ColumnVec::Float { data: clone_with_room(data), valid: valid.clone() }
+            }
+            ColumnVec::Bool { data, valid } => {
+                ColumnVec::Bool { data: clone_with_room(data), valid: valid.clone() }
+            }
+            ColumnVec::Str { codes, valid, dict } => ColumnVec::Str {
+                codes: clone_with_room(codes),
+                valid: valid.clone(),
+                dict: dict.clone(),
+            },
+            ColumnVec::Other => ColumnVec::Other,
+        }
+    }
 }
 
 impl ColumnVec {

@@ -3,9 +3,9 @@
 //! Index keys are single [`Value`]s; composite keys are represented as
 //! `Value::Struct`, matching [`crate::schema::TableSchema::key_of`].
 
+use crate::cow::ShardedMap;
 use crate::row::RowId;
 use crate::value::Value;
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -18,10 +18,52 @@ pub enum IndexKind {
 }
 
 /// Equality-only hash index.
+///
+/// Keys live in a [`ShardedMap`], so a commit under a published snapshot
+/// copies only the shards it writes. A key with one row keeps its id
+/// inline; the second row spills the ids to a `Vec` (secondary indexes).
 #[derive(Debug, Default, Clone)]
 pub struct HashIndex {
-    map: FxHashMap<Value, Vec<RowId>>,
+    map: ShardedMap<Value, RowIds>,
     entries: usize,
+}
+
+/// The row ids of one hash-index key: inline while there is one.
+#[derive(Debug, Clone)]
+enum RowIds {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl RowIds {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            RowIds::One(rid) => std::slice::from_ref(rid),
+            RowIds::Many(rids) => rids,
+        }
+    }
+
+    fn push(&mut self, rid: RowId) {
+        match self {
+            RowIds::One(first) => *self = RowIds::Many(vec![*first, rid]),
+            RowIds::Many(rids) => rids.push(rid),
+        }
+    }
+
+    /// Drop `rid`: `None` when it was not there, else whether ids remain.
+    fn remove(&mut self, rid: RowId) -> Option<bool> {
+        match self {
+            RowIds::One(r) => (*r == rid).then_some(false),
+            RowIds::Many(rids) => {
+                let pos = rids.iter().position(|r| *r == rid)?;
+                rids.swap_remove(pos);
+                if let [last] = rids[..] {
+                    *self = RowIds::One(last);
+                }
+                Some(true)
+            }
+        }
+    }
 }
 
 impl HashIndex {
@@ -30,25 +72,22 @@ impl HashIndex {
     }
 
     pub fn insert(&mut self, key: Value, rid: RowId) {
-        self.map.entry(key).or_default().push(rid);
+        self.map.upsert(key, || RowIds::One(rid), |rids| rids.push(rid));
         self.entries += 1;
     }
 
     pub fn remove(&mut self, key: &Value, rid: RowId) {
-        if let Some(v) = self.map.get_mut(key) {
-            if let Some(pos) = v.iter().position(|r| *r == rid) {
-                v.swap_remove(pos);
-                self.entries -= 1;
-            }
-            if v.is_empty() {
-                self.map.remove(key);
-            }
+        let Some(rids) = self.map.get_mut(key) else { return };
+        let Some(left) = rids.remove(rid) else { return };
+        self.entries -= 1;
+        if !left {
+            self.map.remove(key);
         }
     }
 
     /// Row ids with exactly this key.
     pub fn get(&self, key: &Value) -> &[RowId] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+        self.map.get(key).map(RowIds::as_slice).unwrap_or(&[])
     }
 
     /// Number of distinct keys.
@@ -63,6 +102,12 @@ impl HashIndex {
 
     pub fn is_empty(&self) -> bool {
         self.entries == 0
+    }
+
+    /// Shards not shared with `other` (see [`ShardedMap::unshared_with`]).
+    #[cfg(test)]
+    pub(crate) fn unshared_with(&self, other: &HashIndex) -> usize {
+        self.map.unshared_with(&other.map)
     }
 }
 
@@ -187,6 +232,15 @@ impl SecondaryIndex {
         }
     }
 
+    /// Move `rid` from `old`'s key to `new`'s; a no-op when the key is
+    /// unchanged.
+    pub fn update(&mut self, old: &[Value], new: &[Value], rid: RowId) {
+        if self.columns.iter().any(|&c| old[c] != new[c]) {
+            self.remove(old, rid);
+            self.insert(new, rid);
+        }
+    }
+
     pub fn lookup(&self, key: &Value) -> Vec<RowId> {
         match &self.structure {
             IndexStructure::Hash(h) => h.get(key).to_vec(),
@@ -227,6 +281,27 @@ mod tests {
         idx.remove(&Value::Int(1), RowId(11));
         assert!(idx.get(&Value::Int(1)).is_empty());
         assert_eq!(idx.distinct_keys(), 1);
+        idx.remove(&Value::Int(2), RowId(99));
+        assert_eq!(idx.get(&Value::Int(2)), &[RowId(12)], "removing an absent id is a no-op");
+        assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn hash_index_spills_and_folds_back_inline() {
+        let mut idx = HashIndex::new();
+        for i in 0..3 {
+            idx.insert(Value::Int(7), RowId(i));
+        }
+        assert_eq!(idx.get(&Value::Int(7)), &[RowId(0), RowId(1), RowId(2)]);
+        idx.remove(&Value::Int(7), RowId(0));
+        idx.remove(&Value::Int(7), RowId(2));
+        assert_eq!(idx.get(&Value::Int(7)), &[RowId(1)]);
+        assert!(matches!(idx.map.get(&Value::Int(7)), Some(RowIds::One(RowId(1)))));
+        // Int and integral Float keys compare and hash equal, so they share
+        // a shard and an entry.
+        idx.insert(Value::Float(7.0), RowId(5));
+        assert_eq!(idx.get(&Value::Int(7)), &[RowId(1), RowId(5)]);
+        assert_eq!((idx.len(), idx.distinct_keys()), (2, 1));
     }
 
     #[test]

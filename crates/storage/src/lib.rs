@@ -24,6 +24,7 @@
 pub mod buffer_pool;
 pub mod catalog;
 pub mod column;
+mod cow;
 pub mod error;
 pub mod factorized;
 pub mod group_commit;

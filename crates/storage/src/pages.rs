@@ -40,6 +40,7 @@
 //! round-trip, arrays/structs included). Decoding reassembles the rows.
 
 use crate::buffer_pool::{BufferPool, Extent, PAGE_SIZE};
+use crate::cow::cow_mut;
 use crate::error::StorageResult;
 use crate::row::Row;
 use crate::schema::TableSchema;
@@ -295,7 +296,7 @@ impl RowStore {
         slot.stamp = stamp;
         slot.extent = None; // content diverges from any spilled copy
         slot.hot.store(true, Ordering::Relaxed);
-        Arc::make_mut(slot.data.get_mut().expect("faulted in above"))
+        cow_mut(slot.data.get_mut().expect("faulted in above"))
     }
 
     /// Overwrite slot `i`. Panics if out of range (same as `vec[i] = v`).
@@ -336,7 +337,7 @@ impl RowStore {
         slot.stamp = stamp;
         slot.extent = None;
         slot.hot.store(true, Ordering::Relaxed);
-        Arc::make_mut(slot.data.get_mut().expect("faulted in above")).push(v);
+        cow_mut(slot.data.get_mut().expect("faulted in above")).push(v);
         self.len += 1;
     }
 
@@ -445,6 +446,22 @@ impl RowStore {
     /// rebuild) use this to walk all slots without forcing residency.
     pub(crate) fn page_pins(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
         (0..self.pages.len()).map(move |p| (p << self.shift, self.pin_page(p)))
+    }
+
+    /// Pages of `self` whose resident payload is not the very allocation
+    /// of `other`'s matching page (test support: copy-on-write sharing).
+    #[cfg(test)]
+    pub(crate) fn unshared_pages(&self, other: &RowStore) -> usize {
+        let same = self
+            .pages
+            .iter()
+            .zip(&other.pages)
+            .filter(|(a, b)| match (a.data.get(), b.data.get()) {
+                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+                _ => false,
+            })
+            .count();
+        self.pages.len().max(other.pages.len()) - same
     }
 
     /// Materialize the full slot vector (test support).

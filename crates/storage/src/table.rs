@@ -253,7 +253,9 @@ impl Table {
                 }
             }
         }
-        if let Some(pk) = self.pk_index.as_mut() {
+        // Index entries move only when their key does: an untouched key
+        // leaves its shard shared with any snapshot.
+        if let Some(pk) = self.pk_index.as_mut().filter(|_| old_key != new_key) {
             if let Some(ok) = &old_key {
                 pk.remove(ok, rid);
             }
@@ -262,8 +264,7 @@ impl Table {
             }
         }
         for idx in &mut self.indexes {
-            idx.remove(&old, rid);
-            idx.insert(&new_row, rid);
+            idx.update(&old, &new_row, rid);
         }
         self.cols.set_row(rid.idx(), &new_row);
         self.rows.set(rid.idx(), Some(new_row));
@@ -934,6 +935,100 @@ mod tests {
 
     fn row(id: i64, name: &str, age: i64) -> Row {
         vec![Value::Int(id), Value::str(name), Value::Int(age)]
+    }
+
+    /// Copy-on-write pieces (pages, index shards, dictionary chunks and
+    /// map shards) of `a` that are not the very allocation `b` holds, and
+    /// the number of pieces `a` has.
+    fn unshared_pieces(a: &Table, b: &Table) -> (usize, usize) {
+        let mut unshared = a.rows.unshared_pages(&b.rows);
+        let mut total = a.page_count();
+        fn hash(t: &Table) -> Vec<&HashIndex> {
+            let secondary = t.indexes.iter().filter_map(|i| match &i.structure {
+                crate::index::IndexStructure::Hash(h) => Some(h),
+                crate::index::IndexStructure::BTree(_) => None,
+            });
+            t.pk_index.iter().chain(secondary).collect()
+        }
+        // Against an empty structure every piece counts as unshared.
+        for (x, y) in hash(a).into_iter().zip(hash(b)) {
+            unshared += x.unshared_with(y);
+            total += x.unshared_with(&HashIndex::new());
+        }
+        for c in 0..a.schema.arity() {
+            if let (Some(ColumnSlice::Str { dict: x, .. }), Some(ColumnSlice::Str { dict: y, .. })) =
+                (a.column_slice(c), b.column_slice(c))
+            {
+                unshared += x.unshared_with(y);
+                total += x.unshared_with(&crate::column::StringDict::default());
+            }
+        }
+        (unshared, total)
+    }
+
+    /// A clone shares everything; a write detaches only the pieces it
+    /// lands in, however large the table, and the original keeps every
+    /// answer it gave before.
+    #[test]
+    fn clone_shares_all_but_the_pieces_a_write_touches() {
+        // Insert: tail page, one PK shard, one secondary shard, the
+        // dictionary's tail chunk and one map shard. Update of a secondary
+        // key: one page, two secondary shards. Delete: one page, one PK
+        // shard, one secondary shard.
+        const BOUND: usize = 13;
+        for n in [2_000i64, 20_000] {
+            let mut t = Table::new(TableSchema::new(
+                "t",
+                vec![
+                    Column::not_null("id", DataType::Int),
+                    Column::new("name", DataType::Text),
+                    Column::new("grp", DataType::Int),
+                ],
+                vec![0],
+            ));
+            let grp = |id: i64| id % 50;
+            for id in 0..n {
+                t.insert(vec![Value::Int(id), Value::str(format!("s{id}")), Value::Int(grp(id))])
+                    .unwrap();
+            }
+            t.create_index("by_grp", vec![2], IndexKind::Hash).unwrap();
+            let probe = |t: &Table| {
+                let pk: Vec<_> =
+                    [3, 5, n - 1].iter().map(|&k| t.rows_eq(&[0], &[Value::Int(k)])).collect();
+                let by_grp: Vec<_> = [3, 5, 7, 9]
+                    .iter()
+                    .map(|&g| t.rows_eq(&[2], &[Value::Int(g)]))
+                    .collect();
+                let Some(ColumnSlice::Str { codes, dict, .. }) = t.column_slice(1) else {
+                    panic!("text column")
+                };
+                let names: Vec<Arc<str>> =
+                    (0..n as usize).map(|s| Arc::clone(dict.get(codes[s]))).collect();
+                let row5 = t.lookup_pk(&Value::Int(5)).map(|(_, r)| r.clone());
+                (pk, by_grp, names, dict.code_of("fresh"), row5)
+            };
+            let before = probe(&t);
+
+            let mut w = t.clone();
+            assert_eq!(unshared_pieces(&w, &t).0, 0, "a clone shares every piece");
+            w.insert(vec![Value::Int(n), Value::str("fresh"), Value::Int(7)]).unwrap();
+            let (rid3, _) = w.lookup_pk(&Value::Int(3)).unwrap();
+            w.update(rid3, vec![Value::Int(3), Value::str("s3"), Value::Int(9)]).unwrap();
+            let (rid5, _) = w.lookup_pk(&Value::Int(5)).unwrap();
+            w.delete(rid5).unwrap();
+
+            let (unshared, total) = unshared_pieces(&w, &t);
+            assert!(unshared <= BOUND, "n={n}: {unshared} of {total} pieces copied");
+            assert!(n < 20_000 || total > 10 * BOUND, "n={n}: only {total} pieces");
+            assert_eq!(probe(&t), before, "n={n}: the original changed");
+
+            assert!(w.lookup_pk(&Value::Int(5)).is_none());
+            assert_eq!(w.rows_eq(&[2], &[Value::Int(9)]).len(), before.1[3].len() + 1);
+            let Some(ColumnSlice::Str { dict, .. }) = w.column_slice(1) else {
+                panic!("text column")
+            };
+            assert_eq!(dict.code_of("fresh"), Some(n as u32));
+        }
     }
 
     #[test]

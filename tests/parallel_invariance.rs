@@ -493,6 +493,90 @@ fn pinned_snapshot_ignores_concurrent_insert_update_delete() {
     assert!(snap.epoch() < db.epoch(), "writes advanced the catalog epoch past the pin");
 }
 
+/// A pinned snapshot of an M2 database keeps every answer while the writer
+/// inserts, updates, deletes, relinks, and deletes and re-inserts one key in
+/// a single transaction: primary-key reads, `VIA r_s` joins and
+/// dictionary-coded `r_a = '...'` predicates all read the pinned version of
+/// the index shards and dictionary chunks the writer detached. A string
+/// interned after the pin is absent from the snapshot and found live.
+#[test]
+fn pinned_snapshot_keeps_keyed_join_and_string_answers_under_writes() {
+    let schema = fixtures::experiment();
+    let cfg = ExperimentConfig { n_r: 600, mv_avg: 2, seed: 5 };
+    let db = experiment_database(&paper::m2(&schema), &cfg).unwrap().into_shared();
+    let target = |r: i64| {
+        let q = format!("SELECT s.s_id FROM R r JOIN S s VIA r_s WHERE r.r_id = {r}");
+        db.query(&q).unwrap().rows[0][0].clone()
+    };
+    // Keys ≡ 0 (mod 5) are plain `R` instances (no subclass rows).
+    let (updated, deleted, reborn, relinked, fresh) = (15i64, 10i64, 20i64, 5i64, 100_000i64);
+    let (old_s, new_s) = (target(relinked), Value::Int(7));
+    assert_ne!(old_s, new_s);
+    let name = |r: i64| {
+        ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"][(r % 7) as usize]
+    };
+    let point =
+        |k: i64| format!("SELECT r.r_id, r.r_a, r.r_b, r.r_mv1 FROM R r WHERE r.r_id = {k}");
+    let queries = [
+        point(updated),
+        point(deleted),
+        point(reborn),
+        format!("SELECT r.r_id, s.s_id FROM R r JOIN S s VIA r_s WHERE r.r_id = {relinked}"),
+        point(fresh),
+        "SELECT r.r_id, s.s_id FROM R r JOIN S s VIA r_s WHERE r.r_id < 40".to_string(),
+        format!("SELECT r.r_id, s.s_a FROM R r JOIN S s VIA r_s WHERE s.s_id = {old_s}"),
+        format!("SELECT r.r_id, s.s_a FROM R r JOIN S s VIA r_s WHERE s.s_id = {new_s}"),
+        format!("SELECT r.r_id FROM R r WHERE r.r_a = 'r-{}-{updated}'", name(updated)),
+        format!("SELECT r.r_id FROM R r WHERE r.r_a = 'r-{}-{reborn}'", name(reborn)),
+        "SELECT r.r_id FROM R r WHERE r.r_a = 'interned-after-pin'".to_string(),
+        "SELECT r.r_id, r.r_b FROM R r WHERE r.r_b = 77".to_string(),
+    ];
+    let answers = |read: &dyn Fn(&str) -> Vec<Vec<Value>>| -> Vec<Vec<Vec<Value>>> {
+        queries.iter().map(|q| sorted(read(q))).collect()
+    };
+    let snap = db.snapshot();
+    let pinned = answers(&|q| snap.query(q).unwrap().rows);
+    assert!(pinned[4].is_empty() && pinned[10].is_empty(), "fresh key and string absent");
+
+    let r = |id: i64, r_a: &str| {
+        vec![
+            ("r_id", Value::Int(id)),
+            ("r_a", Value::str(r_a)),
+            ("r_b", Value::Int(77)),
+            ("r_mv1", Value::Array(vec![Value::Int(1)])),
+            ("r_mv2", Value::Array(vec![])),
+            ("r_mv3", Value::Array(vec![Value::str("alpha")])),
+        ]
+    };
+    db.transaction(|tx| {
+        tx.insert_linked("R", &r(fresh, "interned-after-pin"), &[("r_s", vec![new_s.clone()])])?;
+        let changes = [("r_a", Value::str("renamed")), ("r_b", Value::Int(77))];
+        tx.update_entity("R", &[Value::Int(updated)], &changes)?;
+        tx.delete_entity("R", &[Value::Int(deleted)])
+    })
+    .unwrap();
+    db.transaction(|tx| {
+        tx.unlink("r_s", &[Value::Int(relinked)], std::slice::from_ref(&old_s))?;
+        tx.link("r_s", &[Value::Int(relinked)], std::slice::from_ref(&new_s), &[])
+    })
+    .unwrap();
+    db.transaction(|tx| {
+        tx.delete_entity("R", &[Value::Int(reborn)])?;
+        tx.insert_linked("R", &r(reborn, "reborn"), &[("r_s", vec![new_s.clone()])])
+    })
+    .unwrap();
+
+    assert_eq!(answers(&|q| snap.query(q).unwrap().rows), pinned, "the snapshot moved");
+    let live = answers(&|q| db.query(q).unwrap().rows);
+    for (i, (q, (was, now))) in queries.iter().zip(pinned.iter().zip(&live)).enumerate() {
+        assert_ne!(was, now, "query {i} should see the writes: {q}");
+    }
+    assert_eq!(live[10], vec![vec![Value::Int(fresh)]], "the string interned after the pin");
+    assert!(live[1].is_empty(), "deleted key gone");
+    assert_eq!(live[2][0][1], Value::str("reborn"));
+    assert_eq!(target(relinked), new_s);
+}
+
 #[test]
 fn aborted_transaction_is_never_visible() {
     let db = shared_acct_db(4);
