@@ -386,9 +386,9 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// Checkpoint the catalog and truncate the WAL. Incremental: only
-    /// tables dirtied since the previous checkpoint are written, as an
-    /// `ERBSNAP2` delta chained onto the base snapshot; a full snapshot is
+    /// Checkpoint the catalog and truncate the WAL. Incremental: only the
+    /// row pages written since the previous checkpoint are saved, as an
+    /// `ERBSNAP3` page delta chained onto the base snapshot; a full snapshot is
     /// written instead (compacting the chain away) after structural
     /// changes, when most of the catalog is dirty, or when the chain grows
     /// past [`erbium_storage::MAX_DELTA_CHAIN`]. A crash at any byte

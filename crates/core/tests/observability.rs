@@ -103,7 +103,7 @@ fn optimizer_stats_survive_checkpoint_and_reopen() {
 
     // PR-9 extension: the same guarantee holds across a base+delta chain.
     // A bulk load dirties only `person`, so the next checkpoint writes an
-    // ERBSNAP2 delta instead of a full snapshot; recovery then chains
+    // delta instead of a full snapshot; recovery then chains
     // base + delta, and the (bulk-refreshed) statistics still ride along.
     let mut db = db;
     let batch: Vec<BulkEntity> = (60..90)

@@ -1,8 +1,8 @@
 //! The one byte codec: every place a [`Value`] becomes bytes goes through
-//! here — WAL records, `ERBSNAP1`/`ERBSNAP2` checkpoint bodies, buffer-pool
-//! page spills (all in `erbium-storage`) and ERSP messages
-//! (`erbium-client`). It lives in the model crate because the wire client
-//! must not link storage.
+//! here — WAL records, `ERBSNAP1`/`ERBSNAP3` checkpoint bodies (and the
+//! retired `ERBSNAP2` deltas, still read), buffer-pool page spills (all in
+//! `erbium-storage`) and ERSP messages (`erbium-client`). It lives in the
+//! model crate because the wire client must not link storage.
 //!
 //! ## Format
 //!
@@ -84,23 +84,71 @@ impl std::error::Error for CodecError {}
 
 pub type CodecResult<T> = Result<T, CodecError>;
 
-/// IEEE CRC-32 (the reflected polynomial used by zip/png), table-driven.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+/// Slicing-by-16 lookup tables for the reflected IEEE polynomial, built at
+/// compile time (the initializer is a constant expression). `T[0]` is the
+/// classic byte-at-a-time table; `T[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so sixteen input bytes fold into the state with
+/// sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// IEEE CRC-32 (the reflected polynomial used by zip/png).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc32_update(0, bytes)
+}
+
+/// Extend a running CRC-32 with `bytes`: `crc32_update(crc32(a), b)` equals
+/// `crc32` of `a` followed by `b`, and `crc32_update(0, b) == crc32(b)`, so a
+/// stream can be checksummed one buffer at a time.
+pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !state;
+    let mut chunks = bytes.chunks_exact(16);
+    for chunk in &mut chunks {
+        let b: &[u8; 16] = chunk.try_into().expect("chunks_exact yields 16 bytes");
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }

@@ -4,8 +4,8 @@
 //! bounded by the input, and a nesting cap that protects the stack.
 
 use erbium_model::codec::{
-    crc32, frame_header, get_row, get_value, put_row, put_u32, put_value, CodecError, Cursor,
-    MAX_DEPTH,
+    crc32, crc32_update, frame_header, get_row, get_value, put_row, put_u32, put_value,
+    CodecError, Cursor, MAX_DEPTH,
 };
 use erbium_model::Value;
 use proptest::prelude::*;
@@ -200,4 +200,53 @@ fn crc_and_frames() {
     framed[last] ^= 1;
     assert_eq!(Cursor::new(&framed).frame(), Err(CodecError::Checksum));
     assert_eq!(Cursor::new(&framed[..last]).frame(), Err(CodecError::Truncated));
+}
+
+/// Bit-at-a-time CRC-32/IEEE straight from the definition: the reference the
+/// table-driven implementation must agree with.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+/// Deterministic pseudo-random bytes (xorshift64*).
+fn noise(n: usize, mut seed: u64) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            seed ^= seed >> 12;
+            seed ^= seed << 25;
+            seed ^= seed >> 27;
+            (seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc32_matches_the_bitwise_reference() {
+    // Every length 0..=256 at 16 start offsets, so every split between the
+    // 16-byte blocks and the byte-wise tail meets every alignment.
+    let buf = noise(256 + 16, 7);
+    for offset in 0..16 {
+        for len in 0..=256 {
+            let bytes = &buf[offset..offset + len];
+            assert_eq!(crc32(bytes), crc32_bitwise(bytes), "offset {offset}, len {len}");
+        }
+    }
+    let big = noise(1 << 20, 42);
+    assert_eq!(crc32(&big), crc32_bitwise(&big), "1 MiB of random bytes");
+
+    // Streaming in uneven pieces gives the one-shot value.
+    let mut state = 0;
+    for piece in big.chunks(65_537) {
+        state = crc32_update(state, piece);
+    }
+    assert_eq!(state, crc32(&big));
+    assert_eq!(crc32_update(crc32(b"12345"), b"6789"), 0xCBF4_3926);
+    assert_eq!(crc32_update(0, b""), 0);
 }

@@ -281,27 +281,18 @@ impl Catalog {
         self.structural_dirty
     }
 
-    /// Reset all dirty tracking. Called by the checkpointer once the
-    /// current state is safely on disk (full snapshot or delta).
+    /// Reset all dirty tracking, down to the per-page marks of every plain
+    /// table. Called by the checkpointer once the current state is safely
+    /// on disk (full snapshot or delta), and by recovery once the catalog
+    /// equals the checkpoint chain. Clearing page marks needs no write
+    /// access, so a table still shared with a snapshot is not copied.
     pub(crate) fn mark_checkpointed(&mut self) {
         self.dirty_tables.clear();
         self.dirty_facts.clear();
         self.structural_dirty = false;
-    }
-
-    /// Install a table version wholesale, replacing any existing entry of
-    /// the same name (delta-checkpoint recovery: the delta carries the whole
-    /// serialized table, not a diff).
-    pub(crate) fn install_table_version(&mut self, mut table: Table) {
-        table.bind_pool(&self.pool);
-        self.tables.insert(table.name().to_string(), Arc::new(table));
-    }
-
-    /// Install a factorized-structure version wholesale (see
-    /// [`Catalog::install_table_version`]).
-    pub(crate) fn install_factorized_version(&mut self, name: String, mut ft: FactorizedTable) {
-        ft.bind_pool(&self.pool);
-        self.factorized.insert(name, Arc::new(ft));
+        for t in self.tables.values() {
+            t.mark_pages_saved();
+        }
     }
 
     /// Replace the whole metadata area (delta-checkpoint recovery: every

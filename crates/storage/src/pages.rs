@@ -127,6 +127,13 @@ struct PageSlot {
     stamp: u64,
     /// Second-chance bit for the clock sweep, set on every read hit.
     hot: AtomicBool,
+    /// Changed since the last checkpoint: set with `dirty` by every write,
+    /// but left alone by spill write-back, so it survives eviction. Delta
+    /// checkpoints carry exactly these pages. Cleared through `&self` once
+    /// the checkpoint is on disk: a snapshot sharing this page slot shares
+    /// its content too, so the mark is true of both. Only the writer reads
+    /// or writes it and it publishes no data, so `Relaxed` suffices.
+    unsaved: AtomicBool,
 }
 
 impl Clone for PageSlot {
@@ -141,6 +148,7 @@ impl Clone for PageSlot {
             dirty: self.dirty,
             stamp: self.stamp,
             hot: AtomicBool::new(self.hot.load(Ordering::Relaxed)),
+            unsaved: AtomicBool::new(self.unsaved.load(Ordering::Relaxed)),
         }
     }
 }
@@ -149,7 +157,24 @@ impl PageSlot {
     fn fresh(cap: usize) -> PageSlot {
         let data = OnceLock::new();
         let _ = data.set(Arc::new(Vec::with_capacity(cap)));
-        PageSlot { data, extent: None, dirty: true, stamp: 0, hot: AtomicBool::new(true) }
+        PageSlot {
+            data,
+            extent: None,
+            dirty: true,
+            stamp: 0,
+            hot: AtomicBool::new(true),
+            unsaved: AtomicBool::new(true),
+        }
+    }
+
+    /// Record a write: the resident payload now differs from any spilled
+    /// copy and from the last checkpoint.
+    fn note_write(&mut self, stamp: u64) {
+        self.dirty = true;
+        *self.unsaved.get_mut() = true;
+        self.stamp = stamp;
+        self.extent = None; // content diverges from any spilled copy
+        self.hot.store(true, Ordering::Relaxed);
     }
 }
 
@@ -292,10 +317,7 @@ impl RowStore {
         self.resident(pidx);
         let stamp = self.pool.write_stamp();
         let slot = &mut self.pages[pidx];
-        slot.dirty = true;
-        slot.stamp = stamp;
-        slot.extent = None; // content diverges from any spilled copy
-        slot.hot.store(true, Ordering::Relaxed);
+        slot.note_write(stamp);
         cow_mut(slot.data.get_mut().expect("faulted in above"))
     }
 
@@ -333,10 +355,7 @@ impl RowStore {
         self.resident(pidx);
         let stamp = self.pool.write_stamp();
         let slot = &mut self.pages[pidx];
-        slot.dirty = true;
-        slot.stamp = stamp;
-        slot.extent = None;
-        slot.hot.store(true, Ordering::Relaxed);
+        slot.note_write(stamp);
         cow_mut(slot.data.get_mut().expect("faulted in above")).push(v);
         self.len += 1;
     }
@@ -446,6 +465,26 @@ impl RowStore {
     /// rebuild) use this to walk all slots without forcing residency.
     pub(crate) fn page_pins(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
         (0..self.pages.len()).map(move |p| (p << self.shift, self.pin_page(p)))
+    }
+
+    /// Pages written since the last [`RowStore::mark_saved`], as transient
+    /// pins tagged with their page index (the delta checkpoint's payload).
+    pub(crate) fn unsaved_pages(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
+        (0..self.pages.len())
+            .filter(|&p| self.pages[p].unsaved.load(Ordering::Relaxed))
+            .map(move |p| (p, self.pin_page(p)))
+    }
+
+    /// How many pages [`RowStore::unsaved_pages`] would yield.
+    pub(crate) fn unsaved_page_count(&self) -> usize {
+        self.pages.iter().filter(|p| p.unsaved.load(Ordering::Relaxed)).count()
+    }
+
+    /// Every page is now on disk as of a checkpoint.
+    pub(crate) fn mark_saved(&self) {
+        for p in &self.pages {
+            p.unsaved.store(false, Ordering::Relaxed);
+        }
     }
 
     /// Pages of `self` whose resident payload is not the very allocation

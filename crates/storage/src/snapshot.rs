@@ -32,50 +32,77 @@
 //! ## Incremental (delta) checkpoints
 //!
 //! Writing the whole catalog on every checkpoint is wasteful when only a
-//! few tables changed since the last one. [`write_checkpoint`] therefore
+//! few pages changed since the last one. [`write_checkpoint`] therefore
 //! consults the catalog's dirty tracking and, when the base snapshot is
-//! still representative, emits an `ERBSNAP2` **delta** file
-//! (`snapshot.delta.<seq>.erb`) instead: the full serialized state of just
-//! the dirty tables/factorized structures, plus the (tiny) metadata map and
-//! stats registry wholesale. Deltas chain: recovery applies the base
-//! snapshot, then each delta in sequence order, then the WAL suffix.
+//! still representative, emits an `ERBSNAP3` **page delta** file
+//! (`snapshot.delta.<seq>.erb`) instead, framed like the base:
+//!
+//! ```text
+//! [seq u64] [base_crc u32] [next_txn u64]
+//! [tables u32] per dirty table:
+//!     [header: schema JSON, index specs] [slot_count u32]
+//!     [pages u32] per row page written since the previous checkpoint:
+//!         [page index u32] [slots u32] [slot]*      (the base's slot encoding)
+//! [factorized u32] per dirty factorized structure: the whole structure
+//! [metadata map] [stats flag u8] [stats JSON, if the flag is 1]
+//! ```
+//!
+//! Every row page carries a mark that each write sets and only a
+//! checkpoint clears (spilling the page to the buffer pool's file leaves it
+//! alone), so a delta holds exactly the pages the cycle touched. The slot
+//! count makes growth and truncation explicit. Factorized structures have
+//! no page deltas and are written whole. The older table-granular
+//! `ERBSNAP2` delta (the same layout with each dirty table's slots in full
+//! after its header, and no page list) is still read, as a delta in which
+//! every table carries all of its pages; only `ERBSNAP3` is written.
 //!
 //! Compaction back to a full snapshot happens when the chain grows past
 //! [`MAX_DELTA_CHAIN`], when the catalog's shape changed (DDL), or when
-//! most of the catalog is dirty anyway. A full snapshot deletes the delta
-//! files *after* the base rename; a crash in between leaves stale deltas
-//! behind, which is why every delta records the CRC of the base body it
-//! was computed against (`base_crc`). Deltas whose `base_crc` does not
-//! match the current base are ignored at recovery and deleted at the next
-//! checkpoint — content addressing, not trust in deletion order.
+//! more than half the catalog is dirty anyway: more than half of its
+//! tables and factorized structures, and more than half of its row pages
+//! (a factorized structure counts as one page). A cycle that touches most
+//! tables but few pages of each (M1 spreads one logical write over six
+//! tables) therefore stays a delta. A full snapshot
+//! deletes the delta files *after* the base rename; a crash in between
+//! leaves stale deltas behind, which is why every delta records the CRC of
+//! the base body it was computed against (`base_crc`). Deltas whose
+//! `base_crc` does not match the current base are ignored at recovery and
+//! deleted at the next checkpoint — content addressing, not trust in
+//! deletion order. Every checkpoint first surveys the chain, checking each
+//! member's magic, length, CRC and trailing bytes through one fixed buffer.
 //!
 //! ## Recovery protocol
 //!
-//! [`Catalog::recover`] = load the latest snapshot (or start empty), apply
-//! the valid delta chain on top, then redo the committed suffix of the WAL,
-//! placing rows at the exact slots the log recorded, and finally rebuild
-//! the free lists. WAL groups whose transaction id predates the checkpoint
-//! chain are already absorbed by it and are skipped — that makes the
-//! crash window between the checkpoint rename and the WAL truncation safe.
-//! The combination is exactly the committed prefix of history: rolled-back
-//! transactions never reached the log, and a torn tail loses only the
-//! in-flight group.
+//! [`Catalog::recover`] = read the latest snapshot (or start empty), fold
+//! the valid delta chain into one overlay — one delta file at a time, in
+//! sequence order: for each table the newest header and slot count and the
+//! newest copy of every page a delta carried — then decode the base with
+//! the overlay's pages laid over its slots, so each table, with its
+//! indexes, column vectors, dictionaries and free list, is built exactly
+//! once. Then redo the committed suffix of the WAL, placing rows at the
+//! exact slots the log recorded, and finally rebuild the free lists. WAL
+//! groups whose transaction id predates the checkpoint chain are already
+//! absorbed by it and are skipped — that makes the crash window between
+//! the checkpoint rename and the WAL truncation safe. The combination is
+//! exactly the committed prefix of history: rolled-back transactions never
+//! reached the log, and a torn tail loses only the in-flight group.
 
 use crate::buffer_pool::BufferPool;
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
 use crate::factorized::FactorizedTable;
 use crate::index::IndexKind;
-use crate::row::RowId;
+use crate::pages::page_rows_for;
+use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::CatalogStats;
 use crate::table::Table;
 use crate::wal::{scan_wal, FactSide, WalRecord};
 use erbium_model::codec::{
-    frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, Cursor,
+    crc32_update, frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, Cursor,
 };
 use rustc_hash::FxHashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -85,11 +112,16 @@ pub const SNAPSHOT_FILE: &str = "snapshot.erb";
 pub const WAL_FILE: &str = "wal.erb";
 /// Maximum number of chained delta checkpoints before [`write_checkpoint`]
 /// compacts back to a full snapshot. Bounds recovery work (each delta is a
-/// file read + wholesale table installs) and disk amplification.
+/// file read folded into the overlay) and disk amplification.
 pub const MAX_DELTA_CHAIN: usize = 8;
 
 const MAGIC: &[u8; 8] = b"ERBSNAP1";
+/// Table-granular delta: each dirty table in full. Read, no longer written.
 const MAGIC2: &[u8; 8] = b"ERBSNAP2";
+/// Page-granular delta: only the row pages written since the last checkpoint.
+const MAGIC3: &[u8; 8] = b"ERBSNAP3";
+/// The delta magics, indexed by [`read_frame`]'s match: 0 is `ERBSNAP2`.
+const DELTA_MAGICS: [&[u8; 8]; 2] = [MAGIC2, MAGIC3];
 const DELTA_TMP: &str = "snapshot.delta.tmp";
 
 fn delta_file_name(seq: u64) -> String {
@@ -138,7 +170,8 @@ impl From<CodecError> for StorageError {
 
 // ---- encoding --------------------------------------------------------------
 
-fn put_table(buf: &mut Vec<u8>, t: &Table) {
+/// Everything of a table but its slots: schema and secondary-index specs.
+fn put_table_header(buf: &mut Vec<u8>, t: &Table) {
     let schema_json = serde_json::to_string(t.schema()).expect("schema serializes");
     put_str(buf, &schema_json);
     let indexes = t.indexes();
@@ -154,7 +187,22 @@ fn put_table(buf: &mut Vec<u8>, t: &Table) {
             IndexKind::BTree => 1,
         });
     }
+}
+
+fn put_table(buf: &mut Vec<u8>, t: &Table) {
+    put_table_header(buf, t);
     put_slots(buf, t);
+}
+
+/// One slot: a flag byte, then the row if there is one.
+fn put_slot(buf: &mut Vec<u8>, slot: &Option<Row>) {
+    match slot {
+        None => buf.push(0),
+        Some(row) => {
+            buf.push(1);
+            put_row(buf, row);
+        }
+    }
 }
 
 /// Encode the slot vector page by page. Byte-identical to encoding the
@@ -165,15 +213,27 @@ fn put_slots(buf: &mut Vec<u8>, t: &Table) {
     put_u32(buf, t.slot_count() as u32);
     for (_, page) in t.page_pins() {
         for slot in page.iter() {
-            match slot {
-                None => buf.push(0),
-                Some(row) => {
-                    buf.push(1);
-                    put_row(buf, row);
-                }
-            }
+            put_slot(buf, slot);
         }
     }
+}
+
+/// One page-delta table entry: the header, the slot count, then every row
+/// page written since the last checkpoint as its index and its counted
+/// slots. Returns the number of pages written.
+fn put_table_pages(buf: &mut Vec<u8>, t: &Table) -> usize {
+    put_table_header(buf, t);
+    put_u32(buf, t.slot_count() as u32);
+    let pages = t.unsaved_page_count();
+    put_u32(buf, pages as u32);
+    for (pidx, page) in t.unsaved_pages() {
+        put_u32(buf, pidx as u32);
+        put_u32(buf, page.len() as u32);
+        for slot in page.iter() {
+            put_slot(buf, slot);
+        }
+    }
+    pages
 }
 
 /// One factorized structure: name, both member tables, the link pairs.
@@ -242,11 +302,17 @@ fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
 
 // ---- decoding --------------------------------------------------------------
 
-fn get_table(c: &mut Cursor<'_>, pool: &Arc<BufferPool>) -> StorageResult<Table> {
+/// A decoded [`put_table_header`].
+struct TableHeader {
+    schema: TableSchema,
+    indexes: Vec<(String, Vec<usize>, IndexKind)>,
+}
+
+fn get_table_header(c: &mut Cursor<'_>) -> StorageResult<TableHeader> {
     let schema: TableSchema = serde_json::from_str(c.str()?)
         .map_err(|e| corrupt(format!("snapshot: bad table schema: {e}")))?;
     let n_indexes = c.count(9)?; // name length + column count + kind byte
-    let mut specs = Vec::with_capacity(n_indexes);
+    let mut indexes = Vec::with_capacity(n_indexes);
     for _ in 0..n_indexes {
         let name = c.string()?;
         let n_cols = c.count(4)?;
@@ -259,27 +325,124 @@ fn get_table(c: &mut Cursor<'_>, pool: &Arc<BufferPool>) -> StorageResult<Table>
             1 => IndexKind::BTree,
             k => return Err(corrupt(format!("snapshot: unknown index kind {k}"))),
         };
-        specs.push((name, cols, kind));
+        indexes.push((name, cols, kind));
     }
+    Ok(TableHeader { schema, indexes })
+}
+
+fn get_slot(c: &mut Cursor<'_>) -> StorageResult<Option<Row>> {
+    match c.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(get_row(c)?)),
+        f => Err(corrupt(format!("snapshot: bad slot flag {f}"))),
+    }
+}
+
+/// What the delta chain says about one plain table: its newest header and
+/// slot count, and the newest copy of every row page some delta carried.
+/// That is all recovery needs: a page that exists after a truncation was
+/// rewritten after it (truncation drops every page, and a new page is
+/// marked), so the newest copy of each page is its final content.
+struct TablePatch {
+    header: TableHeader,
+    slot_count: usize,
+    pages: FxHashMap<usize, Vec<Option<Row>>>,
+}
+
+impl TablePatch {
+    /// A table the chain never mentions: the base, as it is.
+    fn identity(header: TableHeader, slot_count: usize) -> TablePatch {
+        TablePatch { header, slot_count, pages: FxHashMap::default() }
+    }
+}
+
+/// The valid delta chain folded into one overlay over the base, built one
+/// delta file at a time in sequence order.
+#[derive(Default)]
+struct ChainPatch {
+    tables: FxHashMap<String, TablePatch>,
+    /// Factorized structures stay whole: the newest version of each.
+    facts: FxHashMap<String, FactorizedTable>,
+    /// The newest delta's metadata area and statistics registry.
+    meta_stats: Option<(FxHashMap<String, serde_json::Value>, CatalogStats)>,
+    next_txn: u64,
+}
+
+impl ChainPatch {
+    /// Fold one delta's entry for a table in: its header and slot count
+    /// replace the older ones, its pages replace older copies.
+    fn apply_table(
+        &mut self,
+        header: TableHeader,
+        slot_count: usize,
+        pages: Vec<(usize, Vec<Option<Row>>)>,
+    ) {
+        let name = header.schema.name.clone();
+        let mut patch = TablePatch::identity(header, slot_count);
+        if let Some(older) = self.tables.remove(&name) {
+            patch.pages = older.pages;
+        }
+        patch.pages.extend(pages);
+        self.tables.insert(name, patch);
+    }
+}
+
+/// Build one table exactly once: `base_slots` slots read from `next_base`,
+/// with `patch`'s pages laid over them and its slot count applied, streamed
+/// slot by slot into the table, so its indexes, column vectors,
+/// dictionaries and free list are each built a single time, in slot order.
+/// Every slot beyond the base must come from a page.
+fn build_table(
+    patch: TablePatch,
+    base_slots: usize,
+    mut next_base: impl FnMut() -> StorageResult<Option<Row>>,
+    pool: &Arc<BufferPool>,
+) -> StorageResult<Table> {
+    let TablePatch { header, slot_count, mut pages } = patch;
+    let page_rows = page_rows_for(&header.schema);
+    let name = header.schema.name.clone();
     // Stream slots straight into a pool-bound table: `RowStore::push`
     // reclaims pages at page boundaries when over budget, so decoding a
     // table larger than the frame budget stays bounded.
-    let n = c.count(1)?;
-    let mut t = Table::with_pool(schema, pool.clone());
-    for _ in 0..n {
-        let slot = match c.u8()? {
-            0 => None,
-            1 => Some(get_row(c)?),
-            f => return Err(corrupt(format!("snapshot: bad slot flag {f}"))),
+    let mut t = Table::with_pool(header.schema, pool.clone());
+    let mut page: Option<Vec<Option<Row>>> = None;
+    for i in 0..base_slots.max(slot_count) {
+        let base = if i < base_slots { next_base()? } else { None };
+        if i >= slot_count {
+            continue;
+        }
+        if i % page_rows == 0 {
+            page = pages.remove(&(i / page_rows));
+        }
+        let slot = match &mut page {
+            Some(p) => p.get_mut(i % page_rows).and_then(Option::take),
+            None if i < base_slots => base,
+            None => return Err(corrupt(format!("delta: slot {i} of '{name}' is in no page"))),
         };
         t.load_slot(slot).map_err(|e| corrupt(format!("snapshot: table rebuild failed: {e}")))?;
     }
     t.rebuild_free();
-    for (name, cols, kind) in specs {
+    for (name, cols, kind) in header.indexes {
         t.create_index(name, cols, kind)
             .map_err(|e| corrupt(format!("snapshot: index rebuild failed: {e}")))?;
     }
     Ok(t)
+}
+
+/// A table in the full-slots encoding, with the chain's patch for it (if
+/// `patches` has one) laid over.
+fn get_table(
+    c: &mut Cursor<'_>,
+    pool: &Arc<BufferPool>,
+    patches: &mut FxHashMap<String, TablePatch>,
+) -> StorageResult<Table> {
+    let header = get_table_header(c)?;
+    let n = c.count(1)?;
+    let patch = match patches.remove(&header.schema.name) {
+        Some(patch) => patch,
+        None => TablePatch::identity(header, n),
+    };
+    build_table(patch, n, || get_slot(c), pool)
 }
 
 fn get_fact(
@@ -287,8 +450,8 @@ fn get_fact(
     pool: &Arc<BufferPool>,
 ) -> StorageResult<(String, FactorizedTable)> {
     let name = c.string()?;
-    let left = get_table(c, pool)?;
-    let right = get_table(c, pool)?;
+    let left = get_table(c, pool, &mut FxHashMap::default())?;
+    let right = get_table(c, pool, &mut FxHashMap::default())?;
     let n_pairs = c.count(16)?;
     let mut links = Vec::with_capacity(n_pairs);
     for _ in 0..n_pairs {
@@ -315,19 +478,32 @@ fn get_stats(c: &mut Cursor<'_>) -> StorageResult<CatalogStats> {
     serde_json::from_str(c.str()?).map_err(|e| corrupt(format!("snapshot: bad stats JSON: {e}")))
 }
 
-fn decode_body(body: &[u8], pool: &Arc<BufferPool>) -> StorageResult<(Catalog, u64)> {
+/// Decode a base snapshot body with the delta chain's overlay laid over it.
+fn decode_body(
+    body: &[u8],
+    pool: &Arc<BufferPool>,
+    mut chain: ChainPatch,
+) -> StorageResult<(Catalog, u64)> {
     let mut c = Cursor::new(body);
-    let next_txn = c.u64()?;
+    let next_txn = c.u64()?.max(chain.next_txn);
     let mut cat = Catalog::with_pool(pool.clone());
 
     for _ in 0..c.count(1)? {
-        let t = get_table(&mut c, pool)?;
+        let t = get_table(&mut c, pool, &mut chain.tables)?;
         cat.create_table(t).map_err(|e| corrupt(format!("snapshot: duplicate table: {e}")))?;
     }
     for _ in 0..c.count(1)? {
-        let (name, ft) = get_fact(&mut c, pool)?;
+        let (name, mut ft) = get_fact(&mut c, pool)?;
+        if let Some(newer) = chain.facts.remove(&name) {
+            ft = newer;
+        }
         cat.create_factorized(name, ft)
             .map_err(|e| corrupt(format!("snapshot: duplicate factorized: {e}")))?;
+    }
+    // Deltas carry only structures that exist in their base: a shape change
+    // forces a full snapshot.
+    if let Some(name) = chain.tables.keys().chain(chain.facts.keys()).next() {
+        return Err(corrupt(format!("delta: '{name}' is not in the base snapshot")));
     }
     cat.replace_meta(get_meta(&mut c)?);
 
@@ -337,13 +513,18 @@ fn decode_body(body: &[u8], pool: &Arc<BufferPool>) -> StorageResult<(Catalog, u
         cat.set_stats(get_stats(&mut c)?);
     }
     c.finish()?;
+    if let Some((meta, stats)) = chain.meta_stats {
+        cat.replace_meta(meta);
+        cat.set_stats(stats);
+    }
     Ok((cat, next_txn))
 }
 
 // ---- file I/O --------------------------------------------------------------
 
 /// Frame `body` under `magic` and write it to `dir/final_name` atomically:
-/// temp file, fsync, rename, best-effort directory fsync.
+/// temp file, fsync, rename, best-effort directory fsync. The 16-byte head
+/// and the body go out as two writes, so the body is never copied.
 fn write_frame_atomic(
     dir: &Path,
     tmp_name: &str,
@@ -351,17 +532,18 @@ fn write_frame_atomic(
     magic: &[u8; 8],
     body: &[u8],
 ) -> StorageResult<()> {
-    let mut out = Vec::with_capacity(body.len() + 16);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&frame_header(body));
-    out.extend_from_slice(body);
+    let mut head = [0u8; 16];
+    head[..8].copy_from_slice(magic);
+    head[8..].copy_from_slice(&frame_header(body));
 
     let final_path = dir.join(final_name);
     let tmp_path = dir.join(tmp_name);
     {
         let mut f = std::fs::File::create(&tmp_path)
             .map_err(|e| io_err(&format!("create {}", tmp_path.display()), e))?;
-        f.write_all(&out).map_err(|e| io_err("snapshot write", e))?;
+        f.write_all(&head)
+            .and_then(|_| f.write_all(body))
+            .map_err(|e| io_err("snapshot write", e))?;
         f.sync_all().map_err(|e| io_err("snapshot fsync", e))?;
     }
     std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err("snapshot rename", e))?;
@@ -373,26 +555,90 @@ fn write_frame_atomic(
     Ok(())
 }
 
-/// Read and CRC-verify a framed file, returning the body and its CRC (the
-/// CRC doubles as the content address deltas use to pin their base).
-fn read_frame(path: &Path, magic: &[u8; 8]) -> StorageResult<(Vec<u8>, u32)> {
+/// Read and CRC-verify a framed file whose magic is one of `magics`,
+/// returning the index of the magic found, the body and its CRC (the CRC
+/// doubles as the content address deltas use to pin their base).
+fn read_frame(path: &Path, magics: &[&[u8; 8]]) -> StorageResult<(usize, Vec<u8>, u32)> {
     let mut bytes =
         std::fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
     let mut c = Cursor::new(&bytes);
-    if c.bytes(magic.len())? != magic {
-        return Err(corrupt("snapshot: bad magic"));
-    }
+    let magic = c.bytes(8)?;
+    let which = magics
+        .iter()
+        .position(|m| &m[..] == magic)
+        .ok_or_else(|| corrupt("snapshot: bad magic"))?;
     c.frame()?;
     c.finish()?;
     let crc = u32::from_le_bytes(bytes[12..16].try_into().expect("frame verified above"));
     bytes.drain(..16);
-    Ok((bytes, crc))
+    Ok((which, bytes, crc))
+}
+
+/// Fill `buf` from `f` until it is full or the file ends; bytes read.
+fn read_up_to(f: &mut std::fs::File, buf: &mut [u8]) -> std::io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match f.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// [`read_frame`]'s checks — magic, length, CRC, no trailing bytes, each
+/// failing with the same error — made through one 64 KiB buffer instead of
+/// a copy of the file. Returns the index of the magic found and the body's
+/// first `prefix` bytes (fewer if the body is shorter).
+fn check_frame(
+    path: &Path,
+    magics: &[&[u8; 8]],
+    prefix: usize,
+) -> StorageResult<(usize, Vec<u8>)> {
+    let read_err = |e| io_err(&format!("read {}", path.display()), e);
+    let mut f = std::fs::File::open(path).map_err(read_err)?;
+    let mut head = [0u8; 16];
+    let got = read_up_to(&mut f, &mut head).map_err(read_err)?;
+    if got < 8 {
+        return Err(CodecError::Truncated.into());
+    }
+    let which = magics
+        .iter()
+        .position(|m| m[..] == head[..8])
+        .ok_or_else(|| corrupt("snapshot: bad magic"))?;
+    if got < 16 {
+        return Err(CodecError::Truncated.into());
+    }
+    let len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
+    let mut buf = vec![0u8; (64 * 1024).min(len.max(1))];
+    let mut first = Vec::with_capacity(prefix.min(len));
+    let (mut left, mut state) = (len, 0u32);
+    while left > 0 {
+        let want = left.min(buf.len());
+        let n = read_up_to(&mut f, &mut buf[..want]).map_err(read_err)?;
+        if n < want {
+            return Err(CodecError::Truncated.into());
+        }
+        state = crc32_update(state, &buf[..n]);
+        let take = (prefix - first.len()).min(n);
+        first.extend_from_slice(&buf[..take]);
+        left -= n;
+    }
+    if state != crc {
+        return Err(CodecError::Checksum.into());
+    }
+    if read_up_to(&mut f, &mut [0u8; 1]).map_err(read_err)? != 0 {
+        return Err(CodecError::TrailingBytes.into());
+    }
+    Ok((which, first))
 }
 
 /// Read just the stored body CRC of the base snapshot — the content address
 /// a new delta records — without decoding (or re-hashing) the body.
 fn base_body_crc(path: &Path) -> StorageResult<u32> {
-    use std::io::Read;
     let mut f = std::fs::File::open(path)
         .map_err(|e| io_err(&format!("open {}", path.display()), e))?;
     let mut header = [0u8; 16];
@@ -442,25 +688,14 @@ pub fn load_snapshot(path: &Path) -> StorageResult<(Catalog, u64)> {
 
 /// [`load_snapshot`] with the recovered tables bound to `pool`.
 pub fn load_snapshot_pooled(path: &Path, pool: &Arc<BufferPool>) -> StorageResult<(Catalog, u64)> {
-    let (body, _) = read_frame(path, MAGIC)?;
-    decode_body(&body, pool)
+    let (_, body, _) = read_frame(path, &[MAGIC])?;
+    decode_body(&body, pool, ChainPatch::default())
 }
 
 // ---- delta checkpoints -----------------------------------------------------
 
-/// A decoded `ERBSNAP2` delta file: the full serialized state of every
-/// table/structure that was dirty at checkpoint time, applied wholesale on
-/// top of the base (or the previous delta) during recovery.
-struct Delta {
-    seq: u64,
-    base_crc: u32,
-    next_txn: u64,
-    tables: Vec<Table>,
-    facts: Vec<(String, FactorizedTable)>,
-    meta: FxHashMap<String, serde_json::Value>,
-    stats: Option<CatalogStats>,
-}
-
+/// Encode an `ERBSNAP3` page delta of the named dirty tables and factorized
+/// structures. Returns the body and the number of row pages in it.
 fn encode_delta_body(
     cat: &Catalog,
     seq: u64,
@@ -468,15 +703,16 @@ fn encode_delta_body(
     next_txn: u64,
     tables: &[String],
     facts: &[String],
-) -> StorageResult<Vec<u8>> {
+) -> StorageResult<(Vec<u8>, usize)> {
     let mut buf = Vec::with_capacity(1024);
     put_u64(&mut buf, seq);
     put_u32(&mut buf, base_crc);
     put_u64(&mut buf, next_txn);
 
     put_u32(&mut buf, tables.len() as u32);
+    let mut pages = 0;
     for name in tables {
-        put_table(&mut buf, cat.table(name)?);
+        pages += put_table_pages(&mut buf, cat.table(name)?);
     }
 
     put_u32(&mut buf, facts.len() as u32);
@@ -491,48 +727,111 @@ fn encode_delta_body(
         buf.push(1);
         put_stats(&mut buf, cat.stats());
     }
-    Ok(buf)
+    Ok((buf, pages))
 }
 
-/// The identifying header every delta body starts with.
+/// The identifying header every delta body starts with: sequence number,
+/// base CRC, next transaction id.
 fn get_delta_header(c: &mut Cursor<'_>) -> StorageResult<(u64, u32, u64)> {
     Ok((c.u64()?, c.u32()?, c.u64()?))
 }
 
-fn decode_delta_body(body: &[u8], pool: &Arc<BufferPool>) -> StorageResult<Delta> {
-    let mut c = Cursor::new(body);
-    let (seq, base_crc, next_txn) = get_delta_header(&mut c)?;
+/// Bytes of [`get_delta_header`].
+const DELTA_HEADER_LEN: usize = 20;
 
-    let n_tables = c.count(1)?;
-    let mut tables = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        tables.push(get_table(&mut c, pool)?);
+/// Decode one delta body — `ERBSNAP3` when `paged`, else the whole-table
+/// `ERBSNAP2` — and fold it into `chain`. Returns the delta's header.
+fn apply_delta_body(
+    chain: &mut ChainPatch,
+    body: &[u8],
+    paged: bool,
+    pool: &Arc<BufferPool>,
+) -> StorageResult<(u64, u32, u64)> {
+    let mut c = Cursor::new(body);
+    let head = get_delta_header(&mut c)?;
+
+    for _ in 0..c.count(1)? {
+        let header = get_table_header(&mut c)?;
+        let page_rows = page_rows_for(&header.schema);
+        let mut pages: Vec<(usize, Vec<Option<Row>>)> = Vec::new();
+        let slot_count = if paged {
+            let slot_count = c.u32()? as usize;
+            for _ in 0..c.count(8)? {
+                let pidx = c.u32()? as usize;
+                let n = c.count(1)?;
+                let first = pidx.saturating_mul(page_rows);
+                if first >= slot_count || n != page_rows.min(slot_count - first) {
+                    return Err(corrupt(format!(
+                        "delta: page {pidx} of '{}' holds {n} of its {slot_count} slots",
+                        header.schema.name
+                    )));
+                }
+                let mut slots = Vec::with_capacity(n);
+                for _ in 0..n {
+                    slots.push(get_slot(&mut c)?);
+                }
+                pages.push((pidx, slots));
+            }
+            slot_count
+        } else {
+            // The whole slot vector: every page of the table.
+            let n = c.count(1)?;
+            for i in 0..n {
+                if i % page_rows == 0 {
+                    pages.push((i / page_rows, Vec::with_capacity(page_rows.min(n - i))));
+                }
+                pages.last_mut().expect("pushed above").1.push(get_slot(&mut c)?);
+            }
+            n
+        };
+        chain.apply_table(header, slot_count, pages);
     }
-    let n_facts = c.count(1)?;
-    let mut facts = Vec::with_capacity(n_facts);
-    for _ in 0..n_facts {
-        facts.push(get_fact(&mut c, pool)?);
+    for _ in 0..c.count(1)? {
+        let (name, ft) = get_fact(&mut c, pool)?;
+        chain.facts.insert(name, ft);
     }
     let meta = get_meta(&mut c)?;
     let stats = match c.u8()? {
-        0 => None,
-        1 => Some(get_stats(&mut c)?),
+        0 => CatalogStats::default(),
+        1 => get_stats(&mut c)?,
         f => return Err(corrupt(format!("delta: bad stats flag {f}"))),
     };
     c.finish()?;
-    Ok(Delta { seq, base_crc, next_txn, tables, facts, meta, stats })
+    chain.meta_stats = Some((meta, stats));
+    chain.next_txn = chain.next_txn.max(head.2);
+    Ok(head)
 }
 
-fn load_delta(path: &Path, pool: &Arc<BufferPool>) -> StorageResult<Delta> {
-    let (body, _) = read_frame(path, MAGIC2)?;
-    decode_delta_body(&body, pool)
+/// The delta files in a directory, split by the base they were written
+/// against.
+struct Chain {
+    /// Deltas of the current base, sorted by sequence number.
+    live: Vec<(u64, PathBuf)>,
+    /// Survivors of a crash between a full snapshot and their deletion.
+    stale: Vec<PathBuf>,
 }
 
-/// Just the identifying header of a delta file (frame still CRC-verified):
-/// enough for the checkpointer to tell live chain members from stale ones.
-fn delta_header(path: &Path) -> StorageResult<(u64, u32, u64)> {
-    let (body, _) = read_frame(path, MAGIC2)?;
-    get_delta_header(&mut Cursor::new(&body))
+/// Survey the delta files in `dir` against the base whose body CRC is
+/// `base_crc` (`None`: no base, so every delta is stale). Each file's frame
+/// is checked in full ([`check_frame`]); an unreadable one is real
+/// corruption and surfaces, as does a file whose header disagrees with its
+/// name.
+fn survey_chain(dir: &Path, base_crc: Option<u32>) -> StorageResult<Chain> {
+    let mut chain = Chain { live: Vec::new(), stale: Vec::new() };
+    for (file_seq, path) in list_deltas(dir)? {
+        let (_, head) = check_frame(&path, &DELTA_MAGICS, DELTA_HEADER_LEN)?;
+        let (seq, crc, _) = get_delta_header(&mut Cursor::new(&head))?;
+        if seq != file_seq {
+            return Err(corrupt(format!("delta: file {} claims seq {seq}", path.display())));
+        }
+        if Some(crc) == base_crc {
+            chain.live.push((seq, path));
+        } else {
+            chain.stale.push(path);
+        }
+    }
+    chain.live.sort_by_key(|(seq, _)| *seq);
+    Ok(chain)
 }
 
 /// What [`write_checkpoint`] decided to write.
@@ -541,11 +840,12 @@ pub enum CheckpointKind {
     /// A full `ERBSNAP1` snapshot; any existing delta chain was compacted
     /// away.
     Full,
-    /// An `ERBSNAP2` delta carrying only the dirty subset of the catalog.
+    /// An `ERBSNAP3` page delta carrying only the dirty subset of the
+    /// catalog.
     Delta {
-        /// Plain tables serialized into the delta.
+        /// Plain tables with an entry in the delta (their written pages).
         tables: usize,
-        /// Factorized structures serialized into the delta.
+        /// Factorized structures serialized whole into the delta.
         factorized: usize,
     },
 }
@@ -556,13 +856,14 @@ pub enum CheckpointKind {
 /// Full snapshots are forced when there is no base yet, when the catalog's
 /// shape changed (DDL — cheaper to restate everything than to version
 /// drops), when the delta chain reached [`MAX_DELTA_CHAIN`], or when more
-/// than half the catalog is dirty (the delta would approach the full image
-/// in size while still costing a chain read at recovery). Otherwise a delta
-/// is written — even with zero dirty tables it carries the authoritative
+/// than half the catalog is dirty, in structures and in row pages (see the
+/// module docs): the delta would approach the full image in size while
+/// still costing a chain read at recovery. Otherwise a delta is written — even
+/// with zero dirty tables it carries the authoritative
 /// `next_txn`/metadata/stats, which is what makes the subsequent WAL
 /// truncation safe.
 ///
-/// Clears the catalog's dirty tracking on success.
+/// Clears the catalog's dirty tracking, page marks included, on success.
 pub fn write_checkpoint(
     cat: &mut Catalog,
     next_txn: u64,
@@ -571,49 +872,44 @@ pub fn write_checkpoint(
     use erbium_obs::{Counter, Registry};
     use std::sync::{Arc, OnceLock};
     static DELTA_TABLES: OnceLock<Arc<Counter>> = OnceLock::new();
+    static DELTA_PAGES: OnceLock<Arc<Counter>> = OnceLock::new();
 
     let base_path = dir.join(SNAPSHOT_FILE);
     let dirty_tables = cat.dirty_table_names();
     let dirty_facts = cat.dirty_factorized_names();
-    let dirty = dirty_tables.len() + dirty_facts.len();
-    let total = cat.table_names().len() + cat.factorized_names().len();
 
     // Survey the existing chain. Stale deltas (wrong base, e.g. survivors
     // of a crash between a full-snapshot rename and their deletion) are
     // removed here; unreadable ones are real corruption and surface.
     let base_crc = if base_path.exists() { Some(base_body_crc(&base_path)?) } else { None };
-    let mut chain_len = 0usize;
-    let mut max_seq = 0u64;
-    let mut stale: Vec<PathBuf> = Vec::new();
-    let deltas = list_deltas(dir)?;
-    for (file_seq, path) in &deltas {
-        let (seq, crc, _) = delta_header(path)?;
-        if seq != *file_seq {
-            return Err(corrupt(format!(
-                "delta: file {} claims seq {seq}",
-                path.display()
-            )));
-        }
-        if Some(crc) == base_crc {
-            chain_len += 1;
-            max_seq = max_seq.max(seq);
-        } else {
-            stale.push(path.clone());
-        }
-    }
-    for path in &stale {
+    let chain = survey_chain(dir, base_crc)?;
+    for path in &chain.stale {
         let _ = std::fs::remove_file(path);
     }
 
+    // Most of the catalog is dirty when most of its structures are and
+    // most of its row pages are (a factorized structure, written whole,
+    // counts as one page).
+    let n_facts = cat.factorized_names().len();
+    let dirty = dirty_tables.len() + dirty_facts.len();
+    let total = cat.table_names().len() + n_facts;
+    let mut total_pages = n_facts;
+    for (_, t) in cat.tables_iter() {
+        total_pages += t.page_count();
+    }
+    let mut dirty_pages = dirty_facts.len();
+    for name in &dirty_tables {
+        dirty_pages += cat.table(name)?.unsaved_page_count();
+    }
     let force_full = base_crc.is_none()
         || cat.structural_dirty()
-        || chain_len >= MAX_DELTA_CHAIN
-        || dirty * 2 > total;
+        || chain.live.len() >= MAX_DELTA_CHAIN
+        || (dirty * 2 > total && dirty_pages * 2 > total_pages);
     if force_full {
         write_snapshot(cat, next_txn, dir)?;
         // Delete the now-absorbed chain *after* the base rename: a crash in
         // between leaves stale deltas, which the `base_crc` check ignores.
-        for (_, path) in &deltas {
+        for (_, path) in &chain.live {
             let _ = std::fs::remove_file(path);
         }
         cat.mark_checkpointed();
@@ -622,9 +918,10 @@ pub fn write_checkpoint(
 
     let _span = erbium_obs::span("checkpoint_delta");
     let base_crc = base_crc.expect("checked above");
-    let body =
-        encode_delta_body(cat, max_seq + 1, base_crc, next_txn, &dirty_tables, &dirty_facts)?;
-    write_frame_atomic(dir, DELTA_TMP, &delta_file_name(max_seq + 1), MAGIC2, &body)?;
+    let seq = chain.live.last().map_or(0, |(seq, _)| *seq) + 1;
+    let (body, pages) =
+        encode_delta_body(cat, seq, base_crc, next_txn, &dirty_tables, &dirty_facts)?;
+    write_frame_atomic(dir, DELTA_TMP, &delta_file_name(seq), MAGIC3, &body)?;
     DELTA_TABLES
         .get_or_init(|| {
             Registry::global().counter(
@@ -633,6 +930,14 @@ pub fn write_checkpoint(
             )
         })
         .add(dirty as u64);
+    DELTA_PAGES
+        .get_or_init(|| {
+            Registry::global().counter(
+                "erbium_checkpoint_delta_pages_total",
+                "Row pages written into delta checkpoints",
+            )
+        })
+        .add(pages as u64);
     cat.mark_checkpointed();
     Ok(CheckpointKind::Delta { tables: dirty_tables.len(), factorized: dirty_facts.len() })
 }
@@ -717,8 +1022,8 @@ fn redo(cat: &mut Catalog, rec: WalRecord) -> StorageResult<()> {
 impl Catalog {
     /// Reconstruct the catalog stored in `dir`: load `dir/snapshot.erb`
     /// when present (a missing snapshot means "start empty" — a fresh
-    /// database or one that has never checkpointed), apply the valid delta
-    /// chain in sequence order, then redo every *committed* group in
+    /// database or one that has never checkpointed) with the valid delta
+    /// chain laid over it, then redo every *committed* group in
     /// `dir/wal.erb` whose transaction id is not already absorbed by the
     /// chain. Rows are placed at the exact slots the log recorded; free
     /// lists are rebuilt afterwards.
@@ -732,8 +1037,8 @@ impl Catalog {
     }
 
     /// [`Catalog::recover`] with the rebuilt tables bound to `pool`:
-    /// snapshot and delta decoding stream slots page by page (reclaiming as
-    /// they go), and WAL redo reclaims between groups, so recovery of a
+    /// snapshot decoding streams slots page by page (reclaiming as it
+    /// goes), and WAL redo reclaims between groups, so recovery of a
     /// catalog larger than the frame budget stays within it.
     pub fn recover_with(dir: &Path, pool: Arc<BufferPool>) -> StorageResult<Recovered> {
         use erbium_obs::{Counter, Registry};
@@ -745,53 +1050,30 @@ impl Catalog {
 
         let snap_path = dir.join(SNAPSHOT_FILE);
         let (mut cat, mut next_txn) = if snap_path.exists() {
-            let (body, base_crc) = read_frame(&snap_path, MAGIC)?;
-            let (mut cat, mut chain_txn) = decode_body(&body, &pool)?;
-
-            // Chain the deltas recorded against *this* base, newest last.
-            let mut chain: Vec<Delta> = Vec::new();
-            for (file_seq, path) in list_deltas(dir)? {
-                let d = load_delta(&path, &pool)?;
-                if d.seq != file_seq {
+            let (_, body, base_crc) = read_frame(&snap_path, &[MAGIC])?;
+            // Fold the deltas recorded against *this* base into one
+            // overlay, one file at a time, oldest first.
+            let chain = survey_chain(dir, Some(base_crc))?;
+            let mut patch = ChainPatch::default();
+            for (i, (seq, path)) in chain.live.iter().enumerate() {
+                if *seq != i as u64 + 1 {
                     return Err(corrupt(format!(
-                        "delta: file {} claims seq {}",
-                        path.display(),
-                        d.seq
+                        "delta: chain not contiguous (expected seq {}, found {seq})",
+                        i + 1
                     )));
                 }
-                if d.base_crc == base_crc {
-                    chain.push(d);
-                }
+                let (which, delta, _) = read_frame(path, &DELTA_MAGICS)?;
+                apply_delta_body(&mut patch, &delta, which == 1, &pool)?;
             }
-            chain.sort_by_key(|d| d.seq);
-            for (i, d) in chain.iter().enumerate() {
-                if d.seq != i as u64 + 1 {
-                    return Err(corrupt(format!(
-                        "delta: chain not contiguous (expected seq {}, found {})",
-                        i + 1,
-                        d.seq
-                    )));
-                }
-            }
-            for d in chain {
-                for t in d.tables {
-                    cat.install_table_version(t);
-                }
-                for (name, ft) in d.facts {
-                    cat.install_factorized_version(name, ft);
-                }
-                cat.replace_meta(d.meta);
-                cat.set_stats(d.stats.unwrap_or_default());
-                chain_txn = chain_txn.max(d.next_txn);
-            }
-            (cat, chain_txn)
+            decode_body(&body, &pool, patch)?
         } else {
             (Catalog::with_pool(pool.clone()), 1)
         };
         // The in-memory state now equals the on-disk checkpoint chain, so
         // dirty tracking restarts clean; the WAL redo below re-marks
-        // exactly the tables the suffix touches (they *are* newer than the
-        // chain, and the next delta checkpoint must carry them).
+        // exactly the tables and pages the suffix touches (they *are*
+        // newer than the chain, and the next delta checkpoint must carry
+        // them).
         let chain_txn = next_txn;
         cat.mark_checkpointed();
         // Count restored stats entries now: the WAL redo below may mark
@@ -995,7 +1277,7 @@ mod tests {
         let cat = sample_catalog();
         assert!(cat.stats().is_empty());
         let body = encode_body(&cat, 3);
-        let (back, next_txn) = decode_body(&body, &BufferPool::unbounded()).unwrap();
+        let (back, next_txn) = decode_body(&body, &BufferPool::unbounded(), ChainPatch::default()).unwrap();
         assert_eq!(next_txn, 3);
         assert!(back.stats().is_empty(), "no stats section, no stats");
         assert_catalogs_equal(&cat, &back);
@@ -1402,12 +1684,16 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Minimal `ERBSNAP1` and `ERBSNAP2` bodies, bytes generated at the
-    /// commit before the codec moved to `erbium_model::codec` and the
-    /// factorized/metadata sections were folded into `put_fact`/`put_meta`:
-    /// the checkpoint format is pinned.
-    #[test]
-    fn golden_bodies_pin_the_checkpoint_format() {
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// `ERBSNAP1` and table-granular `ERBSNAP2` bodies of [`golden_catalog`],
+    /// bytes generated at the commit before the codec moved to
+    /// `erbium_model::codec` and the factorized/metadata sections were folded
+    /// into `put_fact`/`put_meta` (`seq` 2, `base_crc` 0xDEADBEEF, `next_txn`
+    /// 11; `t` and `f` dirty).
+    fn golden_bodies() -> (String, String) {
         let snap1 = [
             "090000000000000001000000860000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65",
             "223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254657874222c226e616d65223a",
@@ -1435,35 +1721,112 @@ mod tests {
             "3a317d00",
         ]
         .concat();
+        (snap1, snap2)
+    }
+
+    /// Every body the checkpointer writes or still reads is pinned: the base
+    /// and the page delta byte for byte, the retired `ERBSNAP2` delta by
+    /// decoding it.
+    #[test]
+    fn golden_bodies_pin_the_checkpoint_format() {
+        let (snap1, snap2) = golden_bodies();
+        // The page delta of the same catalog: every page is unsaved, so `t`
+        // carries its one page (index 0, both slots) after its slot count.
+        let snap3 = [
+            "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
+            "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
+            "657874222c226e616d65223a226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c",
+            "227072696d6172795f6b6579223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000100",
+            "0000000000000200000000010200000002020000000000000000010000000100000066580000007b22636f6c756d6e73",
+            "223a5b7b226474797065223a22496e74222c226e616d65223a226c6964222c226e756c6c61626c65223a66616c73657d",
+            "5d2c226e616d65223a226c222c227072696d6172795f6b6579223a5b305d7d0000000001000000010100000002010000",
+            "0000000000580000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65223a2272696422",
+            "2c226e756c6c61626c65223a66616c73657d5d2c226e616d65223a2272222c227072696d6172795f6b6579223a5b305d",
+            "7d00000000010000000101000000020a0000000000000001000000000000000000000000000000000000000100000001",
+            "0000006b070000007b2276223a317d00",
+        ]
+        .concat();
         let mut cat = golden_catalog();
         let pool = BufferPool::unbounded();
 
         let body = encode_body(&cat, 9);
         assert_eq!(hex(&body), snap1);
-        let (back, next_txn) = decode_body(&body, &pool).unwrap();
+        let (back, next_txn) = decode_body(&body, &pool, ChainPatch::default()).unwrap();
         assert_eq!(next_txn, 9);
         assert_catalogs_equal(&cat, &back);
 
+        // ERBSNAP2 still decodes, as a delta in which `t` carries all its
+        // pages.
+        let mut chain = ChainPatch::default();
+        let head = apply_delta_body(&mut chain, &unhex(&snap2), false, &pool).unwrap();
+        assert_eq!(head, (2, 0xDEAD_BEEF, 11));
+        assert_eq!((chain.tables.len(), chain.facts.len()), (1, 1));
+        let t = &chain.tables["t"];
+        assert_eq!((t.slot_count, t.pages.len()), (2, 1));
+        assert_eq!(t.pages[&0], cat.table("t").unwrap().slots_vec());
+        let (meta, stats) = chain.meta_stats.as_ref().unwrap();
+        assert_eq!(meta.len(), 1);
+        assert!(stats.is_empty());
+
         let tables = ["t".to_string()];
         let facts = ["f".to_string()];
-        let delta = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &tables, &facts).unwrap();
-        assert_eq!(hex(&delta), snap2);
-        let d = decode_delta_body(&delta, &pool).unwrap();
-        assert_eq!((d.seq, d.base_crc, d.next_txn), (2, 0xDEAD_BEEF, 11));
-        assert_eq!((d.tables.len(), d.facts.len(), d.meta.len()), (1, 1, 1));
-        assert!(d.stats.is_none());
+        let (delta, pages) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &tables, &facts).unwrap();
+        assert_eq!(hex(&delta), snap3);
+        assert_eq!(pages, 1);
+        let mut paged = ChainPatch::default();
+        assert_eq!(apply_delta_body(&mut paged, &delta, true, &pool).unwrap(), head);
+        assert_eq!(paged.tables["t"].pages, chain.tables["t"].pages, "same slots either way");
 
-        // With statistics: ERBSNAP1 appends the stats string, ERBSNAP2 sets
+        // With statistics: ERBSNAP1 appends the stats string, a delta sets
         // its flag byte and appends the same string.
         cat.analyze();
         let mut stats = Vec::new();
         put_str(&mut stats, &serde_json::to_string(cat.stats()).unwrap());
         assert_eq!(hex(&encode_body(&cat, 9)), format!("{snap1}{}", hex(&stats)));
-        let empty_delta = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &[], &[]).unwrap();
+        let (empty_delta, _) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &[], &[]).unwrap();
         assert_eq!(
             hex(&empty_delta),
             format!("0200000000000000efbeadde0b00000000000000000000000000000001000000010000006b070000007b2276223a317d01{}", hex(&stats))
         );
+    }
+
+    /// A chain whose delta is the golden `ERBSNAP2` body (renumbered onto a
+    /// real base) recovers to the catalog the body describes.
+    #[test]
+    fn table_granular_delta_chain_still_recovers() {
+        let dir = temp_dir("snap2-chain");
+        // The base: an older `t` (an extra row, another tombstone) and an
+        // unlinked `f`.
+        let mut old = golden_catalog();
+        old.table_mut("t").unwrap().insert(vec![Value::Int(5), Value::str("e")]).unwrap();
+        old.table_mut("t").unwrap().insert(vec![Value::Int(6), Value::Null]).unwrap();
+        old.table_mut("t").unwrap().delete(RowId(1)).unwrap();
+        old.factorized_mut("f").unwrap().unlink(RowId(0), RowId(0));
+        old.put_meta("k", serde_json::from_str(r#"{"v": 0}"#).unwrap());
+        write_snapshot(&old, 3, &dir).unwrap();
+        let base_crc = base_body_crc(&dir.join(SNAPSHOT_FILE)).unwrap();
+
+        let mut body = unhex(&golden_bodies().1);
+        body[..8].copy_from_slice(&1u64.to_le_bytes());
+        body[8..12].copy_from_slice(&base_crc.to_le_bytes());
+        write_frame_atomic(&dir, DELTA_TMP, &delta_file_name(1), MAGIC2, &body).unwrap();
+
+        let rec = Catalog::recover(&dir).unwrap();
+        assert_eq!(rec.next_txn, 11);
+        assert_catalogs_equal(&golden_catalog(), &rec.catalog);
+        assert_eq!(rec.catalog.table("t").unwrap().free_slots(), vec![0]);
+
+        // The next checkpoint extends the old chain with a page delta.
+        let mut cat = rec.catalog;
+        cat.table_mut("t").unwrap().insert(vec![Value::Int(7), Value::str("g")]).unwrap();
+        assert_eq!(
+            write_checkpoint(&mut cat, 12, &dir).unwrap(),
+            CheckpointKind::Delta { tables: 1, factorized: 0 }
+        );
+        assert!(dir.join(delta_file_name(2)).exists());
+        let rec = Catalog::recover(&dir).unwrap();
+        assert_catalogs_equal(&cat, &rec.catalog);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Every strict prefix of a body is an error, a byte flip is an error or
@@ -1474,25 +1837,38 @@ mod tests {
         let pool = BufferPool::unbounded();
         let body = encode_body(&cat, 9);
         let tables = ["t".to_string()];
-        let delta = encode_delta_body(&cat, 1, 7, 9, &tables, &["f".to_string()]).unwrap();
+        let (delta, _) = encode_delta_body(&cat, 1, 7, 9, &tables, &["f".to_string()]).unwrap();
+        let legacy = unhex(&golden_bodies().1);
+        let apply = |bytes: &[u8], paged: bool| {
+            apply_delta_body(&mut ChainPatch::default(), bytes, paged, &pool)
+        };
         for cut in 0..body.len() {
-            assert!(matches!(decode_body(&body[..cut], &pool), Err(StorageError::Corrupt(_))));
-        }
-        for cut in 0..delta.len() {
             assert!(matches!(
-                decode_delta_body(&delta[..cut], &pool),
+                decode_body(&body[..cut], &pool, ChainPatch::default()),
                 Err(StorageError::Corrupt(_))
             ));
+        }
+        for (bytes, paged) in [(&delta, true), (&legacy, false)] {
+            for cut in 0..bytes.len() {
+                assert!(matches!(apply(&bytes[..cut], paged), Err(StorageError::Corrupt(_))));
+            }
         }
         for i in 0..body.len() {
             let mut flipped = body.clone();
             flipped[i] ^= 0xFF;
-            let _ = decode_body(&flipped, &pool);
+            let _ = decode_body(&flipped, &pool, ChainPatch::default());
         }
-        for i in 0..delta.len() {
-            let mut flipped = delta.clone();
-            flipped[i] ^= 0xFF;
-            let _ = decode_delta_body(&flipped, &pool);
+        for (bytes, paged) in [(&delta, true), (&legacy, false)] {
+            for i in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 0xFF;
+                // A flipped delta that still decodes must not panic when it
+                // is laid over the base either.
+                let mut chain = ChainPatch::default();
+                if apply_delta_body(&mut chain, &flipped, paged, &pool).is_ok() {
+                    let _ = decode_body(&body, &pool, chain);
+                }
+            }
         }
 
         // One table whose single slot holds a 100,000-deep array.
@@ -1510,6 +1886,215 @@ mod tests {
             put_u32(&mut deep, 1);
         }
         deep.push(0);
-        assert!(matches!(decode_body(&deep, &pool), Err(StorageError::Corrupt(_))));
+        assert!(matches!(
+            decode_body(&deep, &pool, ChainPatch::default()),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    /// `id` key, `v` under a hash index, `s` nullable text.
+    fn churn_schema(name: &str) -> TableSchema {
+        TableSchema::new(
+            name,
+            vec![
+                Column::not_null("id", DataType::Int),
+                Column::not_null("v", DataType::Int),
+                Column::new("s", DataType::Text),
+            ],
+            vec![0],
+        )
+    }
+
+    fn churn_row(id: i64, v: i64) -> Row {
+        let s = if v % 3 == 0 { Value::Null } else { Value::str(format!("s{v}")) };
+        vec![Value::Int(id), Value::Int(v), s]
+    }
+
+    /// Plain tables equal down to slot positions and free lists, and every
+    /// index answers alike.
+    fn assert_tables_equal(live: &Catalog, back: &Catalog) {
+        assert_catalogs_equal(live, back);
+        for name in live.table_names() {
+            let (a, b) = (live.table(&name).unwrap(), back.table(&name).unwrap());
+            assert_eq!(a.free_slots(), b.free_slots(), "free list of '{name}'");
+            assert_eq!(a.len(), b.len(), "live rows of '{name}'");
+            for (rid, row) in a.scan() {
+                assert_eq!(b.lookup_pk(&row[0]).map(|(r, _)| r), Some(rid), "pk of '{name}'");
+            }
+            for v in 0..7 {
+                let key = Value::Int(v);
+                let mut x: Vec<_> = a.index_lookup(&[1], &key).unwrap_or_default();
+                let mut y: Vec<_> = b.index_lookup(&[1], &key).unwrap_or_default();
+                x.sort_by_key(|(r, _)| *r);
+                y.sort_by_key(|(r, _)| *r);
+                assert_eq!(x, y, "index on v of '{name}'");
+            }
+        }
+    }
+
+    /// One row updated in a table of 2k or 20k rows: the delta holds that
+    /// row's page and nothing more, so its size does not grow with the table.
+    #[test]
+    fn page_delta_of_one_update_is_independent_of_table_size() {
+        const BOUND: u64 = 16 * 1024;
+        let pages_written =
+            erbium_obs::Registry::global().counter("erbium_checkpoint_delta_pages_total", "");
+        for rows in [2_000i64, 20_000] {
+            let dir = temp_dir(&format!("page-delta-{rows}"));
+            let mut cat = Catalog::new();
+            let mut t = Table::new(churn_schema("t"));
+            t.bulk_append((0..rows).map(|i| churn_row(i, i % 7)).collect()).unwrap();
+            cat.create_table(t).unwrap();
+            assert_eq!(write_checkpoint(&mut cat, 1, &dir).unwrap(), CheckpointKind::Full);
+            let full = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len();
+            assert!(full > 2 * BOUND, "{rows} rows: the table itself is {full} bytes");
+
+            let (rid, _) = cat.table("t").unwrap().lookup_pk(&Value::Int(rows / 2)).unwrap();
+            cat.table_mut("t").unwrap().update(rid, churn_row(rows / 2, 99)).unwrap();
+            assert_eq!(cat.table("t").unwrap().unsaved_page_count(), 1);
+            let before = pages_written.get();
+            assert_eq!(
+                write_checkpoint(&mut cat, 2, &dir).unwrap(),
+                CheckpointKind::Delta { tables: 1, factorized: 0 }
+            );
+            assert!(pages_written.get() > before, "the page counter ticks");
+            let delta = std::fs::metadata(dir.join(delta_file_name(1))).unwrap().len() - 16;
+            assert!(delta < BOUND, "{rows} rows: one-row delta body is {delta} bytes");
+            assert_eq!(cat.table("t").unwrap().unsaved_page_count(), 0, "checkpoint clears marks");
+
+            let rec = Catalog::recover(&dir).unwrap();
+            assert_tables_equal(&cat, &rec.catalog);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Random inserts, updates, deletes, bulk appends and the odd truncate
+    /// across page boundaries, checkpointed every few steps under a 2-frame
+    /// pool, so dirty pages spill between checkpoints: after every
+    /// checkpoint, recovery equals the live catalog.
+    #[test]
+    fn page_deltas_recover_random_churn_under_a_two_frame_pool() {
+        let dir = temp_dir("page-churn");
+        let pool = BufferPool::bounded(2, dir.join("pages.erb"));
+        let mut cat = Catalog::with_pool(pool.clone());
+        for name in ["t", "u"] {
+            let mut t = Table::new(churn_schema(name));
+            t.create_index("by_v", vec![1], IndexKind::Hash).unwrap();
+            t.bulk_append((0..600).map(|i| churn_row(i, i % 7)).collect()).unwrap();
+            cat.create_table(t).unwrap();
+        }
+        let mut live: Vec<Vec<RowId>> =
+            vec![(0..600).map(RowId).collect(), (0..600).map(RowId).collect()];
+        let mut next_id = 600i64;
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let (mut deltas, mut fulls) = (0, 0);
+        for step in 1..=240u64 {
+            let which = (rand(4) == 0) as usize; // `u` gets a quarter
+            let name = ["t", "u"][which];
+            let rids = &mut live[which];
+            let t = cat.table_mut(name).unwrap();
+            match rand(100) {
+                0 => {
+                    t.truncate();
+                    rids.clear();
+                }
+                1..=30 => {
+                    rids.push(t.insert(churn_row(next_id, next_id % 7)).unwrap());
+                    next_id += 1;
+                }
+                31..=55 if !rids.is_empty() => {
+                    let rid = rids[rand(rids.len() as u64) as usize];
+                    let id = t.get(rid).unwrap()[0].clone();
+                    let Value::Int(id) = id else { unreachable!() };
+                    t.update(rid, churn_row(id, rand(7) as i64)).unwrap();
+                }
+                56..=85 if !rids.is_empty() => {
+                    let at = rand(rids.len() as u64) as usize;
+                    t.delete(rids.swap_remove(at)).unwrap();
+                }
+                _ => {
+                    let n = 1 + rand(300) as i64;
+                    let rows = (next_id..next_id + n).map(|i| churn_row(i, i % 7)).collect();
+                    let (first, n) = t.bulk_append(rows).unwrap();
+                    rids.extend((first..first + n as u64).map(RowId));
+                    next_id += n as i64;
+                }
+            }
+            cat.reclaim_pages();
+            if step % 6 == 0 {
+                match write_checkpoint(&mut cat, step, &dir).unwrap() {
+                    CheckpointKind::Full => fulls += 1,
+                    CheckpointKind::Delta { .. } => deltas += 1,
+                }
+                let recovery_pool = BufferPool::bounded(2, dir.join("recovery-pages.erb"));
+                let rec = Catalog::recover_with(&dir, recovery_pool).unwrap();
+                assert_eq!(rec.next_txn, step);
+                assert_tables_equal(&cat, &rec.catalog);
+            }
+        }
+        let st = pool.stats();
+        assert!(st.dirty_writebacks > 0 && st.evictions > 0 && st.misses > 0, "{st:?}");
+        assert!(deltas >= 2 * MAX_DELTA_CHAIN, "{deltas} deltas, {fulls} full snapshots");
+        assert!(fulls >= 2, "{deltas} deltas, {fulls} full snapshots");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The chain survey streams each delta through a fixed buffer, yet a
+    /// truncated, extended or damaged member fails `write_checkpoint` with
+    /// exactly the error reading the whole file gives, and writes nothing.
+    #[test]
+    fn damaged_chain_member_fails_the_checkpoint_like_a_full_read() {
+        let dir = temp_dir("survey");
+        let mut cat = sample_catalog();
+        assert_eq!(write_checkpoint(&mut cat, 1, &dir).unwrap(), CheckpointKind::Full);
+        cat.table_mut("people")
+            .unwrap()
+            .insert(vec![Value::Int(7), Value::str("gil"), Value::Null, Value::Null])
+            .unwrap();
+        assert!(matches!(write_checkpoint(&mut cat, 2, &dir).unwrap(), CheckpointKind::Delta { .. }));
+        let path = dir.join(delta_file_name(1));
+        let good = std::fs::read(&path).unwrap();
+        let full_read = |path: &Path| {
+            let (_, body, _) = read_frame(path, &DELTA_MAGICS)?;
+            get_delta_header(&mut Cursor::new(&body))
+        };
+
+        let flip = |at: usize| {
+            let mut b = good.clone();
+            b[at] ^= 0x40;
+            b
+        };
+        let cases: Vec<(&str, Vec<u8>, Option<&str>)> = vec![
+            ("truncated", good[..good.len() - 1].to_vec(), Some("checkpoint: truncated input")),
+            ("extended", [&good[..], &[0]].concat(), Some("checkpoint: trailing bytes")),
+            ("body flip", flip(good.len() / 2), Some("checkpoint: crc mismatch")),
+            ("magic flip", flip(3), Some("snapshot: bad magic")),
+            ("length flip", flip(9), None),
+            ("crc flip", flip(13), Some("checkpoint: crc mismatch")),
+            ("head only", good[..16].to_vec(), Some("checkpoint: truncated input")),
+            ("half head", good[..10].to_vec(), Some("checkpoint: truncated input")),
+        ];
+        cat.table_mut("people").unwrap().delete(RowId(0)).unwrap();
+        for (what, bytes, want) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let expected = full_read(&path).unwrap_err();
+            if let Some(want) = want {
+                assert_eq!(expected, StorageError::Corrupt(want.into()), "{what}");
+            }
+            let got = write_checkpoint(&mut cat, 3, &dir).unwrap_err();
+            assert_eq!(got, expected, "{what}");
+            assert!(!dir.join(delta_file_name(2)).exists(), "{what}: nothing written");
+            assert_eq!(cat.dirty_table_names(), vec!["people".to_string()], "{what}");
+        }
+        std::fs::write(&path, &good).unwrap();
+        assert!(matches!(write_checkpoint(&mut cat, 3, &dir).unwrap(), CheckpointKind::Delta { .. }));
+        assert_catalogs_equal(&cat, &Catalog::recover(&dir).unwrap().catalog);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

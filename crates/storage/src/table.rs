@@ -95,6 +95,22 @@ impl Table {
         self.rows.page_count()
     }
 
+    /// Row pages written since the last checkpoint, with their page index
+    /// (see `RowStore::unsaved_pages`).
+    pub(crate) fn unsaved_pages(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
+        self.rows.unsaved_pages()
+    }
+
+    /// Number of row pages written since the last checkpoint.
+    pub(crate) fn unsaved_page_count(&self) -> usize {
+        self.rows.unsaved_page_count()
+    }
+
+    /// Forget which pages changed: the checkpoint now holds all of them.
+    pub(crate) fn mark_pages_saved(&self) {
+        self.rows.mark_saved();
+    }
+
     /// Monotonic content version (see the field doc). Two observations of
     /// the same table with equal content epochs are guaranteed unchanged;
     /// unequal epochs mean a writer checked the table out in between.
@@ -347,6 +363,15 @@ impl Table {
     #[cfg(test)]
     pub(crate) fn slots_vec(&self) -> Vec<Option<Row>> {
         self.rows.slots_vec()
+    }
+
+    /// The free list as a sorted set (test support: recovery rebuilds it in
+    /// slot order, the live table in the order slots were freed).
+    #[cfg(test)]
+    pub(crate) fn free_slots(&self) -> Vec<u64> {
+        let mut free = self.free.clone();
+        free.sort_unstable();
+        free
     }
 
     /// Transient pins over every page, in slot order, tagged with the first

@@ -353,7 +353,7 @@ fn checkpoint_then_wal_suffix_recovers() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// PR-9: crash-at-every-byte across an `ERBSNAP2` base+delta checkpoint
+/// Crash-at-every-byte across a base+delta checkpoint
 /// chain. The durable prefix is the base snapshot plus two delta files;
 /// the WAL carries only the post-chain suffix. Recovery must (a) be
 /// prefix-consistent for every WAL cut and every single-byte WAL flip on
