@@ -468,11 +468,12 @@ impl RowStore {
     }
 
     /// Pages written since the last [`RowStore::mark_saved`], as transient
-    /// pins tagged with their page index (the delta checkpoint's payload).
+    /// pins tagged with the first slot index each covers (the delta
+    /// checkpoint's payload).
     pub(crate) fn unsaved_pages(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
         (0..self.pages.len())
             .filter(|&p| self.pages[p].unsaved.load(Ordering::Relaxed))
-            .map(move |p| (p, self.pin_page(p)))
+            .map(move |p| (p << self.shift, self.pin_page(p)))
     }
 
     /// How many pages [`RowStore::unsaved_pages`] would yield.

@@ -42,7 +42,7 @@
 //! [tables u32] per dirty table:
 //!     [header: schema JSON, index specs] [slot_count u32]
 //!     [pages u32] per row page written since the previous checkpoint:
-//!         [page index u32] [slots u32] [slot]*      (the base's slot encoding)
+//!         [first slot u32] [slots u32] [slot]*      (the base's slot encoding)
 //! [factorized u32] per dirty factorized structure: the whole structure
 //! [metadata map] [stats flag u8] [stats JSON, if the flag is 1]
 //! ```
@@ -50,7 +50,11 @@
 //! Every row page carries a mark that each write sets and only a
 //! checkpoint clears (spilling the page to the buffer pool's file leaves it
 //! alone), so a delta holds exactly the pages the cycle touched. The slot
-//! count makes growth and truncation explicit. Factorized structures have
+//! count makes growth and truncation explicit. Each page entry names the
+//! slot range it covers, so reading a delta does not depend on the page
+//! size the writer chose (a tuning heuristic, free to change between
+//! releases): a chain written under one page size and extended under
+//! another still recovers slot for slot. Factorized structures have
 //! no page deltas and are written whole. The older table-granular
 //! `ERBSNAP2` delta (the same layout with each dirty table's slots in full
 //! after its header, and no page list) is still read, as a delta in which
@@ -69,15 +73,18 @@
 //! `base_crc` does not match the current base are ignored at recovery and
 //! deleted at the next checkpoint — content addressing, not trust in
 //! deletion order. Every checkpoint first surveys the chain, checking each
-//! member's magic, length, CRC and trailing bytes through one fixed buffer.
+//! member's magic, length, CRC and trailing bytes through one fixed buffer
+//! (the same [`read_frame`] recovery reads each member with, keeping only
+//! the header).
 //!
 //! ## Recovery protocol
 //!
 //! [`Catalog::recover`] = read the latest snapshot (or start empty), fold
-//! the valid delta chain into one overlay — one delta file at a time, in
-//! sequence order: for each table the newest header and slot count and the
-//! newest copy of every page a delta carried — then decode the base with
-//! the overlay's pages laid over its slots, so each table, with its
+//! the valid delta chain into one overlay — one delta file at a time, each
+//! read once, in sequence order: for each table the newest header and slot
+//! count and the newest copy of every slot a delta carried — then decode
+//! the base with the overlay's slot ranges laid over its slots, so each
+//! table, with its
 //! indexes, column vectors, dictionaries and free list, is built exactly
 //! once. Then redo the committed suffix of the WAL, placing rows at the
 //! exact slots the log recorded, and finally rebuild the free lists. WAL
@@ -92,7 +99,6 @@ use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
 use crate::factorized::FactorizedTable;
 use crate::index::IndexKind;
-use crate::pages::page_rows_for;
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::CatalogStats;
@@ -102,6 +108,7 @@ use erbium_model::codec::{
     crc32_update, frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, Cursor,
 };
 use rustc_hash::FxHashMap;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -219,15 +226,15 @@ fn put_slots(buf: &mut Vec<u8>, t: &Table) {
 }
 
 /// One page-delta table entry: the header, the slot count, then every row
-/// page written since the last checkpoint as its index and its counted
-/// slots. Returns the number of pages written.
+/// page written since the last checkpoint as its first slot index and its
+/// counted slots. Returns the number of pages written.
 fn put_table_pages(buf: &mut Vec<u8>, t: &Table) -> usize {
     put_table_header(buf, t);
     put_u32(buf, t.slot_count() as u32);
     let pages = t.unsaved_page_count();
     put_u32(buf, pages as u32);
-    for (pidx, page) in t.unsaved_pages() {
-        put_u32(buf, pidx as u32);
+    for (first, page) in t.unsaved_pages() {
+        put_u32(buf, first as u32);
         put_u32(buf, page.len() as u32);
         for slot in page.iter() {
             put_slot(buf, slot);
@@ -339,20 +346,45 @@ fn get_slot(c: &mut Cursor<'_>) -> StorageResult<Option<Row>> {
 }
 
 /// What the delta chain says about one plain table: its newest header and
-/// slot count, and the newest copy of every row page some delta carried.
-/// That is all recovery needs: a page that exists after a truncation was
-/// rewritten after it (truncation drops every page, and a new page is
-/// marked), so the newest copy of each page is its final content.
+/// slot count, and the newest copy of every slot some delta carried, as
+/// disjoint slot ranges keyed by their first slot. That is all recovery
+/// needs: a slot written since the base is in the page the next delta
+/// carries, and a slot that exists after a truncation was rewritten after
+/// it (truncation drops every page, and a new page is marked), so the
+/// newest copy of each slot is its final content.
 struct TablePatch {
     header: TableHeader,
     slot_count: usize,
-    pages: FxHashMap<usize, Vec<Option<Row>>>,
+    pages: BTreeMap<usize, Vec<Option<Row>>>,
 }
 
 impl TablePatch {
     /// A table the chain never mentions: the base, as it is.
     fn identity(header: TableHeader, slot_count: usize) -> TablePatch {
-        TablePatch { header, slot_count, pages: FxHashMap::default() }
+        TablePatch { header, slot_count, pages: BTreeMap::new() }
+    }
+
+    /// Lay the non-empty range `slots`, starting at slot `first`, over
+    /// the older ranges: whatever part of them it covers is dropped. Deltas
+    /// written under one page size replace whole ranges; a chain extended
+    /// under another page size splits them.
+    fn lay(&mut self, first: usize, slots: Vec<Option<Row>>) {
+        let end = first + slots.len();
+        let pages = &mut self.pages;
+        if let Some((&start, older)) = pages.range_mut(..first).next_back() {
+            if start + older.len() > first {
+                let tail = older.split_off(first - start);
+                pages.insert(first, tail);
+            }
+        }
+        let covered: Vec<usize> = pages.range(first..end).map(|(&start, _)| start).collect();
+        for start in covered {
+            let mut older = pages.remove(&start).expect("listed above");
+            if start + older.len() > end {
+                pages.insert(end, older.split_off(end - start));
+            }
+        }
+        pages.insert(first, slots);
     }
 }
 
@@ -370,7 +402,7 @@ struct ChainPatch {
 
 impl ChainPatch {
     /// Fold one delta's entry for a table in: its header and slot count
-    /// replace the older ones, its pages replace older copies.
+    /// replace the older ones, its slot ranges replace older copies.
     fn apply_table(
         &mut self,
         header: TableHeader,
@@ -382,40 +414,47 @@ impl ChainPatch {
         if let Some(older) = self.tables.remove(&name) {
             patch.pages = older.pages;
         }
-        patch.pages.extend(pages);
+        for (first, slots) in pages {
+            patch.lay(first, slots);
+        }
         self.tables.insert(name, patch);
     }
 }
 
 /// Build one table exactly once: `base_slots` slots read from `next_base`,
-/// with `patch`'s pages laid over them and its slot count applied, streamed
-/// slot by slot into the table, so its indexes, column vectors,
+/// with `patch`'s slot ranges laid over them and its slot count applied,
+/// streamed slot by slot into the table, so its indexes, column vectors,
 /// dictionaries and free list are each built a single time, in slot order.
-/// Every slot beyond the base must come from a page.
+/// Every slot beyond the base must come from a range.
 fn build_table(
     patch: TablePatch,
     base_slots: usize,
     mut next_base: impl FnMut() -> StorageResult<Option<Row>>,
     pool: &Arc<BufferPool>,
 ) -> StorageResult<Table> {
-    let TablePatch { header, slot_count, mut pages } = patch;
-    let page_rows = page_rows_for(&header.schema);
+    let TablePatch { header, slot_count, pages } = patch;
     let name = header.schema.name.clone();
     // Stream slots straight into a pool-bound table: `RowStore::push`
     // reclaims pages at page boundaries when over budget, so decoding a
     // table larger than the frame budget stays bounded.
     let mut t = Table::with_pool(header.schema, pool.clone());
-    let mut page: Option<Vec<Option<Row>>> = None;
+    // The ranges are disjoint and sorted, and every slot is visited in
+    // order, so each range in reach is entered exactly at its first slot.
+    let mut ranges = pages.into_iter().peekable();
+    let mut range: Option<(usize, std::vec::IntoIter<Option<Row>>)> = None;
     for i in 0..base_slots.max(slot_count) {
         let base = if i < base_slots { next_base()? } else { None };
         if i >= slot_count {
             continue;
         }
-        if i % page_rows == 0 {
-            page = pages.remove(&(i / page_rows));
+        if range.as_ref().is_some_and(|(end, _)| i == *end) {
+            range = None;
         }
-        let slot = match &mut page {
-            Some(p) => p.get_mut(i % page_rows).and_then(Option::take),
+        if let Some((first, slots)) = ranges.next_if(|(first, _)| *first == i) {
+            range = Some((first + slots.len(), slots.into_iter()));
+        }
+        let slot = match &mut range {
+            Some((_, slots)) => slots.next().flatten(),
             None if i < base_slots => base,
             None => return Err(corrupt(format!("delta: slot {i} of '{name}' is in no page"))),
         };
@@ -555,25 +594,6 @@ fn write_frame_atomic(
     Ok(())
 }
 
-/// Read and CRC-verify a framed file whose magic is one of `magics`,
-/// returning the index of the magic found, the body and its CRC (the CRC
-/// doubles as the content address deltas use to pin their base).
-fn read_frame(path: &Path, magics: &[&[u8; 8]]) -> StorageResult<(usize, Vec<u8>, u32)> {
-    let mut bytes =
-        std::fs::read(path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
-    let mut c = Cursor::new(&bytes);
-    let magic = c.bytes(8)?;
-    let which = magics
-        .iter()
-        .position(|m| &m[..] == magic)
-        .ok_or_else(|| corrupt("snapshot: bad magic"))?;
-    c.frame()?;
-    c.finish()?;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().expect("frame verified above"));
-    bytes.drain(..16);
-    Ok((which, bytes, crc))
-}
-
 /// Fill `buf` from `f` until it is full or the file ends; bytes read.
 fn read_up_to(f: &mut std::fs::File, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut got = 0;
@@ -588,15 +608,22 @@ fn read_up_to(f: &mut std::fs::File, buf: &mut [u8]) -> std::io::Result<usize> {
     Ok(got)
 }
 
-/// [`read_frame`]'s checks — magic, length, CRC, no trailing bytes, each
-/// failing with the same error — made through one 64 KiB buffer instead of
-/// a copy of the file. Returns the index of the magic found and the body's
-/// first `prefix` bytes (fewer if the body is shorter).
-fn check_frame(
+/// Bytes [`read_frame`] reads and hashes at a time.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Read a framed file whose magic is one of `magics`, checking the magic,
+/// the length, the CRC and that nothing trails the body, in that order and
+/// with the errors [`Cursor::frame`] gives. The body streams through the
+/// CRC in [`READ_CHUNK`] pieces; only its first `keep` bytes are kept
+/// (`usize::MAX`: all of them), so checking a file costs one buffer, not a
+/// copy of it. Returns the index of the magic found, the kept bytes and the
+/// body's CRC (the CRC doubles as the content address deltas use to pin
+/// their base).
+fn read_frame(
     path: &Path,
     magics: &[&[u8; 8]],
-    prefix: usize,
-) -> StorageResult<(usize, Vec<u8>)> {
+    keep: usize,
+) -> StorageResult<(usize, Vec<u8>, u32)> {
     let read_err = |e| io_err(&format!("read {}", path.display()), e);
     let mut f = std::fs::File::open(path).map_err(read_err)?;
     let mut head = [0u8; 16];
@@ -613,19 +640,33 @@ fn check_frame(
     }
     let len = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")) as usize;
     let crc = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes"));
-    let mut buf = vec![0u8; (64 * 1024).min(len.max(1))];
-    let mut first = Vec::with_capacity(prefix.min(len));
+    // The file's size caps the allocation: a damaged length must not
+    // reserve gigabytes before the short read exposes it.
+    let size = f.metadata().map_err(read_err)?.len().saturating_sub(16);
+    let mut kept = Vec::with_capacity(keep.min(len).min(size as usize));
+    let mut spill = Vec::new();
     let (mut left, mut state) = (len, 0u32);
     while left > 0 {
-        let want = left.min(buf.len());
-        let n = read_up_to(&mut f, &mut buf[..want]).map_err(read_err)?;
-        if n < want {
+        let want = left.min(READ_CHUNK);
+        let at = kept.len();
+        // Kept bytes are read straight into place; the rest pass through
+        // one reused buffer.
+        let into_kept = want <= keep - at;
+        let chunk = if into_kept {
+            kept.resize(at + want, 0);
+            &mut kept[at..]
+        } else {
+            spill.resize(want, 0);
+            &mut spill[..]
+        };
+        if read_up_to(&mut f, chunk).map_err(read_err)? < want {
             return Err(CodecError::Truncated.into());
         }
-        state = crc32_update(state, &buf[..n]);
-        let take = (prefix - first.len()).min(n);
-        first.extend_from_slice(&buf[..take]);
-        left -= n;
+        state = crc32_update(state, chunk);
+        if !into_kept {
+            kept.extend_from_slice(&spill[..keep - at]);
+        }
+        left -= want;
     }
     if state != crc {
         return Err(CodecError::Checksum.into());
@@ -633,7 +674,7 @@ fn check_frame(
     if read_up_to(&mut f, &mut [0u8; 1]).map_err(read_err)? != 0 {
         return Err(CodecError::TrailingBytes.into());
     }
-    Ok((which, first))
+    Ok((which, kept, crc))
 }
 
 /// Read just the stored body CRC of the base snapshot — the content address
@@ -688,7 +729,7 @@ pub fn load_snapshot(path: &Path) -> StorageResult<(Catalog, u64)> {
 
 /// [`load_snapshot`] with the recovered tables bound to `pool`.
 pub fn load_snapshot_pooled(path: &Path, pool: &Arc<BufferPool>) -> StorageResult<(Catalog, u64)> {
-    let (_, body, _) = read_frame(path, &[MAGIC])?;
+    let (_, body, _) = read_frame(path, &[MAGIC], usize::MAX)?;
     decode_body(&body, pool, ChainPatch::default())
 }
 
@@ -732,7 +773,10 @@ fn encode_delta_body(
 
 /// The identifying header every delta body starts with: sequence number,
 /// base CRC, next transaction id.
-fn get_delta_header(c: &mut Cursor<'_>) -> StorageResult<(u64, u32, u64)> {
+type DeltaHeader = (u64, u32, u64);
+
+/// Decode a [`DeltaHeader`].
+fn get_delta_header(c: &mut Cursor<'_>) -> StorageResult<DeltaHeader> {
     Ok((c.u64()?, c.u32()?, c.u64()?))
 }
 
@@ -746,41 +790,35 @@ fn apply_delta_body(
     body: &[u8],
     paged: bool,
     pool: &Arc<BufferPool>,
-) -> StorageResult<(u64, u32, u64)> {
+) -> StorageResult<DeltaHeader> {
     let mut c = Cursor::new(body);
     let head = get_delta_header(&mut c)?;
 
+    let get_slots = |c: &mut Cursor<'_>, n: usize| -> StorageResult<Vec<Option<Row>>> {
+        (0..n).map(|_| get_slot(c)).collect()
+    };
     for _ in 0..c.count(1)? {
         let header = get_table_header(&mut c)?;
-        let page_rows = page_rows_for(&header.schema);
         let mut pages: Vec<(usize, Vec<Option<Row>>)> = Vec::new();
         let slot_count = if paged {
             let slot_count = c.u32()? as usize;
             for _ in 0..c.count(8)? {
-                let pidx = c.u32()? as usize;
+                let first = c.u32()? as usize;
                 let n = c.count(1)?;
-                let first = pidx.saturating_mul(page_rows);
-                if first >= slot_count || n != page_rows.min(slot_count - first) {
+                if n == 0 || first + n > slot_count {
                     return Err(corrupt(format!(
-                        "delta: page {pidx} of '{}' holds {n} of its {slot_count} slots",
+                        "delta: page at slot {first} of '{}' holds {n} of its {slot_count} slots",
                         header.schema.name
                     )));
                 }
-                let mut slots = Vec::with_capacity(n);
-                for _ in 0..n {
-                    slots.push(get_slot(&mut c)?);
-                }
-                pages.push((pidx, slots));
+                pages.push((first, get_slots(&mut c, n)?));
             }
             slot_count
         } else {
-            // The whole slot vector: every page of the table.
+            // The whole slot vector: one range over every slot.
             let n = c.count(1)?;
-            for i in 0..n {
-                if i % page_rows == 0 {
-                    pages.push((i / page_rows, Vec::with_capacity(page_rows.min(n - i))));
-                }
-                pages.last_mut().expect("pushed above").1.push(get_slot(&mut c)?);
+            if n > 0 {
+                pages.push((0, get_slots(&mut c, n)?));
             }
             n
         };
@@ -813,17 +851,11 @@ struct Chain {
 
 /// Survey the delta files in `dir` against the base whose body CRC is
 /// `base_crc` (`None`: no base, so every delta is stale). Each file's frame
-/// is checked in full ([`check_frame`]); an unreadable one is real
-/// corruption and surfaces, as does a file whose header disagrees with its
-/// name.
+/// is checked in full, keeping only the header ([`read_delta`]).
 fn survey_chain(dir: &Path, base_crc: Option<u32>) -> StorageResult<Chain> {
     let mut chain = Chain { live: Vec::new(), stale: Vec::new() };
     for (file_seq, path) in list_deltas(dir)? {
-        let (_, head) = check_frame(&path, &DELTA_MAGICS, DELTA_HEADER_LEN)?;
-        let (seq, crc, _) = get_delta_header(&mut Cursor::new(&head))?;
-        if seq != file_seq {
-            return Err(corrupt(format!("delta: file {} claims seq {seq}", path.display())));
-        }
+        let (_, _, (seq, crc, _)) = read_delta(&path, file_seq, DELTA_HEADER_LEN)?;
         if Some(crc) == base_crc {
             chain.live.push((seq, path));
         } else {
@@ -832,6 +864,24 @@ fn survey_chain(dir: &Path, base_crc: Option<u32>) -> StorageResult<Chain> {
     }
     chain.live.sort_by_key(|(seq, _)| *seq);
     Ok(chain)
+}
+
+/// Read delta file `path`, named for sequence number `file_seq`, keeping the
+/// first `keep` bytes of its body ([`read_frame`]). Returns the index of its
+/// magic in [`DELTA_MAGICS`], the kept bytes and its header. An unreadable
+/// file is real corruption and surfaces, as does a header that disagrees
+/// with the file's name.
+fn read_delta(
+    path: &Path,
+    file_seq: u64,
+    keep: usize,
+) -> StorageResult<(usize, Vec<u8>, DeltaHeader)> {
+    let (which, body, _) = read_frame(path, &DELTA_MAGICS, keep)?;
+    let head = get_delta_header(&mut Cursor::new(&body))?;
+    if head.0 != file_seq {
+        return Err(corrupt(format!("delta: file {} claims seq {}", path.display(), head.0)));
+    }
+    Ok((which, body, head))
 }
 
 /// What [`write_checkpoint`] decided to write.
@@ -1039,7 +1089,11 @@ impl Catalog {
     /// [`Catalog::recover`] with the rebuilt tables bound to `pool`:
     /// snapshot decoding streams slots page by page (reclaiming as it
     /// goes), and WAL redo reclaims between groups, so recovery of a
-    /// catalog larger than the frame budget stays within it.
+    /// catalog larger than the frame budget stays within it. The delta
+    /// chain's overlay is the exception: it is held decoded, outside the
+    /// pool, until the base is decoded — at most one copy of each distinct
+    /// page the chain carries (plus the newest copy of each factorized
+    /// structure it carries), and one delta file's bytes at a time.
     pub fn recover_with(dir: &Path, pool: Arc<BufferPool>) -> StorageResult<Recovered> {
         use erbium_obs::{Counter, Registry};
         use std::sync::OnceLock;
@@ -1050,19 +1104,25 @@ impl Catalog {
 
         let snap_path = dir.join(SNAPSHOT_FILE);
         let (mut cat, mut next_txn) = if snap_path.exists() {
-            let (_, body, base_crc) = read_frame(&snap_path, &[MAGIC])?;
+            let (_, body, base_crc) = read_frame(&snap_path, &[MAGIC], usize::MAX)?;
             // Fold the deltas recorded against *this* base into one
-            // overlay, one file at a time, oldest first.
-            let chain = survey_chain(dir, Some(base_crc))?;
+            // overlay, oldest first, reading each file once and holding
+            // one at a time.
+            let mut deltas = list_deltas(dir)?;
+            deltas.sort_by_key(|(seq, _)| *seq);
             let mut patch = ChainPatch::default();
-            for (i, (seq, path)) in chain.live.iter().enumerate() {
-                if *seq != i as u64 + 1 {
+            let mut expected = 1;
+            for (file_seq, path) in deltas {
+                let (which, delta, (seq, crc, _)) = read_delta(&path, file_seq, usize::MAX)?;
+                if crc != base_crc {
+                    continue; // stale: written against an older base
+                }
+                if seq != expected {
                     return Err(corrupt(format!(
-                        "delta: chain not contiguous (expected seq {}, found {seq})",
-                        i + 1
+                        "delta: chain not contiguous (expected seq {expected}, found {seq})"
                     )));
                 }
-                let (which, delta, _) = read_frame(path, &DELTA_MAGICS)?;
+                expected += 1;
                 apply_delta_body(&mut patch, &delta, which == 1, &pool)?;
             }
             decode_body(&body, &pool, patch)?
@@ -1731,7 +1791,7 @@ mod tests {
     fn golden_bodies_pin_the_checkpoint_format() {
         let (snap1, snap2) = golden_bodies();
         // The page delta of the same catalog: every page is unsaved, so `t`
-        // carries its one page (index 0, both slots) after its slot count.
+        // carries its one page (first slot 0, both slots) after its slot count.
         let snap3 = [
             "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
             "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
@@ -1968,6 +2028,111 @@ mod tests {
         }
     }
 
+    /// An `ERBSNAP3` body by hand: one entry for `t` with the given slot
+    /// count and slot ranges, no factorized structures, empty metadata, no
+    /// statistics.
+    fn hand_delta(
+        seq: u64,
+        base_crc: u32,
+        t: &Table,
+        slot_count: usize,
+        ranges: &[(usize, Vec<Option<Row>>)],
+    ) -> Vec<u8> {
+        let mut b = Vec::new();
+        put_u64(&mut b, seq);
+        put_u32(&mut b, base_crc);
+        put_u64(&mut b, 1);
+        put_u32(&mut b, 1);
+        put_table_header(&mut b, t);
+        put_u32(&mut b, slot_count as u32);
+        put_u32(&mut b, ranges.len() as u32);
+        for (first, slots) in ranges {
+            put_u32(&mut b, *first as u32);
+            put_u32(&mut b, slots.len() as u32);
+            for slot in slots {
+                put_slot(&mut b, slot);
+            }
+        }
+        put_u32(&mut b, 0); // factorized structures
+        put_u32(&mut b, 0); // metadata entries
+        b.push(0); // no statistics
+        b
+    }
+
+    /// A page entry states the slots it covers. The writer records each
+    /// page of a multi-page table at its first slot, and recovery places
+    /// slots without consulting the page size: deltas whose ranges follow
+    /// two other page sizes lay over a multi-page base slot for slot, the
+    /// newest copy of each slot winning, and a later truncation holds.
+    #[test]
+    fn page_entries_place_slots_by_their_first_slot() {
+        let dir = temp_dir("slot-ranges");
+        let page_rows = crate::pages::page_rows_for(&churn_schema("t"));
+        let n = 2 * page_rows + 5;
+        let mut cat = Catalog::new();
+        let mut t = Table::new(churn_schema("t"));
+        t.bulk_append((0..n as i64).map(|i| churn_row(i, i % 7)).collect()).unwrap();
+        cat.create_table(t).unwrap();
+        assert_eq!(write_checkpoint(&mut cat, 1, &dir).unwrap(), CheckpointKind::Full);
+        let base_crc = base_body_crc(&dir.join(SNAPSHOT_FILE)).unwrap();
+
+        // The writer: one row updated on the third page.
+        let rid = 2 * page_rows + 3;
+        cat.table_mut("t").unwrap().update(RowId(rid as u64), churn_row(rid as i64, 6)).unwrap();
+        let tables = ["t".to_string()];
+        let (body, pages) = encode_delta_body(&cat, 1, base_crc, 2, &tables, &[]).unwrap();
+        assert_eq!(pages, 1);
+        let mut chain = ChainPatch::default();
+        apply_delta_body(&mut chain, &body, true, &BufferPool::unbounded()).unwrap();
+        let written: Vec<(usize, usize)> =
+            chain.tables["t"].pages.iter().map(|(&first, slots)| (first, slots.len())).collect();
+        assert_eq!(written, vec![(2 * page_rows, 5)]);
+
+        // The reader: hand-made deltas in 6- and 4-slot pages, one range
+        // straddling this build's page boundary, checked against a model in
+        // which the newest copy of each slot wins.
+        let t = cat.table("t").unwrap().clone();
+        let mut model = Table::new(churn_schema("t"));
+        model.bulk_append((0..n as i64).map(|i| churn_row(i, i % 7)).collect()).unwrap();
+        let mut model = model.slots_vec();
+        let range = |first: usize, len: usize, v: i64| -> (usize, Vec<Option<Row>>) {
+            (first, (first..first + len).map(|i| Some(churn_row(i as i64, v))).collect())
+        };
+        let mut tombstoned = range(4, 4, 2);
+        tombstoned.1[1] = None;
+        let deltas = [
+            (n, vec![range(0, 6, 1), range(6, 6, 1), range(page_rows - 3, 6, 1)]),
+            (n + 3, vec![tombstoned, range(n, 3, 2)]),
+            (2, vec![range(0, 2, 3)]),
+        ];
+        for (i, (slot_count, ranges)) in deltas.into_iter().enumerate() {
+            let seq = i as u64 + 1;
+            let body = hand_delta(seq, base_crc, &t, slot_count, &ranges);
+            write_frame_atomic(&dir, DELTA_TMP, &delta_file_name(seq), MAGIC3, &body).unwrap();
+            for (first, slots) in ranges {
+                if model.len() < first + slots.len() {
+                    model.resize(first + slots.len(), None);
+                }
+                for (k, slot) in slots.into_iter().enumerate() {
+                    model[first + k] = slot;
+                }
+            }
+            model.resize(slot_count, None);
+
+            let rec = Catalog::recover(&dir).unwrap();
+            let back = rec.catalog.table("t").unwrap();
+            assert_eq!(back.slots_vec(), model, "after delta {seq}");
+            let free: Vec<u64> = (0..model.len() as u64).filter(|&i| model[i as usize].is_none()).collect();
+            assert_eq!(back.free_slots(), free, "after delta {seq}");
+            for (i, slot) in model.iter().enumerate() {
+                if let Some(row) = slot {
+                    assert_eq!(back.lookup_pk(&row[0]).map(|(r, _)| r), Some(RowId(i as u64)));
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Random inserts, updates, deletes, bulk appends and the odd truncate
     /// across page boundaries, checkpointed every few steps under a 2-frame
     /// pool, so dirty pages spill between checkpoints: after every
@@ -2047,9 +2212,10 @@ mod tests {
 
     /// The chain survey streams each delta through a fixed buffer, yet a
     /// truncated, extended or damaged member fails `write_checkpoint` with
-    /// exactly the error reading the whole file gives, and writes nothing.
+    /// the error the codec's whole-buffer frame check gives, writes nothing,
+    /// and fails recovery with the same error.
     #[test]
-    fn damaged_chain_member_fails_the_checkpoint_like_a_full_read() {
+    fn damaged_chain_member_fails_checkpoint_and_recovery_alike() {
         let dir = temp_dir("survey");
         let mut cat = sample_catalog();
         assert_eq!(write_checkpoint(&mut cat, 1, &dir).unwrap(), CheckpointKind::Full);
@@ -2060,9 +2226,15 @@ mod tests {
         assert!(matches!(write_checkpoint(&mut cat, 2, &dir).unwrap(), CheckpointKind::Delta { .. }));
         let path = dir.join(delta_file_name(1));
         let good = std::fs::read(&path).unwrap();
-        let full_read = |path: &Path| {
-            let (_, body, _) = read_frame(path, &DELTA_MAGICS)?;
-            get_delta_header(&mut Cursor::new(&body))
+        // What checking the whole file in memory gives.
+        let in_memory = |bytes: &[u8]| -> StorageResult<()> {
+            let mut c = Cursor::new(bytes);
+            let magic = c.bytes(8)?;
+            if !DELTA_MAGICS.iter().any(|m| m[..] == *magic) {
+                return Err(corrupt("snapshot: bad magic"));
+            }
+            c.frame()?;
+            Ok(c.finish()?)
         };
 
         let flip = |at: usize| {
@@ -2070,27 +2242,28 @@ mod tests {
             b[at] ^= 0x40;
             b
         };
-        let cases: Vec<(&str, Vec<u8>, Option<&str>)> = vec![
-            ("truncated", good[..good.len() - 1].to_vec(), Some("checkpoint: truncated input")),
-            ("extended", [&good[..], &[0]].concat(), Some("checkpoint: trailing bytes")),
-            ("body flip", flip(good.len() / 2), Some("checkpoint: crc mismatch")),
-            ("magic flip", flip(3), Some("snapshot: bad magic")),
-            ("length flip", flip(9), None),
-            ("crc flip", flip(13), Some("checkpoint: crc mismatch")),
-            ("head only", good[..16].to_vec(), Some("checkpoint: truncated input")),
-            ("half head", good[..10].to_vec(), Some("checkpoint: truncated input")),
+        assert!(good.len() < 16 + 0x4000, "the length flip below must overshoot");
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            ("truncated", good[..good.len() - 1].to_vec(), "checkpoint: truncated input"),
+            ("extended", [&good[..], &[0]].concat(), "checkpoint: trailing bytes"),
+            ("body flip", flip(good.len() / 2), "checkpoint: crc mismatch"),
+            ("magic flip", flip(3), "snapshot: bad magic"),
+            ("length flip", flip(9), "checkpoint: truncated input"),
+            ("crc flip", flip(13), "checkpoint: crc mismatch"),
+            ("head only", good[..16].to_vec(), "checkpoint: truncated input"),
+            ("half head", good[..10].to_vec(), "checkpoint: truncated input"),
+            ("magic only", good[..8].to_vec(), "checkpoint: truncated input"),
+            ("short magic", good[..5].to_vec(), "checkpoint: truncated input"),
         ];
         cat.table_mut("people").unwrap().delete(RowId(0)).unwrap();
         for (what, bytes, want) in cases {
+            let want = StorageError::Corrupt(want.into());
+            assert_eq!(in_memory(&bytes).unwrap_err(), want, "{what}");
             std::fs::write(&path, &bytes).unwrap();
-            let expected = full_read(&path).unwrap_err();
-            if let Some(want) = want {
-                assert_eq!(expected, StorageError::Corrupt(want.into()), "{what}");
-            }
-            let got = write_checkpoint(&mut cat, 3, &dir).unwrap_err();
-            assert_eq!(got, expected, "{what}");
+            assert_eq!(write_checkpoint(&mut cat, 3, &dir).unwrap_err(), want, "{what}");
             assert!(!dir.join(delta_file_name(2)).exists(), "{what}: nothing written");
             assert_eq!(cat.dirty_table_names(), vec!["people".to_string()], "{what}");
+            assert_eq!(Catalog::recover(&dir).unwrap_err(), want, "{what}: recovery");
         }
         std::fs::write(&path, &good).unwrap();
         assert!(matches!(write_checkpoint(&mut cat, 3, &dir).unwrap(), CheckpointKind::Delta { .. }));

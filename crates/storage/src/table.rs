@@ -95,8 +95,8 @@ impl Table {
         self.rows.page_count()
     }
 
-    /// Row pages written since the last checkpoint, with their page index
-    /// (see `RowStore::unsaved_pages`).
+    /// Row pages written since the last checkpoint, tagged with the first
+    /// slot index each covers (see `RowStore::unsaved_pages`).
     pub(crate) fn unsaved_pages(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
         self.rows.unsaved_pages()
     }
