@@ -1,9 +1,9 @@
 //! Mapping-independent statistics and per-candidate projection.
 
 use erbium_engine::cost::BYTES_PER_VALUE;
-use erbium_mapping::lower::{weak_col, TableSpec};
+use erbium_mapping::lower::weak_col;
 use erbium_mapping::{
-    CoFormat, EntityStore, Fragment, HierarchyLayout, Lowering, MappingResult,
+    EntityStore, Fragment, HierarchyLayout, Lowering, MappingResult, RelHome,
 };
 use erbium_model::ErSchema;
 use erbium_storage::{Catalog, Column, ColumnStats, TableStats};
@@ -132,8 +132,7 @@ impl LogicalStats {
 /// Project physical table statistics for every structure of a candidate
 /// lowering, from logical statistics alone — the only costing code the
 /// advisor owns. Entries are keyed, and their columns ordered, exactly as
-/// `Catalog::analyze` would gather them from the installed lowering
-/// (factorized structures under `name`, `name#left` and `name#right`), so
+/// `Catalog::analyze` would gather them from the installed lowering, so
 /// installed with `Catalog::put_stats` they let the engine's optimizer and
 /// `erbium_engine::cost::plan_cost` treat the candidate as an ANALYZEd
 /// database.
@@ -203,33 +202,29 @@ pub fn synthesize(
                 let rows = ls.rel_count.get(relationship).copied().unwrap_or(0) as f64;
                 (rows, 3.0)
             }
-            Fragment::CoLocated { relationship, format, table } => {
+            Fragment::CoLocated { relationship, .. } => {
                 let rel = schema.require_relationship(relationship)?;
                 let pairs = ls.rel_count.get(relationship).copied().unwrap_or(0) as f64;
                 let l = ls.extent(&rel.from.entity) as f64;
                 let r = ls.extent(&rel.to.entity) as f64;
-                // Side-specific entries so member scans are costed by their
-                // actual extents.
-                if let Some(TableSpec::Factorized { left, right, .. }) = spec {
-                    out.insert(format!("{table}#left"), projected(l, 4.0, &left.columns, &[]));
-                    out.insert(format!("{table}#right"), projected(r, 4.0, &right.columns, &[]));
-                }
-                match format {
+                match lw.rel_home(relationship)? {
+                    // Factorized: a member table per end, one row per
+                    // instance, and the fragment's table is the link table,
+                    // one row-id pair per relationship instance.
+                    RelHome::Linked { left, right, .. } => {
+                        for (member, rows) in [(left, l), (right, r)] {
+                            let columns = lw.table_schema(member).map_or(&[][..], |s| &s.columns);
+                            let width = columns.len() as f64;
+                            out.insert(member.clone(), projected(rows, width, columns, &[]));
+                        }
+                        (pairs, 2.0)
+                    }
                     // Denormalized: one row per pair plus dangling rows.
-                    CoFormat::Denormalized => (pairs.max(l).max(r), 8.0),
-                    // Factorized: the main entry costs the stored join
-                    // (pair enumeration follows pointers).
-                    CoFormat::Factorized => (pairs, 4.0),
+                    _ => (pairs.max(l).max(r), 8.0),
                 }
             }
         };
-        let columns: Vec<&Column> = match spec {
-            Some(TableSpec::Plain { schema, .. }) => schema.columns.iter().collect(),
-            Some(TableSpec::Factorized { left, right, .. }) => {
-                left.columns.iter().chain(&right.columns).collect()
-            }
-            None => Vec::new(),
-        };
+        let columns = spec.map_or(&[][..], |s| &s.schema.columns);
         out.insert(frag.table().to_string(), projected(rows, width, columns, &fanouts));
     }
     Ok(out)

@@ -4,8 +4,8 @@
 //!   missing index on the side table; adding one should close most of the
 //!   gap (the rest is the extra fetch);
 //! * **A-m6-format** — denormalized vs. factorized co-location: join
-//!   speed, single-entity scan speed, and storage bytes (the paper argues
-//!   compact multi-relation formats are what make M6 viable);
+//!   speed and single-entity scan speed (the paper argues compact
+//!   multi-relation formats are what make M6 viable);
 //! * **A-crud** — logical insert and entity-centric erase cost across
 //!   mappings (the write amplification the mapping choice implies);
 //! * **A-remap** — full physical migration between mappings;
@@ -77,13 +77,6 @@ fn bench_m6_format(c: &mut Criterion) {
         });
     }
     g.finish();
-    // Storage comparison is printed once (criterion has no byte metric).
-    let fact = dbs[1].catalog.factorized("r2_s1__co").unwrap();
-    eprintln!(
-        "A-m6-format storage: factorized={} bytes vs denormalized-equivalent={} bytes",
-        fact.approx_bytes(),
-        fact.denormalized_bytes()
-    );
 }
 
 fn bench_crud(c: &mut Criterion) {

@@ -1,13 +1,11 @@
 //! Microbenchmarks of the relational substrate: the operator costs that
 //! the paper's mapping trade-offs decompose into (joins vs. unnest vs.
-//! index reach vs. factorized pointer enumeration).
+//! index reach vs. following a link table's row ids with `Fetch`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use erbium_engine::{execute, AggCall, AggFunc, Expr, JoinKind, Plan};
-use erbium_storage::{
-    Catalog, Column, DataType, FactorizedTable, Table, TableSchema, Value,
-};
+use erbium_storage::{Catalog, Column, DataType, Table, TableSchema, Value};
 
 const N: i64 = 50_000;
 
@@ -46,26 +44,17 @@ fn setup() -> Catalog {
     }
     cat.create_table(side).unwrap();
 
-    // Factorized copy of base ⋈ side.
-    let mut ft = FactorizedTable::new(
-        "fact",
-        TableSchema::new(
-            "fact_l",
-            vec![Column::not_null("id", DataType::Int), Column::new("v", DataType::Int)],
-            vec![0],
-        ),
-        TableSchema::new(
-            "fact_r",
-            vec![Column::not_null("rid", DataType::Int), Column::new("w", DataType::Int)],
-            vec![0],
-        ),
-    );
+    // Row-id links from each base row to the first of its side rows: the
+    // stored pointers of a factorized co-location.
+    let mut link = Table::new(TableSchema::new(
+        "link",
+        vec![Column::not_null("l", DataType::Int), Column::not_null("r", DataType::Int)],
+        vec![],
+    ));
     for i in 0..N {
-        let l = ft.insert_left(vec![Value::Int(i), Value::Int(i * 7 % 1_000)]).unwrap();
-        let r = ft.insert_right(vec![Value::Int(i), Value::Int(i % 10)]).unwrap();
-        ft.link(l, r).unwrap();
+        link.insert(vec![Value::Int(i), Value::Int(2 * i)]).unwrap();
     }
-    cat.create_factorized("fact", ft).unwrap();
+    cat.create_table(link).unwrap();
     cat
 }
 
@@ -93,13 +82,11 @@ fn bench_micro(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(execute(&plan, &cat).unwrap().len()));
     });
 
-    g.bench_function("factorized_enumerate", |b| {
-        let plan = Plan::factorized_scan(
-            &cat,
-            "fact",
-            erbium_engine::plan::FactorizedSide::Join,
-        )
-        .unwrap();
+    g.bench_function("link_fetch", |b| {
+        let plan = Plan::scan(&cat, "link")
+            .and_then(|p| p.fetch(&cat, "base", 0, vec![0, 2]))
+            .and_then(|p| p.fetch(&cat, "side", 1, vec![0, 1]))
+            .unwrap();
         b.iter(|| std::hint::black_box(execute(&plan, &cat).unwrap().len()));
     });
 

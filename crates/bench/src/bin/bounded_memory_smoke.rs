@@ -58,8 +58,8 @@ fn peak_rss_kib() -> Option<u64> {
 }
 
 /// Canonical answer digest: every experiment query's sorted result rows,
-/// plus a sorted row-store fingerprint of every plain and factorized
-/// table. The fingerprint part deliberately walks the *row* pages (the
+/// plus a sorted row-store fingerprint of every table (factorized members
+/// and link tables included). The fingerprint part deliberately walks the *row* pages (the
 /// columnar working set answers most of the queries), so a bounded run
 /// must fault evicted pages back in to produce it.
 fn digest(db: &Database) -> String {
@@ -95,14 +95,6 @@ fn digest(db: &Database) -> String {
         let mut rows: Vec<String> = t.scan().map(|(rid, r)| format!("{}:{r:?}", rid.0)).collect();
         rows.sort();
         writeln!(out, "T {name} {rows:?}").unwrap();
-    }
-    let mut names = cat.factorized_names();
-    names.sort();
-    for name in names {
-        let f = cat.factorized(&name).unwrap();
-        let mut pairs: Vec<String> = f.enumerate_join().iter().map(|r| format!("{r:?}")).collect();
-        pairs.sort();
-        writeln!(out, "F {name} {pairs:?}").unwrap();
     }
     out
 }
@@ -173,17 +165,7 @@ fn run_mapping(name: &str) {
 
     let pages: usize = {
         let cat = db.catalog();
-        let plain: usize =
-            cat.table_names().iter().map(|n| cat.table(n).unwrap().page_count()).sum();
-        let fact: usize = cat
-            .factorized_names()
-            .iter()
-            .map(|n| {
-                let f = cat.factorized(n).unwrap();
-                f.left().page_count() + f.right().page_count()
-            })
-            .sum();
-        plain + fact
+        cat.table_names().iter().map(|n| cat.table(n).unwrap().page_count()).sum()
     };
     if pages <= FRAME_BUDGET {
         fail(format!("[{name}] dataset spans {pages} pages — not larger than the {FRAME_BUDGET}-frame budget"));

@@ -548,8 +548,8 @@ impl Database {
     /// whole group is written to the WAL under a single Begin/Commit pair,
     /// so recovery replays it all-or-nothing. If the closure returns `Err`
     /// (or any single operation fails), every change made so far is rolled
-    /// back, including secondary indexes and factorized link structures,
-    /// and nothing reaches the log.
+    /// back, including secondary indexes and row-id link tables, and
+    /// nothing reaches the log.
     ///
     /// ```no_run
     /// # use erbium_core::Database;
@@ -725,8 +725,8 @@ impl Database {
 
     // ---- statistics ---------------------------------------------------------------
 
-    /// ANALYZE: gather fresh table statistics for every physical table (plain
-    /// and factorized) in the catalog. The optimizer's cost-based passes
+    /// ANALYZE: gather fresh table statistics for every physical table in
+    /// the catalog. The optimizer's cost-based passes
     /// (hash-join build-side selection, join reordering, selectivity-ranked
     /// filters) and the EXPLAIN estimate column activate only after this has
     /// run; subsequent CRUD writes mark the affected tables' statistics stale

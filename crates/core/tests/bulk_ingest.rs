@@ -218,7 +218,7 @@ fn checkpoints_after_bulk_loads_are_deltas_and_recovery_chains_them() {
     db.copy_from("person", &batch).unwrap();
     assert_eq!(
         db.checkpoint().unwrap(),
-        Some(CheckpointKind::Delta { tables: 1, factorized: 0 }),
+        Some(CheckpointKind::Delta { tables: 1 }),
         "bulk load dirties one table → one-table delta"
     );
     // Nothing changed since: the next checkpoint is an empty delta (it
@@ -226,7 +226,7 @@ fn checkpoints_after_bulk_loads_are_deltas_and_recovery_chains_them() {
     // safe), not a full rewrite.
     assert_eq!(
         db.checkpoint().unwrap(),
-        Some(CheckpointKind::Delta { tables: 0, factorized: 0 })
+        Some(CheckpointKind::Delta { tables: 0 })
     );
     let batch: Vec<BulkEntity> = (40..70).map(person).collect();
     db.copy_from("person", &batch).unwrap();

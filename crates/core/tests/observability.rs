@@ -120,7 +120,7 @@ fn optimizer_stats_survive_checkpoint_and_reopen() {
     let kind = db.checkpoint().unwrap();
     assert_eq!(
         kind,
-        Some(CheckpointKind::Delta { tables: 1, factorized: 0 }),
+        Some(CheckpointKind::Delta { tables: 1 }),
         "only the bulk-loaded table goes into the delta"
     );
     assert_eq!(counter("erbium_checkpoint_delta_tables").get(), delta_before + 1);

@@ -22,7 +22,7 @@
 
 use crate::expr::{BinOp, Expr};
 use crate::metrics::ExecMetrics;
-use crate::plan::{FactorizedSide, JoinKind, Plan, PlanKind};
+use crate::plan::{JoinKind, Plan, PlanKind};
 use erbium_storage::{Catalog, TableStats, Value};
 
 /// Default array fan-out when a column was never analyzed as an array.
@@ -85,8 +85,7 @@ fn leaf_cols(stats: &TableStats) -> Vec<Option<ColEst>> {
         .collect()
 }
 
-/// Leaf estimate for a named table (or factorized-stats key such as
-/// `name#left`), from the stats registry.
+/// Leaf estimate for a named table, from the stats registry.
 pub fn table_estimate(cat: &Catalog, key: &str) -> Option<Estimate> {
     let stats = cat.table_stats(key)?;
     Some(Estimate { rows: stats.row_count as f64, cols: leaf_cols(stats) })
@@ -134,17 +133,14 @@ pub fn estimate(plan: &Plan, cat: &Catalog) -> Option<Estimate> {
             apply_filters(&mut est, residual);
             Some(est)
         }
-        PlanKind::FactorizedScan { table, side, filters } => {
-            let key = match side {
-                FactorizedSide::Left => format!("{table}#left"),
-                FactorizedSide::Right => format!("{table}#right"),
-                FactorizedSide::Join => table.clone(),
-            };
-            let mut est = table_estimate(cat, &key)?;
-            apply_filters(&mut est, filters);
+        // One fetched row per input row: the input's cardinality, with the
+        // fetched table's column statistics appended.
+        PlanKind::Fetch { input, table, columns, .. } => {
+            let mut est = estimate(input, cat)?;
+            let fetched = table_estimate(cat, table)?.cols;
+            est.cols.extend(columns.iter().map(|&c| fetched.get(c).cloned().flatten()));
             Some(est)
         }
-        PlanKind::FactorizedCount { .. } => Some(Estimate::unknown_cols(1.0, 1)),
         PlanKind::Filter { input, predicate } => {
             let mut est = estimate(input, cat)?;
             apply_filters(&mut est, std::slice::from_ref(predicate));
@@ -473,15 +469,9 @@ pub fn plan_cost(plan: &Plan, cat: &Catalog) -> Option<f64> {
         PlanKind::IndexRange { table, .. } => {
             rows(plan)? + table_estimate(cat, table)?.rows.max(2.0).log2()
         }
-        PlanKind::FactorizedScan { table, side, .. } => {
-            let key = match side {
-                FactorizedSide::Left => format!("{table}#left"),
-                FactorizedSide::Right => format!("{table}#right"),
-                FactorizedSide::Join => table.clone(),
-            };
-            table_estimate(cat, &key)?.rows
-        }
-        PlanKind::FactorizedCount { .. } => 1.0,
+        // One slot probe per row: a live-bit test and an array index, no
+        // hashing and no key comparison — half a hash-join probe.
+        PlanKind::Fetch { input, .. } => cost(input)? + 0.5 * rows(plan)?,
         PlanKind::Filter { input, .. } | PlanKind::Distinct { input } => {
             cost(input)? + rows(input)?
         }
@@ -536,6 +526,7 @@ fn zip_annotate(metrics: &mut ExecMetrics, plan: &Plan, cat: &Catalog) {
     let children: Vec<&Plan> = match &plan.kind {
         PlanKind::Filter { input, .. }
         | PlanKind::Project { input, .. }
+        | PlanKind::Fetch { input, .. }
         | PlanKind::Aggregate { input, .. }
         | PlanKind::Unnest { input, .. }
         | PlanKind::Sort { input, .. }

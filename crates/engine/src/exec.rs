@@ -185,7 +185,7 @@ mod tests {
     use crate::error::EngineError;
     use crate::expr::{Expr, ScalarFunc};
     use crate::plan::{JoinKind, PlanKind, SortKey};
-    use erbium_storage::{Column, DataType, Table, TableSchema, Value};
+    use erbium_storage::{Column, DataType, RowId, Table, TableSchema, Value};
 
     fn cat() -> Catalog {
         let mut c = Catalog::new();
@@ -578,5 +578,45 @@ mod tests {
         .drain()
         .unwrap();
         assert_eq!(seq, par, "morsel order keeps parallel output deterministic");
+    }
+
+    /// `Fetch` appends the row in the slot each input row names; a row id
+    /// that names no live row (deleted, past the end, negative, NULL) is an
+    /// `EngineError`, never a panic or a silently dropped row.
+    #[test]
+    fn fetch_follows_row_ids_and_rejects_dangling_ones() {
+        let mut c = cat();
+        let link = |ids: Vec<Value>| {
+            let mut t =
+                Table::new(TableSchema::new("link", vec![Column::new("d", DataType::Int)], vec![]));
+            for id in ids {
+                t.insert(vec![id]).unwrap();
+            }
+            t
+        };
+        c.create_table(link(vec![Value::Int(2), Value::Int(0)])).unwrap();
+        let plan = Plan::scan(&c, "link").unwrap().fetch(&c, "dept", 0, vec![0, 1]).unwrap();
+        assert_eq!(plan.explain(), "Fetch dept rid=#0 [cols=id,name]\n  Scan link\n");
+        assert_eq!(
+            execute(&plan, &c).unwrap(),
+            vec![
+                vec![Value::Int(2), Value::Int(3), Value::str("bio")],
+                vec![Value::Int(0), Value::Int(1), Value::str("cs")],
+            ]
+        );
+        c.table_mut("dept").unwrap().delete(RowId(1)).unwrap();
+        for bad in [Value::Int(1), Value::Int(3), Value::Int(-1), Value::Null] {
+            c.drop_table("link").unwrap();
+            c.create_table(link(vec![Value::Int(0), bad.clone()])).unwrap();
+            let plan = Plan::scan(&c, "link").unwrap().fetch(&c, "dept", 0, vec![1]).unwrap();
+            for columnar in [true, false] {
+                let ctx = ExecContext::new().with_columnar(columnar);
+                let err = execute_streaming(&plan, &c, &ctx).unwrap().drain().unwrap_err();
+                assert!(matches!(err, EngineError::Eval(_)), "{bad}: {err}");
+            }
+        }
+        let dept = || Plan::scan(&c, "dept").unwrap();
+        assert!(dept().fetch(&c, "dept", 1, vec![0]).is_err(), "text is no row id");
+        assert!(dept().fetch(&c, "dept", 0, vec![2]).is_err(), "dept has no column #2");
     }
 }

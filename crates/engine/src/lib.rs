@@ -14,8 +14,8 @@
 //!   the ERQL `NEST(...)` hierarchical output clause is lowered;
 //! * [`plan`] nodes: scans (with pushed-down filters and index lookups),
 //!   hash joins (inner / left outer / semi), aggregation, unnest, union,
-//!   sort/limit/distinct, and **factorized scans** over multi-relation
-//!   structures with aggregate pushdown through the join;
+//!   sort/limit/distinct, and **fetch**, which follows the row ids of a
+//!   link table into a member table (stored pointers, not a join);
 //! * a rule-based [`optimizer`] (constant folding, filter splitting and
 //!   pushdown, filter cost-rank ordering, index-lookup selection,
 //!   trivial-projection elision) with **cost-based passes** layered on top

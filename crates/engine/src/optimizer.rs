@@ -35,7 +35,7 @@ use crate::agg::AggCall;
 use crate::cost;
 use crate::error::EngineResult;
 use crate::expr::{BinOp, Expr};
-use crate::plan::{FactorizedSide, Field, JoinKind, Plan, PlanKind};
+use crate::plan::{Field, JoinKind, Plan, PlanKind};
 use erbium_storage::{Catalog, Value};
 
 fn m_stats_missing() -> &'static erbium_obs::Counter {
@@ -254,6 +254,9 @@ fn map_children(plan: Plan, f: &impl Fn(Plan) -> Plan) -> Plan {
         PlanKind::Project { input, exprs } => {
             PlanKind::Project { input: Box::new(f(*input)), exprs }
         }
+        PlanKind::Fetch { input, table, rid, columns } => {
+            PlanKind::Fetch { input: Box::new(f(*input)), table, rid, columns }
+        }
         PlanKind::Join { left, right, kind, left_keys, right_keys } => PlanKind::Join {
             left: Box::new(f(*left)),
             right: Box::new(f(*right)),
@@ -309,24 +312,10 @@ fn sort_filters(filters: &mut [Expr], est: Option<&cost::Estimate>) {
     }
 }
 
-/// Stats key for a factorized-scan side (mirrors how `Catalog::analyze`
-/// registers the three per-structure entries).
-fn factorized_stats_key(table: &str, side: FactorizedSide) -> String {
-    match side {
-        FactorizedSide::Left => format!("{table}#left"),
-        FactorizedSide::Right => format!("{table}#right"),
-        FactorizedSide::Join => table.to_string(),
-    }
-}
-
 fn rank_filters_mut(plan: &mut Plan, cat: &Catalog) {
     match &mut plan.kind {
         PlanKind::Scan { table, filters, .. } => {
             let est = cost::table_estimate(cat, table);
-            sort_filters(filters, est.as_ref());
-        }
-        PlanKind::FactorizedScan { table, side, filters } => {
-            let est = cost::table_estimate(cat, &factorized_stats_key(table, *side));
             sort_filters(filters, est.as_ref());
         }
         PlanKind::IndexLookup { table, residual, .. }
@@ -334,9 +323,10 @@ fn rank_filters_mut(plan: &mut Plan, cat: &Catalog) {
             let est = cost::table_estimate(cat, table);
             sort_filters(residual, est.as_ref());
         }
-        PlanKind::FactorizedCount { .. } | PlanKind::Values { .. } => {}
+        PlanKind::Values { .. } => {}
         PlanKind::Filter { input, .. }
         | PlanKind::Project { input, .. }
+        | PlanKind::Fetch { input, .. }
         | PlanKind::Aggregate { input, .. }
         | PlanKind::Unnest { input, .. }
         | PlanKind::Sort { input, .. }
@@ -683,12 +673,9 @@ fn map_exprs(plan: Plan, f: &impl Fn(Expr) -> Expr) -> EngineResult<Plan> {
             hi,
             residual: residual.into_iter().map(f).collect(),
         },
-        PlanKind::FactorizedScan { table, side, filters } => PlanKind::FactorizedScan {
-            table,
-            side,
-            filters: filters.into_iter().map(f).collect(),
-        },
-        PlanKind::FactorizedCount { table } => PlanKind::FactorizedCount { table },
+        PlanKind::Fetch { input, table, rid, columns } => {
+            PlanKind::Fetch { input: Box::new(map_exprs(*input, f)?), table, rid, columns }
+        }
         PlanKind::Filter { input, predicate } => PlanKind::Filter {
             input: Box::new(map_exprs(*input, f)?),
             predicate: f(predicate),
@@ -755,6 +742,9 @@ pub fn push_filters(plan: Plan) -> EngineResult<Plan> {
             input: Box::new(push_filters(*input)?),
             exprs,
         },
+        PlanKind::Fetch { input, table, rid, columns } => {
+            PlanKind::Fetch { input: Box::new(push_filters(*input)?), table, rid, columns }
+        }
         PlanKind::Join { left, right, kind, left_keys, right_keys } => PlanKind::Join {
             left: Box::new(push_filters(*left)?),
             right: Box::new(push_filters(*right)?),
@@ -796,10 +786,6 @@ fn push_conjuncts_into(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
         PlanKind::Scan { table, mut filters, projection } => {
             filters.extend(conjuncts);
             Plan { kind: PlanKind::Scan { table, filters, projection }, fields }
-        }
-        PlanKind::FactorizedScan { table, side, mut filters } => {
-            filters.extend(conjuncts);
-            Plan { kind: PlanKind::FactorizedScan { table, side, filters }, fields }
         }
         PlanKind::IndexLookup { table, columns, keys, mut residual } => {
             residual.extend(conjuncts);
@@ -859,6 +845,16 @@ fn push_conjuncts_into(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
                 .map(|p| push_conjuncts_into(p, conjuncts.clone()))
                 .collect();
             Plan { kind: PlanKind::Union { inputs: pushed }, fields }
+        }
+        PlanKind::Fetch { input, table, rid, columns } => {
+            // Only predicates on the input's own columns sink: a fetched
+            // column does not exist below the fetch.
+            let arity = input.fields.len();
+            let (push, keep): (Vec<Expr>, Vec<Expr>) =
+                conjuncts.into_iter().partition(|p| p.columns().iter().all(|&c| c < arity));
+            let pushed = push_conjuncts_into(*input, push);
+            let kind = PlanKind::Fetch { input: Box::new(pushed), table, rid, columns };
+            wrap_filter(Plan { kind, fields }, keep)
         }
         PlanKind::Unnest { input, column, keep_empty } => {
             // Predicates not touching the unnested column commute with the
@@ -948,6 +944,9 @@ pub fn select_indexes(plan: Plan, cat: &Catalog) -> EngineResult<Plan> {
         PlanKind::Project { input, exprs } => {
             PlanKind::Project { input: Box::new(select_indexes(*input, cat)?), exprs }
         }
+        PlanKind::Fetch { input, table, rid, columns } => {
+            PlanKind::Fetch { input: Box::new(select_indexes(*input, cat)?), table, rid, columns }
+        }
         PlanKind::Join { left, right, kind, left_keys, right_keys } => PlanKind::Join {
             left: Box::new(select_indexes(*left, cat)?),
             right: Box::new(select_indexes(*right, cat)?),
@@ -956,26 +955,6 @@ pub fn select_indexes(plan: Plan, cat: &Catalog) -> EngineResult<Plan> {
             right_keys,
         },
         PlanKind::Aggregate { input, group, aggs } => {
-            // Aggregate pushdown through a factorized join: COUNT(*) over
-            // the pure stored join is the structure's pair count (the
-            // paper's "execute some types of aggregate queries more
-            // efficiently by ... pushing down aggregations through the
-            // joins").
-            if group.is_empty() && aggs.len() == 1 {
-                if let (crate::agg::AggFunc::CountStar, PlanKind::FactorizedScan {
-                    table,
-                    side: crate::plan::FactorizedSide::Join,
-                    filters,
-                }) = (aggs[0].func, &input.kind)
-                {
-                    if filters.is_empty() {
-                        return Ok(Plan {
-                            kind: PlanKind::FactorizedCount { table: table.clone() },
-                            fields,
-                        });
-                    }
-                }
-            }
             PlanKind::Aggregate { input: Box::new(select_indexes(*input, cat)?), group, aggs }
         }
         PlanKind::Unnest { input, column, keep_empty } => {
@@ -1209,6 +1188,23 @@ mod tests {
             PlanKind::Scan { filters, .. } => assert_eq!(filters.len(), 1),
             other => panic!("expected scan, got {other:?}"),
         }
+    }
+
+    /// Only conjuncts on the input's own columns sink below a `Fetch`: a
+    /// fetched column does not exist underneath it.
+    #[test]
+    fn fetched_column_filters_stay_above_fetch() {
+        let c = cat();
+        // t's `grp` column (0..9) read as row ids of t itself.
+        let p = Plan::scan(&c, "t").unwrap().fetch(&c, "t", 1, vec![0, 2]).unwrap();
+        let on_input = Expr::eq(Expr::col(2), Expr::lit(8i64));
+        let on_fetched = Expr::eq(Expr::col(3), Expr::lit(4i64));
+        let opt = push_filters(p.clone().filter(Expr::and(on_input, on_fetched.clone()))).unwrap();
+        let PlanKind::Filter { input, predicate } = &opt.kind else { panic!("{}", opt.explain()) };
+        assert_eq!(predicate, &on_fetched);
+        let PlanKind::Fetch { input, .. } = &input.kind else { panic!("{}", opt.explain()) };
+        assert!(matches!(&input.kind, PlanKind::Scan { filters, .. } if filters.len() == 1));
+        assert_eq!(execute(&opt, &c).unwrap().len(), 1, "{}", opt.explain());
     }
 
     #[test]
@@ -1664,35 +1660,6 @@ mod range_tests {
             got.sort();
             assert_eq!(got, want, "bound to {v}");
         }
-    }
-
-    #[test]
-    fn count_star_pushed_into_factorized_structure() {
-        use crate::agg::AggCall;
-        use erbium_storage::FactorizedTable;
-        let mut c = Catalog::new();
-        let mut ft = FactorizedTable::new(
-            "f",
-            TableSchema::new("l", vec![Column::not_null("a", DataType::Int)], vec![0]),
-            TableSchema::new("r", vec![Column::not_null("b", DataType::Int)], vec![0]),
-        );
-        for i in 0..5i64 {
-            let l = ft.insert_left(vec![Value::Int(i)]).unwrap();
-            let r = ft.insert_right(vec![Value::Int(i)]).unwrap();
-            ft.link(l, r).unwrap();
-        }
-        c.create_factorized("f", ft).unwrap();
-        let p = Plan::factorized_scan(&c, "f", crate::plan::FactorizedSide::Join)
-            .unwrap()
-            .aggregate(vec![], vec![(AggCall::count_star(), "n".into())]);
-        let opt = optimize(p.clone(), &c).unwrap();
-        assert!(
-            matches!(&opt.kind, PlanKind::FactorizedCount { .. }),
-            "{}",
-            opt.explain()
-        );
-        assert_eq!(execute(&opt, &c).unwrap(), vec![vec![Value::Int(5)]]);
-        assert_eq!(execute(&p, &c).unwrap(), execute(&opt, &c).unwrap());
     }
 }
 

@@ -44,15 +44,6 @@ pub struct SortKey {
     pub desc: bool,
 }
 
-/// Which part of a factorized structure to read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FactorizedSide {
-    Left,
-    Right,
-    /// Enumerate the stored join by following physical pointers.
-    Join,
-}
-
 /// A plan node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
@@ -87,11 +78,11 @@ pub enum PlanKind {
         hi: Option<(Expr, bool)>,
         residual: Vec<Expr>,
     },
-    /// Read a factorized structure.
-    FactorizedScan { table: String, side: FactorizedSide, filters: Vec<Expr> },
-    /// O(1) count of the stored join of a factorized structure
-    /// (aggregate pushed fully through the join). Emits one row.
-    FactorizedCount { table: String },
+    /// Follow stored pointers: for each input row, read the row id in
+    /// column `rid` and append the `columns` of the live row in that slot
+    /// of `table`. A relationship traversal over a row-id link table, not a
+    /// join. A NULL, negative, out-of-range or dead row id is an error.
+    Fetch { input: Box<Plan>, table: String, rid: usize, columns: Vec<usize> },
     Filter { input: Box<Plan>, predicate: Expr },
     Project { input: Box<Plan>, exprs: Vec<Expr> },
     Join { left: Box<Plan>, right: Box<Plan>, kind: JoinKind, left_keys: Vec<Expr>, right_keys: Vec<Expr> },
@@ -129,35 +120,29 @@ impl Plan {
         })
     }
 
-    /// Scan one side (or the stored join) of a factorized structure.
-    pub fn factorized_scan(cat: &Catalog, table: &str, side: FactorizedSide) -> EngineResult<Plan> {
-        let ft = cat.factorized(table)?;
-        let mut fields: Vec<Field> = Vec::new();
-        let push = |fields: &mut Vec<Field>, t: &erbium_storage::Table| {
-            for c in &t.schema().columns {
-                fields.push(Field::new(c.name.clone(), c.dtype.clone()));
-            }
-        };
-        match side {
-            FactorizedSide::Left => push(&mut fields, ft.left()),
-            FactorizedSide::Right => push(&mut fields, ft.right()),
-            FactorizedSide::Join => {
-                push(&mut fields, ft.left());
-                push(&mut fields, ft.right());
-            }
+    /// Follow the row ids in column `rid` into `table`, appending the
+    /// fetched row's `columns` (table column positions) to each input row.
+    pub fn fetch(
+        self,
+        cat: &Catalog,
+        table: &str,
+        rid: usize,
+        columns: Vec<usize>,
+    ) -> EngineResult<Plan> {
+        if self.fields.get(rid).map(|f| &f.dtype) != Some(&DataType::Int) {
+            let msg = format!("fetch from '{table}': column #{rid} is no row id");
+            return Err(EngineError::Plan(msg));
         }
-        Ok(Plan {
-            kind: PlanKind::FactorizedScan { table: table.to_string(), side, filters: Vec::new() },
-            fields,
-        })
-    }
-
-    /// O(1) count over a factorized join.
-    pub fn factorized_count(table: &str) -> Plan {
-        Plan {
-            kind: PlanKind::FactorizedCount { table: table.to_string() },
-            fields: vec![Field::new("count", DataType::Int)],
+        let schema = cat.table(table)?.schema();
+        let mut fields = self.fields.clone();
+        for &c in &columns {
+            let col = schema.columns.get(c).ok_or_else(|| {
+                EngineError::Plan(format!("fetch from '{table}': no column #{c}"))
+            })?;
+            fields.push(Field::new(col.name.clone(), col.dtype.clone()));
         }
+        let table = table.to_string();
+        Ok(Plan { kind: PlanKind::Fetch { input: Box::new(self), table, rid, columns }, fields })
     }
 
     pub fn filter(self, predicate: Expr) -> Plan {
@@ -375,16 +360,11 @@ impl Plan {
                 out.push_str(&suffix);
                 out.push('\n');
             }
-            PlanKind::FactorizedScan { table, side, filters } => {
-                let _ = write!(out, "{pad}FactorizedScan {table} side={side:?}");
-                if !filters.is_empty() {
-                    let _ = write!(out, " filter=[{}]", join_exprs(filters));
-                }
-                out.push_str(&suffix);
-                out.push('\n');
-            }
-            PlanKind::FactorizedCount { table } => {
-                let _ = writeln!(out, "{pad}FactorizedCount {table}{suffix}");
+            PlanKind::Fetch { input, table, rid, columns } => {
+                let fetched = &self.fields[self.fields.len() - columns.len()..];
+                let cols: Vec<&str> = fetched.iter().map(|f| f.name.as_str()).collect();
+                let _ = writeln!(out, "{pad}Fetch {table} rid=#{rid} [cols={}]{suffix}", cols.join(","));
+                input.explain_into(out, depth + 1, annot);
             }
             PlanKind::Filter { input, predicate } => {
                 let _ = writeln!(out, "{pad}Filter {predicate}{suffix}");
@@ -538,16 +518,14 @@ pub fn param_count(plan: &Plan) -> usize {
 /// everywhere an [`Expr`] can hide).
 fn walk_exprs(plan: &Plan, f: &mut impl FnMut(&Expr)) {
     match &plan.kind {
-        PlanKind::Scan { filters, .. } | PlanKind::FactorizedScan { filters, .. } => {
-            filters.iter().for_each(&mut *f)
-        }
+        PlanKind::Scan { filters, .. } => filters.iter().for_each(&mut *f),
         PlanKind::IndexLookup { keys, residual, .. } => {
             keys.iter().chain(residual).for_each(&mut *f)
         }
         PlanKind::IndexRange { lo, hi, residual, .. } => {
             lo.iter().chain(hi).map(|(e, _)| e).chain(residual).for_each(&mut *f)
         }
-        PlanKind::FactorizedCount { .. } | PlanKind::Values { .. } => {}
+        PlanKind::Values { .. } => {}
         PlanKind::Filter { input, predicate } => {
             f(predicate);
             walk_exprs(input, f);
@@ -569,7 +547,8 @@ fn walk_exprs(plan: &Plan, f: &mut impl FnMut(&Expr)) {
             }
             walk_exprs(input, f);
         }
-        PlanKind::Unnest { input, .. }
+        PlanKind::Fetch { input, .. }
+        | PlanKind::Unnest { input, .. }
         | PlanKind::Limit { input, .. }
         | PlanKind::Distinct { input } => walk_exprs(input, f),
         PlanKind::Sort { input, keys } => {
@@ -654,14 +633,12 @@ pub fn bind_params(plan: &Plan, params: &[Value]) -> EngineResult<Plan> {
                 hi: bind_bound(hi),
                 residual: bind_vec(residual),
             },
-            PlanKind::FactorizedScan { table, side, filters } => PlanKind::FactorizedScan {
+            PlanKind::Fetch { input, table, rid, columns } => PlanKind::Fetch {
+                input: Box::new(bind_plan(input, params)),
                 table: table.clone(),
-                side: *side,
-                filters: bind_vec(filters),
+                rid: *rid,
+                columns: columns.clone(),
             },
-            PlanKind::FactorizedCount { table } => {
-                PlanKind::FactorizedCount { table: table.clone() }
-            }
             PlanKind::Filter { input, predicate } => PlanKind::Filter {
                 input: Box::new(bind_plan(input, params)),
                 predicate: bind_expr(predicate, params),

@@ -70,11 +70,11 @@ use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecContext;
 use crate::expr::Expr;
 use crate::metrics::OpMetrics;
-use crate::plan::{FactorizedSide, JoinKind, Plan, PlanKind, SortKey};
+use crate::plan::{JoinKind, Plan, PlanKind, SortKey};
 use crate::pool::WorkerPool;
 use crate::vector;
 use crate::vplan::{self, VecPred};
-use erbium_storage::{Catalog, ColumnSlice, FactorizedTable, Row, RowId, Table, Value};
+use erbium_storage::{Catalog, ColumnSlice, Row, RowId, Table, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::ops::{Bound, Range};
@@ -95,8 +95,7 @@ fn m_columnar_batches() -> &'static erbium_obs::Counter {
 }
 
 /// Batches a kernel produced on the row path *while columnar execution
-/// was enabled* — the observable fallback: factorized-join enumeration
-/// morsels and stream-drained join builds.
+/// was enabled* — the observable fallback: stream-drained join builds.
 fn m_fallback_row_batches() -> &'static erbium_obs::Counter {
     static H: OnceLock<Arc<erbium_obs::Counter>> = OnceLock::new();
     H.get_or_init(|| {
@@ -206,30 +205,11 @@ pub(crate) fn compile<'a>(
                 m,
             )
         }
-        PlanKind::FactorizedScan { table, side, filters } => {
-            let ft = cat.factorized(table)?;
-            let m = OpMetrics::new(format!("FactorizedScan {table} {side:?}"), vec![]);
-            let stream: BoxedRowStream<'a> = match side {
-                FactorizedSide::Left => {
-                    table_scan_stream(ft.left(), filters, None, Arc::clone(&m), Vec::new(), ctx)
-                }
-                FactorizedSide::Right => {
-                    table_scan_stream(ft.right(), filters, None, Arc::clone(&m), Vec::new(), ctx)
-                }
-                FactorizedSide::Join => {
-                    factorized_join_stream(ft, filters, Arc::clone(&m), Vec::new(), ctx)
-                }
-            };
-            (stream, m)
-        }
-        PlanKind::FactorizedCount { table } => {
-            let ft = cat.factorized(table)?;
-            let m = OpMetrics::new(format!("FactorizedCount {table}"), vec![]);
-            m.add_rows_in(1);
-            (
-                Box::new(OnceStream { rows: Some(vec![vec![Value::Int(ft.count_join() as i64)]]) }),
-                m,
-            )
+        PlanKind::Fetch { input, table, rid, columns } => {
+            let t = cat.table(table)?;
+            let (child, cm) = compile(input, cat, ctx)?;
+            let m = OpMetrics::new(format!("Fetch {table}"), vec![cm]);
+            (Box::new(FetchStream { input: child, t, rid: *rid, columns }), m)
         }
         PlanKind::Filter { input, predicate } => {
             let (child, cm) = compile(input, cat, ctx)?;
@@ -398,11 +378,10 @@ fn apply_fused(steps: &[FusedStep<'_>], rows: &mut Vec<Row>) -> EngineResult<()>
 }
 
 /// Try to compile `plan` as a fused leaf pipeline: a chain of
-/// `Filter`/`Project` nodes sitting directly above a morsel-driven leaf
-/// (`Scan` or `FactorizedScan`) executes inside the leaf's morsel jobs
-/// instead of as serial post-passes. The metrics tree keeps one node per
-/// plan operator (same shape as unfused execution) with each node marked
-/// `[fused]`.
+/// `Filter`/`Project` nodes sitting directly above a morsel-driven `Scan`
+/// executes inside the scan's morsel jobs instead of as serial post-passes.
+/// The metrics tree keeps one node per plan operator (same shape as
+/// unfused execution) with each node marked `[fused]`.
 fn compile_fused<'a>(
     plan: &'a Plan,
     cat: &'a Catalog,
@@ -421,31 +400,13 @@ fn compile_fused<'a>(
     if chain.is_empty() {
         return Ok(None);
     }
-    // The base must be a morsel-driven leaf.
-    enum Leaf<'a> {
-        Table(&'a Table, &'a [Expr], Option<&'a [usize]>, String),
-        FactJoin(&'a FactorizedTable, &'a [Expr], String),
-    }
-    let leaf = match &base.kind {
-        PlanKind::Scan { table, filters, projection } => {
-            Leaf::Table(cat.table(table)?, filters, projection.as_deref(), format!("Scan {table}"))
-        }
-        PlanKind::FactorizedScan { table, side, filters } => {
-            let ft = cat.factorized(table)?;
-            let label = format!("FactorizedScan {table} {side:?}");
-            match side {
-                FactorizedSide::Left => Leaf::Table(ft.left(), filters, None, label),
-                FactorizedSide::Right => Leaf::Table(ft.right(), filters, None, label),
-                FactorizedSide::Join => Leaf::FactJoin(ft, filters, label),
-            }
-        }
-        _ => return Ok(None),
+    // The base must be a morsel-driven scan.
+    let PlanKind::Scan { table, filters, projection } = &base.kind else {
+        return Ok(None);
     };
-    let label = match &leaf {
-        Leaf::Table(_, _, _, l) | Leaf::FactJoin(_, _, l) => l.clone(),
-    };
+    let t = cat.table(table)?;
     // Build the plan-shaped metrics chain bottom-up plus the fused steps.
-    let scan_m = OpMetrics::new(label, vec![]);
+    let scan_m = OpMetrics::new(format!("Scan {table}"), vec![]);
     scan_m.mark_fused();
     let mut steps: Vec<FusedStep<'a>> = Vec::with_capacity(chain.len());
     let mut top_m = Arc::clone(&scan_m);
@@ -462,10 +423,7 @@ fn compile_fused<'a>(
     }
     // The chain's top node is metered by the enclosing MeterStream.
     steps.last_mut().expect("chain is non-empty").metrics = None;
-    let stream: BoxedRowStream<'a> = match leaf {
-        Leaf::Table(t, filters, proj, _) => table_scan_stream(t, filters, proj, scan_m, steps, ctx),
-        Leaf::FactJoin(ft, filters, _) => factorized_join_stream(ft, filters, scan_m, steps, ctx),
-    };
+    let stream = table_scan_stream(t, filters, projection.as_deref(), scan_m, steps, ctx);
     Ok(Some((stream, top_m)))
 }
 
@@ -825,46 +783,6 @@ fn columnar_scan_stream<'a>(
     Box::new(MorselStream::new(Box::new(work), total, ctx, wave_m))
 }
 
-/// Morsel scan enumerating the stored join of a factorized structure.
-fn factorized_join_stream<'a>(
-    ft: &'a FactorizedTable,
-    filters: &'a [Expr],
-    scan_m: Arc<OpMetrics>,
-    steps: Vec<FusedStep<'a>>,
-    ctx: &ExecContext,
-) -> BoxedRowStream<'a> {
-    let total = ft.left().slot_count();
-    let wave_m = Arc::clone(&scan_m);
-    // Factorized join enumeration synthesizes rows pair-by-pair; it has no
-    // columnar form, so under columnar mode its morsels count as fallback.
-    let track_fallback = ctx.columnar;
-    // One CSR build (or cache hit) per stream; every morsel then expands
-    // neighbours from the shared flat arrays instead of per-slot Vecs.
-    let csr = ft.csr_forward();
-    let work = move |range: Range<usize>, out: &mut Vec<Row>| -> EngineResult<()> {
-        let mut examined = 0u64;
-        'pairs: for row in ft.iter_join_slots_csr(&csr, range) {
-            examined += 1;
-            for f in filters {
-                if !f.eval_predicate(&row)? {
-                    continue 'pairs;
-                }
-            }
-            out.push(row);
-        }
-        scan_m.add_rows_in(examined);
-        if track_fallback {
-            m_fallback_row_batches().inc();
-        }
-        if !steps.is_empty() {
-            scan_m.record_batch(out.len() as u64);
-            apply_fused(&steps, out)?;
-        }
-        Ok(())
-    };
-    Box::new(MorselStream::new(Box::new(work), total, ctx, wave_m))
-}
-
 // ---- index leaves ----------------------------------------------------------
 
 struct IndexLookupStream<'a> {
@@ -953,16 +871,6 @@ impl RowStream for IndexRangeStream<'_> {
 
 // ---- simple leaves ---------------------------------------------------------
 
-struct OnceStream {
-    rows: Option<Vec<Row>>,
-}
-
-impl RowStream for OnceStream {
-    fn next_batch(&mut self) -> EngineResult<Option<Vec<Row>>> {
-        Ok(self.rows.take().filter(|r| !r.is_empty()))
-    }
-}
-
 struct ValuesStream<'a> {
     rows: &'a [Row],
     cursor: usize,
@@ -982,6 +890,44 @@ impl RowStream for ValuesStream<'_> {
 }
 
 // ---- pipelined operators ---------------------------------------------------
+
+/// The `Fetch` operator: per input batch, check every row id against the
+/// table's live-slot bitmap, then append the fetched rows to the input rows
+/// column at a time from the column mirror (the gather a columnar scan
+/// ends with).
+struct FetchStream<'a> {
+    input: BoxedRowStream<'a>,
+    t: &'a Table,
+    rid: usize,
+    /// The columns of `t` to append, in order: the gather mapping.
+    columns: &'a [usize],
+}
+
+impl RowStream for FetchStream<'_> {
+    fn next_batch(&mut self) -> EngineResult<Option<Vec<Row>>> {
+        let Some(mut batch) = self.input.next_batch()? else { return Ok(None) };
+        let live = self.t.live_slots();
+        let mut slots = Vec::with_capacity(batch.len());
+        for row in &batch {
+            match row[self.rid] {
+                Value::Int(id) if usize::try_from(id).is_ok_and(|s| live.get(s)) => {
+                    slots.push(id as usize)
+                }
+                ref v => {
+                    return Err(EngineError::Eval(format!(
+                        "row id {v} names no live row of '{}'",
+                        self.t.name()
+                    )))
+                }
+            }
+        }
+        for row in &mut batch {
+            row.reserve_exact(self.columns.len());
+        }
+        vector::append_columns(self.t, self.columns, &slots, &mut batch);
+        Ok(Some(batch))
+    }
+}
 
 struct FilterStream<'a> {
     input: BoxedRowStream<'a>,

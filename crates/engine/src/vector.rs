@@ -99,28 +99,34 @@ pub(crate) fn apply_pred(pred: &VecPred, t: &Table, sel: &mut Vec<usize>) {
 pub(crate) fn gather_rows(t: &Table, mapping: &[usize], sel: &[usize], out: &mut Vec<Vec<Value>>) {
     let base = out.len();
     out.extend(sel.iter().map(|_| Vec::with_capacity(mapping.len())));
+    append_columns(t, mapping, sel, &mut out[base..]);
+}
+
+/// Append the selected slots' `mapping` columns to `rows`, one *column* at
+/// a time: `rows[k]` receives slot `sel[k]`'s values. The gather behind
+/// [`gather_rows`], and behind `Fetch`, which extends its input rows.
+pub(crate) fn append_columns(t: &Table, mapping: &[usize], sel: &[usize], rows: &mut [Vec<Value>]) {
+    debug_assert_eq!(sel.len(), rows.len(), "one selected slot per row");
     for &c in mapping {
         match t.column_slice(c) {
             Some(ColumnSlice::Int { data, valid }) => {
-                for (k, &s) in sel.iter().enumerate() {
-                    out[base + k].push(if valid.get(s) { Value::Int(data[s]) } else { Value::Null });
+                for (row, &s) in rows.iter_mut().zip(sel) {
+                    row.push(if valid.get(s) { Value::Int(data[s]) } else { Value::Null });
                 }
             }
             Some(ColumnSlice::Float { data, valid }) => {
-                for (k, &s) in sel.iter().enumerate() {
-                    out[base + k]
-                        .push(if valid.get(s) { Value::Float(data[s]) } else { Value::Null });
+                for (row, &s) in rows.iter_mut().zip(sel) {
+                    row.push(if valid.get(s) { Value::Float(data[s]) } else { Value::Null });
                 }
             }
             Some(ColumnSlice::Bool { data, valid }) => {
-                for (k, &s) in sel.iter().enumerate() {
-                    out[base + k]
-                        .push(if valid.get(s) { Value::Bool(data[s]) } else { Value::Null });
+                for (row, &s) in rows.iter_mut().zip(sel) {
+                    row.push(if valid.get(s) { Value::Bool(data[s]) } else { Value::Null });
                 }
             }
             Some(ColumnSlice::Str { codes, valid, dict }) => {
-                for (k, &s) in sel.iter().enumerate() {
-                    out[base + k].push(if valid.get(s) {
+                for (row, &s) in rows.iter_mut().zip(sel) {
+                    row.push(if valid.get(s) {
                         Value::Str(Arc::clone(dict.get(codes[s])))
                     } else {
                         Value::Null
@@ -128,9 +134,9 @@ pub(crate) fn gather_rows(t: &Table, mapping: &[usize], sel: &[usize], out: &mut
                 }
             }
             None => {
-                for (k, &s) in sel.iter().enumerate() {
-                    let row = t.get(RowId(s as u64)).expect("selected slot is live");
-                    out[base + k].push(row[c].clone());
+                for (row, &s) in rows.iter_mut().zip(sel) {
+                    let stored = t.get(RowId(s as u64)).expect("selected slot is live");
+                    row.push(stored[c].clone());
                 }
             }
         }

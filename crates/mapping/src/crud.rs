@@ -13,33 +13,16 @@
 //! mapping contract and the engine behind the governance operations the
 //! paper motivates (entity-centric deletion for GDPR-style erasure).
 //!
-//! Co-located *factorized* structures are routed through the same
-//! [`Transaction`] as plain tables (via its `fact_*` methods), so a logical
-//! operation spanning both rolls back — and reaches the write-ahead log —
-//! as one atomic group.
+//! Factorized co-location needs no case of its own: its members are plain
+//! tables, and only the relationship arms (`link`, `unlink`, delete
+//! cascades, extraction) know the row-id link table between them.
 
 use crate::error::{MappingError, MappingResult};
-use crate::fragment::{CoFormat, HierarchyLayout};
+use crate::fragment::HierarchyLayout;
 use crate::lower::{co_col, fk_col, rel_attr_col, EntityHome, Lowering, MvHome, RelHome, Side, TYPE_COL};
 use erbium_model::{EntitySet, Relationship};
-use erbium_storage::{Catalog, FactSide, FactorizedTable, Row, RowId, Table, Transaction, Value};
+use erbium_storage::{Catalog, Row, RowId, Table, Transaction, Value};
 use rustc_hash::FxHashMap;
-
-/// Map a lowering [`Side`] onto the storage layer's [`FactSide`].
-fn fact_side(side: Side) -> FactSide {
-    match side {
-        Side::Left => FactSide::Left,
-        Side::Right => FactSide::Right,
-    }
-}
-
-/// The member table holding `side` of a factorized structure.
-fn member(ft: &FactorizedTable, side: Side) -> &Table {
-    match side {
-        Side::Left => ft.left(),
-        Side::Right => ft.right(),
-    }
-}
 
 /// The live rows of `t` whose `cols` equal `key`, in slot order, found with
 /// [`Table::rows_eq`] — the one access path CRUD uses to find rows by a
@@ -51,6 +34,14 @@ fn keyed_rows<'t>(
     key: &[Value],
 ) -> impl Iterator<Item = (RowId, &'t Row)> {
     t.rows_eq(cols, key).into_iter().map(move |rid| (rid, t.get(rid).expect("probed row is live")))
+}
+
+/// The member row a link-table cell points at; a dangling id is an error.
+fn linked_row<'t>(t: &'t Table, slot: &Value) -> MappingResult<&'t Row> {
+    let row = slot.as_int().and_then(|s| t.get(RowId(s as u64)));
+    row.ok_or_else(|| {
+        MappingError::Unsupported(format!("link row id {slot} names no live row of '{}'", t.name()))
+    })
 }
 
 /// [`keyed_rows`], cloned out so the caller can write to the table.
@@ -155,6 +146,13 @@ impl<'a> EntityStore<'a> {
         }
     }
 
+    /// The slot of the row keyed `key` in the factorized member table
+    /// `member`, as a link-table cell: one primary-key probe.
+    fn member_slot(cat: &Catalog, member: &str, key: &[Value]) -> MappingResult<Option<Value>> {
+        let hit = cat.table(member)?.lookup_pk(&Self::key_value(key));
+        Ok(hit.map(|(rid, _)| Value::Int(rid.0 as i64)))
+    }
+
     // ---- insert ----------------------------------------------------------------
 
     /// Insert one entity instance. `links` carries targets of many-to-one
@@ -184,15 +182,15 @@ impl<'a> EntityStore<'a> {
                 self.insert_folded_weak(cat, txn, entity, &owner, &column, data)?;
             }
             _ => {
-                // Delta chain, possibly with co-located levels.
+                // Delta chain, possibly with a denormalized co-located level.
                 for level in &chain {
                     match self.lw.entity_home(&level.name)?.clone() {
                         EntityHome::Table { table, layout: HierarchyLayout::Delta } => {
                             let row = self.build_row(&table, entity, data, links)?;
                             txn.insert(cat, &table, row)?;
                         }
-                        EntityHome::CoLocated { table, side, format } => {
-                            self.insert_colocated(cat, txn, &table, side, format, level, data)?;
+                        EntityHome::CoLocated { table, side } => {
+                            self.insert_colocated(cat, txn, &table, side, data)?;
                         }
                         other => {
                             return Err(MappingError::Unsupported(format!(
@@ -229,9 +227,9 @@ impl<'a> EntityStore<'a> {
     /// physical table receives **one** [`Transaction::bulk_insert`] — one
     /// undo entry, one WAL record, one secondary-index pass. Multi-valued
     /// side-table rows are likewise batched per side table. Homes that need
-    /// read-modify-write (folded weak) or factorized/denormalized routing
-    /// fall back to per-instance [`EntityStore::insert`] within the same
-    /// transaction, so atomicity is identical either way.
+    /// read-modify-write (folded weak) or denormalized routing fall back to
+    /// per-instance [`EntityStore::insert`] within the same transaction, so
+    /// atomicity is identical either way.
     ///
     /// Returns the names of the plain tables that received rows. On the
     /// fallback path this is derived from the mapping homes (the tables
@@ -275,7 +273,7 @@ impl<'a> EntityStore<'a> {
             }
         }
         if home_tables.is_empty() {
-            // Per-instance fallback (folded-weak / co-located homes). The
+            // Per-instance fallback (folded-weak / denormalized homes). The
             // rows still land in physical tables, so report them: the
             // caller refreshes live statistics and bumps the plan-cache
             // generation once for the whole batch, same as the batched
@@ -347,14 +345,8 @@ impl<'a> EntityStore<'a> {
             // owner instance lives in its own home table or — under a
             // full-layout hierarchy — in a descendant's.
             let owner = owner.clone();
-            match self.lw.entity_home(&owner)? {
-                EntityHome::Table { table, .. } | EntityHome::Merged { table, .. } => {
-                    note(table, &mut touched);
-                }
-                EntityHome::CoLocated { table, format: CoFormat::Denormalized, .. } => {
-                    note(table, &mut touched);
-                }
-                _ => {}
+            if let Some(table) = self.lw.entity_home(&owner)?.table() {
+                note(table, &mut touched);
             }
             for d in self.lw.schema.descendants(&owner) {
                 if let EntityHome::Table { table, .. } = self.lw.entity_home(&d.name)? {
@@ -363,17 +355,8 @@ impl<'a> EntityStore<'a> {
             }
         } else {
             for level in chain {
-                match self.lw.entity_home(&level.name)? {
-                    EntityHome::Table { table, .. } | EntityHome::Merged { table, .. } => {
-                        note(table, &mut touched);
-                    }
-                    EntityHome::CoLocated { table, format: CoFormat::Denormalized, .. } => {
-                        note(table, &mut touched);
-                    }
-                    // Factorized members keep their statistics under
-                    // `name#side` entries that only ANALYZE writes;
-                    // nothing for the caller to refresh.
-                    EntityHome::CoLocated { .. } | EntityHome::FoldedWeak { .. } => {}
+                if let Some(table) = self.lw.entity_home(&level.name)?.table() {
+                    note(table, &mut touched);
                 }
             }
         }
@@ -427,39 +410,24 @@ impl<'a> EntityStore<'a> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Insert one side of a denormalized pair table as a dangling half-row.
     fn insert_colocated(
         &self,
         cat: &mut Catalog,
         txn: &mut Transaction,
         table: &str,
         side: Side,
-        format: CoFormat,
-        _level: &EntitySet,
         data: &EntityData,
     ) -> MappingResult<()> {
-        match format {
-            CoFormat::Factorized => {
-                let schema = member(cat.factorized(table)?, side).schema();
-                let mut row = Vec::with_capacity(schema.arity());
-                for c in &schema.columns {
-                    row.push(data.get(&c.name).cloned().unwrap_or(Value::Null));
-                }
-                txn.fact_insert(cat, table, fact_side(side), row)?;
-                Ok(())
-            }
-            CoFormat::Denormalized => {
-                let schema = cat.table(table)?.schema().clone();
-                let mut row = vec![Value::Null; schema.arity()];
-                for (i, c) in schema.columns.iter().enumerate() {
-                    if let Some(stripped) = strip_side(&c.name, side) {
-                        row[i] = data.get(stripped).cloned().unwrap_or(Value::Null);
-                    }
-                }
-                txn.insert(cat, table, row)?;
-                Ok(())
+        let schema = cat.table(table)?.schema().clone();
+        let mut row = vec![Value::Null; schema.arity()];
+        for (i, c) in schema.columns.iter().enumerate() {
+            if let Some(stripped) = strip_side(&c.name, side) {
+                row[i] = data.get(stripped).cloned().unwrap_or(Value::Null);
             }
         }
+        txn.insert(cat, table, row)?;
+        Ok(())
     }
 
     /// Build a row for an entity table (delta/full/merged), resolving each
@@ -505,7 +473,7 @@ impl<'a> EntityStore<'a> {
     // ---- locate ---------------------------------------------------------------
 
     /// Find the plain-table row holding the instance at the level of
-    /// `entity` (probing subtree tables for full layouts and co-located /
+    /// `entity` (probing subtree tables for full layouts and denormalized /
     /// merged homes as needed). Returns `(table, rid, row)`.
     fn locate_plain(
         &self,
@@ -549,17 +517,12 @@ impl<'a> EntityStore<'a> {
                     }
                 }
             }
-            EntityHome::CoLocated { table, side, format } => match format {
-                CoFormat::Factorized => Err(MappingError::Unsupported(format!(
-                    "'{entity}' lives in factorized structure '{table}'; use locate_factorized"
-                ))),
-                CoFormat::Denormalized => {
-                    let key_cols = self.denorm_key_cols(cat, table, *side, entity)?;
-                    Ok(keyed_rows(cat.table(table)?, &key_cols, key)
-                        .next()
-                        .map(|(rid, row)| (table.clone(), rid, row.clone())))
-                }
-            },
+            EntityHome::CoLocated { table, side } => {
+                let key_cols = self.denorm_key_cols(cat, table, *side, entity)?;
+                Ok(keyed_rows(cat.table(table)?, &key_cols, key)
+                    .next()
+                    .map(|(rid, row)| (table.clone(), rid, row.clone())))
+            }
             EntityHome::FoldedWeak { .. } => Err(MappingError::Unsupported(format!(
                 "'{entity}' is folded into its owner; use weak-element access"
             ))),
@@ -605,50 +568,37 @@ impl<'a> EntityStore<'a> {
             out.insert(n.clone(), v.clone());
         }
         let most = chain.last().expect("nonempty");
-        // Resolve the "most specific asked level" presence first.
-        match self.lw.entity_home(&most.name)? {
-            EntityHome::FoldedWeak { owner, column } => {
-                let owner_len = self.key_names(owner)?.len();
-                let (owner_key, partial) = key.split_at(owner_len);
-                let Some((table, _rid, row)) = self.locate_plain(cat, owner, owner_key)? else {
-                    return Ok(None);
-                };
-                let col = cat.table(&table)?.schema().require_column(column)?;
-                let es = self.lw.schema.require_entity(entity)?;
-                let partial_names: Vec<&str> = es.key.iter().map(String::as_str).collect();
-                if let Value::Array(elems) = &row[col] {
-                    for elem in elems {
-                        if let Value::Struct(vals) = elem {
-                            let matches = partial_names.iter().enumerate().all(|(i, pk)| {
-                                let idx = es
-                                    .attributes
-                                    .iter()
-                                    .position(|a| a.name == *pk)
-                                    .expect("partial key is an attribute");
-                                vals.get(idx) == partial.get(i)
-                            });
-                            if matches {
-                                for (a, v) in es.attributes.iter().zip(vals.iter()) {
-                                    out.insert(a.name.clone(), v.clone());
-                                }
-                                return Ok(Some(out));
+        // A folded weak entity lives inside its owner's row.
+        if let EntityHome::FoldedWeak { owner, column } = self.lw.entity_home(&most.name)? {
+            let owner_len = self.key_names(owner)?.len();
+            let (owner_key, partial) = key.split_at(owner_len);
+            let Some((table, _rid, row)) = self.locate_plain(cat, owner, owner_key)? else {
+                return Ok(None);
+            };
+            let col = cat.table(&table)?.schema().require_column(column)?;
+            let es = self.lw.schema.require_entity(entity)?;
+            let partial_names: Vec<&str> = es.key.iter().map(String::as_str).collect();
+            if let Value::Array(elems) = &row[col] {
+                for elem in elems {
+                    if let Value::Struct(vals) = elem {
+                        let matches = partial_names.iter().enumerate().all(|(i, pk)| {
+                            let idx = es
+                                .attributes
+                                .iter()
+                                .position(|a| a.name == *pk)
+                                .expect("partial key is an attribute");
+                            vals.get(idx) == partial.get(i)
+                        });
+                        if matches {
+                            for (a, v) in es.attributes.iter().zip(vals.iter()) {
+                                out.insert(a.name.clone(), v.clone());
                             }
+                            return Ok(Some(out));
                         }
                     }
                 }
-                return Ok(None);
             }
-            EntityHome::CoLocated { table, side, format: CoFormat::Factorized } => {
-                let t = member(cat.factorized(table)?, *side);
-                let Some((_, row)) = t.lookup_pk(&Self::key_value(key)) else {
-                    return Ok(None);
-                };
-                for (c, v) in t.schema().columns.iter().zip(row.iter()) {
-                    out.insert(c.name.clone(), v.clone());
-                }
-                // Fall through to pick up ancestor-level attributes below.
-            }
-            _ => {}
+            return Ok(None);
         }
         // Walk the chain collecting resident attributes.
         for level in &chain {
@@ -679,29 +629,17 @@ impl<'a> EntityStore<'a> {
                         break;
                     }
                 }
-                EntityHome::CoLocated { table, side, format } => match format {
-                    CoFormat::Factorized => {
-                        let t = member(cat.factorized(table)?, *side);
-                        let Some((_, row)) = t.lookup_pk(&Self::key_value(key)) else {
-                            return Ok(None);
-                        };
-                        for (c, v) in t.schema().columns.iter().zip(row.iter()) {
-                            out.insert(c.name.clone(), v.clone());
+                EntityHome::CoLocated { side, .. } => {
+                    let Some((table, _rid, row)) = self.locate_plain(cat, &level.name, key)? else {
+                        return Ok(None);
+                    };
+                    let schema = cat.table(&table)?.schema();
+                    for a in &level.attributes {
+                        if let Some(i) = schema.column_index(&co_col(*side, &a.name)) {
+                            out.insert(a.name.clone(), row[i].clone());
                         }
                     }
-                    CoFormat::Denormalized => {
-                        let Some((table, _rid, row)) = self.locate_plain(cat, &level.name, key)?
-                        else {
-                            return Ok(None);
-                        };
-                        let schema = cat.table(&table)?.schema();
-                        for a in &level.attributes {
-                            if let Some(i) = schema.column_index(&co_col(*side, &a.name)) {
-                                out.insert(a.name.clone(), row[i].clone());
-                            }
-                        }
-                    }
-                },
+                }
                 EntityHome::FoldedWeak { .. } => {
                     // Only reachable for the most-specific level; handled above.
                 }
@@ -816,37 +754,23 @@ impl<'a> EntityStore<'a> {
                 row[col] = value.clone();
                 txn.update(cat, &table, rid, row)?;
             }
-            EntityHome::CoLocated { table, side, format } => match format {
-                CoFormat::Factorized => {
-                    let member_t = member(cat.factorized(&table)?, side);
-                    let (rid, row) = member_t.lookup_pk(&Self::key_value(key)).ok_or_else(|| {
-                        MappingError::BadPayload(format!("instance {key:?} of '{entity}' not found"))
-                    })?;
-                    let col = member_t.schema().require_column(name)?;
-                    let mut row = row.clone();
+            EntityHome::CoLocated { table, side } => {
+                // Every duplicated row must be rewritten — the update
+                // amplification the paper warns about.
+                let key_cols = self.denorm_key_cols(cat, &table, side, &level.name)?;
+                let t = cat.table(&table)?;
+                let col = t.schema().require_column(&co_col(side, name))?;
+                let hits = keyed_rows_owned(t, &key_cols, key);
+                if hits.is_empty() {
+                    return Err(MappingError::BadPayload(format!(
+                        "instance {key:?} of '{entity}' not found"
+                    )));
+                }
+                for (rid, mut row) in hits {
                     row[col] = value.clone();
-                    // Member update in place (delete + re-insert would drop
-                    // links), routed through the transaction for undo + WAL.
-                    txn.fact_update(cat, &table, fact_side(side), rid, row)?;
+                    txn.update(cat, &table, rid, row)?;
                 }
-                CoFormat::Denormalized => {
-                    // Every duplicated row must be rewritten — the update
-                    // amplification the paper warns about.
-                    let key_cols = self.denorm_key_cols(cat, &table, side, &level.name)?;
-                    let t = cat.table(&table)?;
-                    let col = t.schema().require_column(&co_col(side, name))?;
-                    let hits = keyed_rows_owned(t, &key_cols, key);
-                    if hits.is_empty() {
-                        return Err(MappingError::BadPayload(format!(
-                            "instance {key:?} of '{entity}' not found"
-                        )));
-                    }
-                    for (rid, mut row) in hits {
-                        row[col] = value.clone();
-                        txn.update(cat, &table, rid, row)?;
-                    }
-                }
-            },
+            }
             EntityHome::FoldedWeak { owner, column } => {
                 let owner_len = self.key_names(&owner)?.len();
                 let (owner_key, partial) = key.split_at(owner_len);
@@ -973,19 +897,9 @@ impl<'a> EntityStore<'a> {
                         }
                     }
                 }
-                EntityHome::CoLocated { table, side, format } => match format {
-                    CoFormat::Factorized => {
-                        let t = member(cat.factorized(&table)?, side);
-                        if let Some(rid) = t.lookup_pk(&Self::key_value(key)).map(|(rid, _)| rid) {
-                            txn.fact_delete(cat, &table, fact_side(side), rid)?;
-                            removed_any = true;
-                        }
-                    }
-                    CoFormat::Denormalized => {
-                        removed_any |=
-                            self.denorm_delete_side(cat, txn, &table, side, m, key)?;
-                    }
-                },
+                EntityHome::CoLocated { table, side } => {
+                    removed_any |= self.denorm_delete_side(cat, txn, &table, side, m, key)?;
+                }
                 EntityHome::FoldedWeak { owner, column } => {
                     removed_any |=
                         self.folded_weak_delete(cat, txn, m, &owner, &column, key)?;
@@ -1059,10 +973,7 @@ impl<'a> EntityStore<'a> {
         };
         match self.lw.entity_home(weak)? {
             EntityHome::Table { table, .. } => Ok(leading(cat.table(table)?)),
-            EntityHome::CoLocated { table, side, format: CoFormat::Factorized } => {
-                Ok(leading(member(cat.factorized(table)?, *side)))
-            }
-            EntityHome::CoLocated { table, side, format: CoFormat::Denormalized } => {
+            EntityHome::CoLocated { table, side } => {
                 let key_cols = self.denorm_key_cols(cat, table, *side, weak)?;
                 let owner_cols = &key_cols[..owner_key.len()];
                 let mut out: Vec<Vec<Value>> = Vec::new();
@@ -1206,45 +1117,32 @@ impl<'a> EntityStore<'a> {
                 txn.insert(cat, &table, row)?;
                 Ok(())
             }
-            RelHome::CoLocated { table, format } => match format {
-                CoFormat::Factorized => {
-                    if !attrs.is_empty() {
-                        // Mapping validation rejects factorized co-location
-                        // for relationships WITH declared attributes, so any
-                        // attrs supplied here have nowhere to live. Error
-                        // instead of silently dropping them.
-                        return Err(MappingError::BadPayload(format!(
-                            "relationship '{rel}' is stored factorized and cannot carry \
-                             attributes ({} supplied)",
-                            attrs.len()
-                        )));
-                    }
-                    let ft = cat.factorized(&table)?;
-                    let l = ft
-                        .left()
-                        .lookup_pk(&Self::key_value(from_key))
-                        .map(|(rid, _)| rid)
-                        .ok_or_else(|| {
-                            MappingError::BadPayload(format!(
-                                "left instance {from_key:?} not found in '{table}'"
-                            ))
-                        })?;
-                    let rr = ft
-                        .right()
-                        .lookup_pk(&Self::key_value(to_key))
-                        .map(|(rid, _)| rid)
-                        .ok_or_else(|| {
-                            MappingError::BadPayload(format!(
-                                "right instance {to_key:?} not found in '{table}'"
-                            ))
-                        })?;
-                    txn.fact_link(cat, &table, l, rr)?;
-                    Ok(())
+            RelHome::Linked { table, left, right } => {
+                if !attrs.is_empty() {
+                    // Mapping validation rejects factorized co-location
+                    // for relationships WITH declared attributes, so any
+                    // attrs supplied here have nowhere to live. Error
+                    // instead of silently dropping them.
+                    return Err(MappingError::BadPayload(format!(
+                        "relationship '{rel}' is stored factorized and cannot carry \
+                         attributes ({} supplied)",
+                        attrs.len()
+                    )));
                 }
-                CoFormat::Denormalized => {
-                    self.denorm_link(cat, txn, &table, &r, from_key, to_key, attrs)
+                // Two primary-key probes, one link row of their slots.
+                let mut pair = Vec::with_capacity(2);
+                for (member, key) in [(&left, from_key), (&right, to_key)] {
+                    let slot = Self::member_slot(cat, member, key)?;
+                    pair.push(slot.ok_or_else(|| {
+                        MappingError::BadPayload(format!("instance {key:?} not found in '{member}'"))
+                    })?);
                 }
-            },
+                txn.insert(cat, &table, pair)?;
+                Ok(())
+            }
+            RelHome::CoLocated { table } => {
+                self.denorm_link(cat, txn, &table, &r, from_key, to_key, attrs)
+            }
         }
     }
 
@@ -1367,49 +1265,51 @@ impl<'a> EntityStore<'a> {
             RelHome::JoinTable { table } => {
                 delete_prefixed(cat, txn, &table, &[from_key, to_key].concat())
             }
-            RelHome::CoLocated { table, format } => match format {
-                CoFormat::Factorized => {
-                    let ft = cat.factorized(&table)?;
-                    let l = ft.left().lookup_pk(&Self::key_value(from_key)).map(|(rid, _)| rid);
-                    let rr = ft.right().lookup_pk(&Self::key_value(to_key)).map(|(rid, _)| rid);
-                    if let (Some(l), Some(rr)) = (l, rr) {
-                        txn.fact_unlink(cat, &table, l, rr)?;
+            RelHome::Linked { table, left, right } => {
+                let l = Self::member_slot(cat, &left, from_key)?;
+                let r = Self::member_slot(cat, &right, to_key)?;
+                if let (Some(l), Some(r)) = (l, r) {
+                    // Probe the left slot's links; remove one with the right slot.
+                    let t = cat.table(&table)?;
+                    let pair = keyed_rows(t, &[0], &[l]).find(|(_, row)| row[1] == r);
+                    if let Some((rid, _)) = pair {
+                        txn.delete(cat, &table, rid)?;
                     }
-                    Ok(())
                 }
-                CoFormat::Denormalized => {
-                    // Find the combined row and split it back into dangling
-                    // halves as needed.
-                    let schema = cat.table(&table)?.schema().clone();
-                    let lcols = self.denorm_key_cols(cat, &table, Side::Left, &r.from.entity)?;
-                    let rcols = self.denorm_key_cols(cat, &table, Side::Right, &r.to.entity)?;
-                    let hits = keyed_rows_owned(cat.table(&table)?, &lcols, from_key);
-                    let Some((rid, row)) = hits
-                        .iter()
-                        .find(|(_, row)| rcols.iter().zip(to_key).all(|(&c, k)| row[c] == *k))
-                    else {
-                        return Ok(());
-                    };
-                    // A side that appears in no other row keeps a dangling
-                    // half-row.
-                    let l_elsewhere = hits.len() > 1;
-                    let r_elsewhere = cat.table(&table)?.rows_eq(&rcols, to_key).len() > 1;
-                    txn.delete(cat, &table, *rid)?;
-                    for (side, elsewhere) in [(Side::Left, l_elsewhere), (Side::Right, r_elsewhere)]
-                    {
-                        if !elsewhere {
-                            let mut dangle = vec![Value::Null; schema.arity()];
-                            for (i, c) in schema.columns.iter().enumerate() {
-                                if strip_side(&c.name, side).is_some() {
-                                    dangle[i] = row[i].clone();
-                                }
+                Ok(())
+            }
+            RelHome::CoLocated { table } => {
+                // Find the combined row and split it back into dangling
+                // halves as needed.
+                let schema = cat.table(&table)?.schema().clone();
+                let lcols = self.denorm_key_cols(cat, &table, Side::Left, &r.from.entity)?;
+                let rcols = self.denorm_key_cols(cat, &table, Side::Right, &r.to.entity)?;
+                let hits = keyed_rows_owned(cat.table(&table)?, &lcols, from_key);
+                let Some((rid, row)) = hits
+                    .iter()
+                    .find(|(_, row)| rcols.iter().zip(to_key).all(|(&c, k)| row[c] == *k))
+                else {
+                    return Ok(());
+                };
+                // A side that appears in no other row keeps a dangling
+                // half-row.
+                let l_elsewhere = hits.len() > 1;
+                let r_elsewhere = cat.table(&table)?.rows_eq(&rcols, to_key).len() > 1;
+                txn.delete(cat, &table, *rid)?;
+                for (side, elsewhere) in [(Side::Left, l_elsewhere), (Side::Right, r_elsewhere)]
+                {
+                    if !elsewhere {
+                        let mut dangle = vec![Value::Null; schema.arity()];
+                        for (i, c) in schema.columns.iter().enumerate() {
+                            if strip_side(&c.name, side).is_some() {
+                                dangle[i] = row[i].clone();
                             }
-                            txn.insert(cat, &table, dangle)?;
                         }
+                        txn.insert(cat, &table, dangle)?;
                     }
-                    Ok(())
                 }
-            },
+                Ok(())
+            }
         }
     }
 
@@ -1471,22 +1371,17 @@ impl<'a> EntityStore<'a> {
                     );
                 }
             }
-            RelHome::CoLocated { table, format: CoFormat::Factorized } => {
-                let ft = cat.factorized(table)?;
-                if let Some((rid, _)) = member(ft, mine).lookup_pk(&Self::key_value(key)) {
-                    let mut linked = if is_from {
-                        ft.neighbours_right(rid).to_vec()
-                    } else {
-                        ft.neighbours_left(rid).to_vec()
-                    };
-                    linked.sort_unstable();
-                    let their_rows = member(ft, theirs);
-                    others.extend(linked.into_iter().map(|r| {
-                        their_rows.get(r).expect("linked row live")[..other_len].to_vec()
-                    }));
+            // Every link row holding this instance's slot goes: a probe of
+            // the link table's index on this end's column.
+            RelHome::Linked { table, left, right } => {
+                let (member, col) = if is_from { (left, 0) } else { (right, 1) };
+                if let Some(slot) = Self::member_slot(cat, member, key)? {
+                    for rid in cat.table(table)?.rows_eq(&[col], &[slot]) {
+                        txn.delete(cat, table, rid)?;
+                    }
                 }
             }
-            RelHome::CoLocated { table, format: CoFormat::Denormalized } => {
+            RelHome::CoLocated { table } => {
                 let mine_cols = self.denorm_key_cols(cat, table, mine, entity)?;
                 let theirs_cols = self.denorm_key_cols(cat, table, theirs, other)?;
                 for (_, row) in keyed_rows(cat.table(table)?, &mine_cols, key) {
@@ -1550,32 +1445,25 @@ impl<'a> EntityStore<'a> {
                     out.extend(self.weak_keys_of_owner(cat, entity, &okey)?);
                 }
             }
-            EntityHome::CoLocated { table, side, format } => match format {
-                CoFormat::Factorized => {
-                    for (_, row) in member(cat.factorized(table)?, *side).scan() {
-                        out.push(row[..klen].to_vec());
+            EntityHome::CoLocated { table, side } => {
+                let t = cat.table(table)?;
+                let schema = t.schema();
+                let key_cols: Vec<usize> = self
+                    .key_names(entity)?
+                    .iter()
+                    .map(|k| schema.require_column(&co_col(*side, k)))
+                    .collect::<Result<_, _>>()?;
+                let mut seen = rustc_hash::FxHashSet::default();
+                for (_, row) in t.scan() {
+                    let kvals: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+                    if kvals.iter().any(Value::is_null) {
+                        continue;
+                    }
+                    if seen.insert(kvals.clone()) {
+                        out.push(kvals);
                     }
                 }
-                CoFormat::Denormalized => {
-                    let t = cat.table(table)?;
-                    let schema = t.schema();
-                    let key_cols: Vec<usize> = self
-                        .key_names(entity)?
-                        .iter()
-                        .map(|k| schema.require_column(&co_col(*side, k)))
-                        .collect::<Result<_, _>>()?;
-                    let mut seen = rustc_hash::FxHashSet::default();
-                    for (_, row) in t.scan() {
-                        let kvals: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                        if kvals.iter().any(Value::is_null) {
-                            continue;
-                        }
-                        if seen.insert(kvals.clone()) {
-                            out.push(kvals);
-                        }
-                    }
-                }
-            },
+            }
         }
         Ok(out)
     }
@@ -1686,55 +1574,50 @@ impl<'a> EntityStore<'a> {
                     });
                 }
             }
-            RelHome::CoLocated { table, format } => match format {
-                CoFormat::Factorized => {
-                    let ft = cat.factorized(&table)?;
-                    let llen = self.key_names(&r.from.entity)?.len();
-                    let rlen = self.key_names(&r.to.entity)?.len();
-                    for (lrid, lrow) in ft.left().scan() {
-                        for rrid in ft.neighbours_right(lrid) {
-                            let rrow = ft.right().get(*rrid).expect("linked row live");
-                            out.push(RelInstance {
-                                from_key: lrow[..llen].to_vec(),
-                                to_key: rrow[..rlen].to_vec(),
-                                attrs: EntityData::default(),
-                            });
-                        }
-                    }
+            RelHome::Linked { table, left, right } => {
+                let (lt, rt) = (cat.table(&left)?, cat.table(&right)?);
+                let llen = self.key_names(&r.from.entity)?.len();
+                let rlen = self.key_names(&r.to.entity)?.len();
+                for (_, pair) in cat.table(&table)?.scan() {
+                    out.push(RelInstance {
+                        from_key: linked_row(lt, &pair[0])?[..llen].to_vec(),
+                        to_key: linked_row(rt, &pair[1])?[..rlen].to_vec(),
+                        attrs: EntityData::default(),
+                    });
                 }
-                CoFormat::Denormalized => {
-                    let t = cat.table(&table)?;
-                    let schema = t.schema();
-                    let lcols: Vec<usize> = self
-                        .key_names(&r.from.entity)?
-                        .iter()
-                        .map(|k| schema.require_column(&co_col(Side::Left, k)))
-                        .collect::<Result<_, _>>()?;
-                    let rcols: Vec<usize> = self
-                        .key_names(&r.to.entity)?
-                        .iter()
-                        .map(|k| schema.require_column(&co_col(Side::Right, k)))
-                        .collect::<Result<_, _>>()?;
-                    let attr_cols: Vec<(String, usize)> = r
-                        .attributes
-                        .iter()
-                        .filter_map(|a| schema.column_index(&a.name).map(|i| (a.name.clone(), i)))
-                        .collect();
-                    for (_, row) in t.scan() {
-                        let from_key: Vec<Value> = lcols.iter().map(|&c| row[c].clone()).collect();
-                        let to_key: Vec<Value> = rcols.iter().map(|&c| row[c].clone()).collect();
-                        if from_key.iter().any(Value::is_null) || to_key.iter().any(Value::is_null)
-                        {
-                            continue; // dangling half-row
-                        }
-                        let mut attrs = EntityData::default();
-                        for (name, col) in &attr_cols {
-                            attrs.insert(name.clone(), row[*col].clone());
-                        }
-                        out.push(RelInstance { from_key, to_key, attrs });
+            }
+            RelHome::CoLocated { table } => {
+                let t = cat.table(&table)?;
+                let schema = t.schema();
+                let lcols: Vec<usize> = self
+                    .key_names(&r.from.entity)?
+                    .iter()
+                    .map(|k| schema.require_column(&co_col(Side::Left, k)))
+                    .collect::<Result<_, _>>()?;
+                let rcols: Vec<usize> = self
+                    .key_names(&r.to.entity)?
+                    .iter()
+                    .map(|k| schema.require_column(&co_col(Side::Right, k)))
+                    .collect::<Result<_, _>>()?;
+                let attr_cols: Vec<(String, usize)> = r
+                    .attributes
+                    .iter()
+                    .filter_map(|a| schema.column_index(&a.name).map(|i| (a.name.clone(), i)))
+                    .collect();
+                for (_, row) in t.scan() {
+                    let from_key: Vec<Value> = lcols.iter().map(|&c| row[c].clone()).collect();
+                    let to_key: Vec<Value> = rcols.iter().map(|&c| row[c].clone()).collect();
+                    if from_key.iter().any(Value::is_null) || to_key.iter().any(Value::is_null)
+                    {
+                        continue; // dangling half-row
                     }
+                    let mut attrs = EntityData::default();
+                    for (name, col) in &attr_cols {
+                        attrs.insert(name.clone(), row[*col].clone());
+                    }
+                    out.push(RelInstance { from_key, to_key, attrs });
                 }
-            },
+            }
         }
         Ok(out)
     }
@@ -1799,14 +1682,9 @@ impl<'a> EntityStore<'a> {
                         EntityHome::Table { table, .. } => {
                             cat.table(table)?.lookup_pk(&Self::key_value(key)).is_some()
                         }
-                        EntityHome::CoLocated { table, side, format } => match format {
-                            CoFormat::Factorized => member(cat.factorized(table)?, *side)
-                                .lookup_pk(&Self::key_value(key))
-                                .is_some(),
-                            CoFormat::Denormalized => {
-                                self.locate_plain(cat, &cur, key)?.is_some()
-                            }
-                        },
+                        EntityHome::CoLocated { .. } => {
+                            self.locate_plain(cat, &cur, key)?.is_some()
+                        }
                         _ => false,
                     };
                     if present && best.as_ref().map(|(d, _)| depth > *d).unwrap_or(true) {

@@ -30,8 +30,9 @@ pub enum CoFormat {
     /// inserts/updates/deletes", as the paper notes for its
     /// PostgreSQL-based M6).
     Denormalized,
-    /// Factorized: each entity stored once plus physical pointers — the
-    /// compact multi-relation format the paper says is "needed to make a
+    /// Factorized: each entity stored once, in a member table of its own,
+    /// plus physical pointers — a link table of row-id pairs — the compact
+    /// multi-relation format the paper says is "needed to make a
     /// representation like M6 viable".
     Factorized,
 }

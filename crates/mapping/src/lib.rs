@@ -22,7 +22,8 @@
 //! The supported fragment layouts realize all three physical representation
 //! targets of Section 4: 1NF tables with composite types, hierarchical
 //! structures with arrays (of structs), and multi-relational compressed
-//! (factorized) representations.
+//! (factorized) representations — two member tables joined by a row-id
+//! link table.
 //!
 //! [`rewrite`] translates ERQL queries over the logical E/R schema into
 //! engine plans over whatever physical layout the installed mapping chose —

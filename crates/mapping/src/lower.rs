@@ -16,9 +16,7 @@ use crate::error::{MappingError, MappingResult};
 use crate::fragment::{CoFormat, Fragment, HierarchyLayout, Mapping};
 use crate::validate;
 use erbium_model::{AttrType, Attribute, ErSchema, Participation, ScalarType};
-use erbium_storage::{
-    Catalog, Column, DataType, FactorizedTable, IndexKind, Table, TableSchema,
-};
+use erbium_storage::{Catalog, Column, DataType, IndexKind, Table, TableSchema};
 use rustc_hash::FxHashMap;
 
 /// Catalog metadata key for the persisted E/R schema.
@@ -53,6 +51,10 @@ pub fn co_col(side: Side, name: &str) -> String {
     }
 }
 
+/// Columns of a row-id link table (factorized co-location): the slot of
+/// the left member row and the slot of the right member row of one pair.
+pub const LINK_COLS: [&str; 2] = ["__l", "__r"];
+
 /// Join-table column name for one end's key attribute.
 pub fn join_col(end: Side, key: &str) -> String {
     match end {
@@ -71,14 +73,15 @@ pub enum Side {
 /// Where an entity set's instances live.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EntityHome {
-    /// Its own table (delta or full layout).
+    /// Its own table (delta or full layout). A member of a factorized
+    /// co-location is one too: a delta-layout table of its own.
     Table { table: String, layout: HierarchyLayout },
     /// Merged into a single-table hierarchy (row discriminated by `_type`).
     Merged { table: String, root: String },
     /// Folded into the owner's table as an array-of-struct column.
     FoldedWeak { owner: String, column: String },
-    /// One side of a co-located structure.
-    CoLocated { table: String, side: Side, format: CoFormat },
+    /// One side of a denormalized co-located table.
+    CoLocated { table: String, side: Side },
 }
 
 impl EntityHome {
@@ -103,8 +106,11 @@ pub enum RelHome {
     Folded { many_entity: String, one_entity: String },
     /// A join table.
     JoinTable { table: String },
-    /// A co-located structure.
-    CoLocated { table: String, format: CoFormat },
+    /// A denormalized co-located table: one row per pair.
+    CoLocated { table: String },
+    /// Factorized co-location: a link table of row-id pairs ([`LINK_COLS`])
+    /// between the `left` (from-end) and `right` (to-end) member tables.
+    Linked { table: String, left: String, right: String },
     /// Identifying relationship of a weak entity set: the owner key is
     /// embedded wherever the weak entity lives.
     ImplicitWeak { weak: String },
@@ -125,19 +131,16 @@ pub struct IndexSpec {
     pub kind: IndexKind,
 }
 
-/// One physical structure.
+/// One physical table.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TableSpec {
-    Plain { schema: TableSchema, indexes: Vec<IndexSpec> },
-    Factorized { name: String, left: TableSchema, right: TableSchema },
+pub struct TableSpec {
+    pub schema: TableSchema,
+    pub indexes: Vec<IndexSpec>,
 }
 
 impl TableSpec {
     pub fn name(&self) -> &str {
-        match self {
-            TableSpec::Plain { schema, .. } => &schema.name,
-            TableSpec::Factorized { name, .. } => name,
-        }
+        &self.schema.name
     }
 }
 
@@ -234,27 +237,14 @@ impl Lowering {
     /// Create all physical structures in the catalog and persist the schema
     /// and mapping as catalog metadata.
     pub fn install(&self, cat: &mut Catalog) -> MappingResult<()> {
-        for spec in &self.tables {
-            match spec {
-                TableSpec::Plain { schema, indexes } => {
-                    let mut t = Table::new(schema.clone());
-                    for ix in indexes {
-                        let cols: Vec<usize> = ix
-                            .columns
-                            .iter()
-                            .map(|c| schema.require_column(c))
-                            .collect::<Result<_, _>>()?;
-                        t.create_index(ix.name.clone(), cols, ix.kind)?;
-                    }
-                    cat.create_table(t)?;
-                }
-                TableSpec::Factorized { name, left, right } => {
-                    cat.create_factorized(
-                        name.clone(),
-                        FactorizedTable::new(name.clone(), left.clone(), right.clone()),
-                    )?;
-                }
+        for TableSpec { schema, indexes } in &self.tables {
+            let mut t = Table::new(schema.clone());
+            for ix in indexes {
+                let cols: Vec<usize> =
+                    ix.columns.iter().map(|c| schema.require_column(c)).collect::<Result<_, _>>()?;
+                t.create_index(ix.name.clone(), cols, ix.kind)?;
             }
+            cat.create_table(t)?;
         }
         cat.put_meta_typed(META_SCHEMA, &self.schema)?;
         cat.put_meta(META_MAPPING, self.mapping.to_json());
@@ -264,14 +254,7 @@ impl Lowering {
     /// Drop all physical structures of this mapping from the catalog.
     pub fn uninstall(&self, cat: &mut Catalog) -> MappingResult<()> {
         for spec in &self.tables {
-            match spec {
-                TableSpec::Plain { schema, .. } => {
-                    cat.drop_table(&schema.name)?;
-                }
-                TableSpec::Factorized { name, .. } => {
-                    cat.drop_factorized(name)?;
-                }
-            }
+            cat.drop_table(spec.name())?;
         }
         Ok(())
     }
@@ -299,12 +282,9 @@ impl Lowering {
         self.folds_by_entity.get(entity).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Physical schema of a plain table by name.
+    /// Physical schema of a table by name.
     pub fn table_schema(&self, name: &str) -> Option<&TableSchema> {
-        self.tables.iter().find_map(|s| match s {
-            TableSpec::Plain { schema, .. } if schema.name == name => Some(schema),
-            _ => None,
-        })
+        self.tables.iter().find(|s| s.name() == name).map(|s| &s.schema)
     }
 
     // ---- fragment lowering ---------------------------------------------------
@@ -424,7 +404,7 @@ impl Lowering {
                         kind: IndexKind::Hash,
                     });
                 }
-                self.tables.push(TableSpec::Plain {
+                self.tables.push(TableSpec {
                     schema: TableSchema::new(table.clone(), schema_cols, pk),
                     indexes,
                 });
@@ -445,7 +425,7 @@ impl Lowering {
                     (entity.clone(), attribute.clone()),
                     MvHome::SideTable { table: table.clone() },
                 );
-                self.tables.push(TableSpec::Plain {
+                self.tables.push(TableSpec {
                     schema: TableSchema::new(table.clone(), cols, vec![]),
                     indexes: vec![],
                 });
@@ -479,7 +459,7 @@ impl Lowering {
                 ];
                 self.rel_homes
                     .insert(relationship.clone(), RelHome::JoinTable { table: table.clone() });
-                self.tables.push(TableSpec::Plain {
+                self.tables.push(TableSpec {
                     schema: TableSchema::new(table.clone(), cols, pk),
                     indexes,
                 });
@@ -490,27 +470,56 @@ impl Lowering {
                     self.entity_member_schema(&rel.from.entity, &format!("{table}__l"))?;
                 let right_schema =
                     self.entity_member_schema(&rel.to.entity, &format!("{table}__r"))?;
-                self.entity_homes.insert(
-                    rel.from.entity.clone(),
-                    EntityHome::CoLocated { table: table.clone(), side: Side::Left, format: *format },
-                );
-                self.entity_homes.insert(
-                    rel.to.entity.clone(),
-                    EntityHome::CoLocated { table: table.clone(), side: Side::Right, format: *format },
-                );
-                self.rel_homes.insert(
-                    relationship.clone(),
-                    RelHome::CoLocated { table: table.clone(), format: *format },
-                );
                 match format {
                     CoFormat::Factorized => {
-                        self.tables.push(TableSpec::Factorized {
-                            name: table.clone(),
-                            left: left_schema,
-                            right: right_schema,
+                        // Two plain member tables plus a link table of
+                        // row-id pairs: slots stay put under redo and
+                        // snapshots, so a pair's ids are stable pointers.
+                        for (end, member) in [(&rel.from, &left_schema), (&rel.to, &right_schema)] {
+                            self.entity_homes.insert(
+                                end.entity.clone(),
+                                EntityHome::Table {
+                                    table: member.name.clone(),
+                                    layout: HierarchyLayout::Delta,
+                                },
+                            );
+                        }
+                        self.rel_homes.insert(
+                            relationship.clone(),
+                            RelHome::Linked {
+                                table: table.clone(),
+                                left: left_schema.name.clone(),
+                                right: right_schema.name.clone(),
+                            },
+                        );
+                        let cols =
+                            LINK_COLS.iter().map(|c| Column::not_null(*c, DataType::Int)).collect();
+                        let indexes = LINK_COLS
+                            .iter()
+                            .map(|c| IndexSpec {
+                                name: format!("{table}_by{c}"),
+                                columns: vec![c.to_string()],
+                                kind: IndexKind::Hash,
+                            })
+                            .collect();
+                        self.tables.push(TableSpec { schema: left_schema, indexes: vec![] });
+                        self.tables.push(TableSpec { schema: right_schema, indexes: vec![] });
+                        self.tables.push(TableSpec {
+                            schema: TableSchema::new(table.clone(), cols, vec![]),
+                            indexes,
                         });
                     }
                     CoFormat::Denormalized => {
+                        self.entity_homes.insert(
+                            rel.from.entity.clone(),
+                            EntityHome::CoLocated { table: table.clone(), side: Side::Left },
+                        );
+                        self.entity_homes.insert(
+                            rel.to.entity.clone(),
+                            EntityHome::CoLocated { table: table.clone(), side: Side::Right },
+                        );
+                        let home = RelHome::CoLocated { table: table.clone() };
+                        self.rel_homes.insert(relationship.clone(), home);
                         // Materialized full outer join: all columns nullable,
                         // prefixed by side; no primary key.
                         let mut cols = Vec::new();
@@ -544,7 +553,7 @@ impl Lowering {
                             columns: rkeys,
                             kind: IndexKind::Hash,
                         });
-                        self.tables.push(TableSpec::Plain {
+                        self.tables.push(TableSpec {
                             schema: TableSchema::new(table.clone(), cols, vec![]),
                             indexes,
                         });
@@ -824,24 +833,19 @@ mod tests {
     fn m6_factorized_members() {
         let s = fixtures::experiment();
         let lw = Lowering::build(&s, &paper::m6(&s, CoFormat::Factorized).unwrap()).unwrap();
-        let spec = lw
-            .tables
-            .iter()
-            .find(|t| matches!(t, TableSpec::Factorized { .. }))
-            .expect("factorized spec");
-        match spec {
-            TableSpec::Factorized { left, right, .. } => {
-                assert!(left.column_index("r_id").is_some());
-                assert!(left.column_index("r2_a").is_some());
-                assert!(right.column_index("s_id").is_some());
-                assert!(right.column_index("s1_a").is_some());
-            }
-            _ => unreachable!(),
-        }
-        assert!(matches!(
-            lw.rel_home("r2_s1").unwrap(),
-            RelHome::CoLocated { format: CoFormat::Factorized, .. }
-        ));
+        let left = lw.table_schema("r2_s1__co__l").unwrap();
+        let right = lw.table_schema("r2_s1__co__r").unwrap();
+        assert!(left.column_index("r_id").is_some());
+        assert!(left.column_index("r2_a").is_some());
+        assert!(right.column_index("s_id").is_some());
+        assert!(right.column_index("s1_a").is_some());
+        let link = lw.table_schema("r2_s1__co").unwrap();
+        assert_eq!(link.columns.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(), LINK_COLS);
+        let delta =
+            |table: &str| EntityHome::Table { table: table.into(), layout: HierarchyLayout::Delta };
+        assert_eq!(lw.entity_home("R2").unwrap(), &delta("r2_s1__co__l"));
+        assert_eq!(lw.entity_home("S1").unwrap(), &delta("r2_s1__co__r"));
+        assert!(matches!(lw.rel_home("r2_s1").unwrap(), RelHome::Linked { .. }));
     }
 
     #[test]

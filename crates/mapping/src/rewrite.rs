@@ -14,8 +14,9 @@
 //!   hierarchies filter (or not) on `_type`; full/disjoint hierarchies union
 //!   subtree tables (the paper's "5-relation union"); folded weak entities
 //!   unnest the owner's array-of-struct column; co-located entities read
-//!   one side of the shared structure (with `DISTINCT` for denormalized
-//!   storage, since pair rows duplicate entity data).
+//!   their own member table like any delta-layout level, or one side of a
+//!   denormalized pair table (with `DISTINCT`, since pair rows duplicate
+//!   entity data).
 //! * **Multi-valued attributes** are resolved lazily, in the layout's
 //!   native shape: a bare reference yields an *array* (side tables are
 //!   aggregated with `array_agg`; inline arrays are read directly), while
@@ -25,16 +26,17 @@
 //!   plan column, so repeated `UNNEST(x)` references agree.
 //! * **`JOIN ... VIA rel`** compiles to whatever the relationship's home
 //!   dictates: FK equality for folded relationships, a join-table hop, a
-//!   pointer-following [`FactorizedSide::Join`] scan for factorized
-//!   co-location, a pair-row scan for denormalized co-location, or an
-//!   owner-key equality for identifying relationships.
+//!   link-table scan that fetches both members by row id (`Fetch`, no join)
+//!   for factorized co-location, a pair-row scan for denormalized
+//!   co-location, or an owner-key equality for identifying relationships.
 //! * **`NEST(...)`** lowers to `array_agg(struct_pack(...))` with grouping
 //!   inferred from the remaining select items, as the paper proposes.
 
 use crate::error::{MappingError, MappingResult};
-use crate::fragment::{CoFormat, HierarchyLayout};
-use crate::lower::{co_col, fk_col, join_col, EntityHome, Lowering, MvHome, RelHome, Side, TYPE_COL};
-use erbium_engine::plan::FactorizedSide;
+use crate::fragment::HierarchyLayout;
+use crate::lower::{
+    co_col, fk_col, join_col, EntityHome, Lowering, MvHome, RelHome, Side, LINK_COLS, TYPE_COL,
+};
 use erbium_engine::{AggCall, AggFunc, BinOp, Expr, Field, JoinKind, Plan, ScalarFunc, SortKey};
 use erbium_model::{EntitySet, Relationship};
 use erbium_query::{
@@ -415,47 +417,29 @@ impl<'a> QueryRewriter<'a> {
                 )?;
                 Ok((plan.project(exprs), cols))
             }
-            EntityHome::CoLocated { table, side, format } => match format {
-                CoFormat::Factorized => {
-                    let plan = Plan::factorized_scan(
-                        self.cat,
-                        table,
-                        match side {
-                            Side::Left => FactorizedSide::Left,
-                            Side::Right => FactorizedSide::Right,
-                        },
-                    )?;
-                    let cols = plan
-                        .fields
-                        .iter()
-                        .map(|f| ScopeCol { binding: binding.to_string(), attr: f.name.clone() })
-                        .collect();
-                    Ok((plan, cols))
-                }
-                CoFormat::Denormalized => {
-                    // Pair rows duplicate entity data: filter to rows where
-                    // this side is present, project the side's columns, and
-                    // deduplicate — the cost the paper predicts for
-                    // single-entity queries on M6.
-                    let plan = Plan::scan(self.cat, table)?;
-                    let key_names: Vec<String> =
-                        self.lw.key_columns(&level.name)?.into_iter().map(|(n, _)| n).collect();
-                    let first_key = plan.require_column(&co_col(*side, &key_names[0]))?;
-                    let plan = plan.filter(Expr::IsNotNull(Box::new(Expr::Col(first_key))));
-                    let mut exprs = Vec::new();
-                    let mut cols = Vec::new();
-                    for (i, f) in plan.fields.iter().enumerate() {
-                        if let Some(stripped) = strip_side_name(&f.name, *side) {
-                            exprs.push((Expr::Col(i), stripped.to_string()));
-                            cols.push(ScopeCol {
-                                binding: binding.to_string(),
-                                attr: stripped.to_string(),
-                            });
-                        }
+            EntityHome::CoLocated { table, side } => {
+                // Pair rows duplicate entity data: filter to rows where
+                // this side is present, project the side's columns, and
+                // deduplicate — the cost the paper predicts for
+                // single-entity queries on M6.
+                let plan = Plan::scan(self.cat, table)?;
+                let key_names: Vec<String> =
+                    self.lw.key_columns(&level.name)?.into_iter().map(|(n, _)| n).collect();
+                let first_key = plan.require_column(&co_col(*side, &key_names[0]))?;
+                let plan = plan.filter(Expr::IsNotNull(Box::new(Expr::Col(first_key))));
+                let mut exprs = Vec::new();
+                let mut cols = Vec::new();
+                for (i, f) in plan.fields.iter().enumerate() {
+                    if let Some(stripped) = strip_side_name(&f.name, *side) {
+                        exprs.push((Expr::Col(i), stripped.to_string()));
+                        cols.push(ScopeCol {
+                            binding: binding.to_string(),
+                            attr: stripped.to_string(),
+                        });
                     }
-                    Ok((plan.project(exprs).distinct(), cols))
                 }
-            },
+                Ok((plan.project(exprs).distinct(), cols))
+            }
             other => Err(MappingError::Unsupported(format!(
                 "level access for home {other:?}"
             ))),
@@ -760,87 +744,100 @@ impl<'a> QueryRewriter<'a> {
                     .collect::<MappingResult<_>>()?;
                 Ok(merge_scopes(scope, combined_scope, kind, lk, rk))
             }
-            RelHome::CoLocated { table, format } => match format {
-                CoFormat::Factorized => {
-                    // Follow physical pointers: enumerate the stored join.
-                    let pair_plan =
-                        Plan::factorized_scan(self.cat, table.as_str(), FactorizedSide::Join)?;
-                    let ft = self.cat.factorized(table.as_str())?;
-                    let left_arity = ft.left().schema().arity();
-                    // Provenance: left member cols belong to the from side.
-                    let mut pair_cols = Vec::new();
-                    for (i, f) in pair_plan.fields.iter().enumerate() {
-                        let side_binding = if i < left_arity {
-                            if bound_is_from { &bound_binding } else { &new_binding }
-                        } else if bound_is_from {
-                            &new_binding
-                        } else {
-                            &bound_binding
-                        };
-                        pair_cols.push(ScopeCol {
-                            binding: side_binding.clone(),
-                            attr: f.name.clone(),
-                        });
-                    }
-                    let pair_scope =
-                        Scope { plan: pair_plan, cols: pair_cols, bindings: right.bindings.clone() };
-                    // Join the existing scope to the pair stream on the
-                    // bound side's key.
-                    let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
-                    let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
-                    let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
-                    // The bound side's columns now appear twice (from the
-                    // original scope and the pair stream); keep provenance
-                    // on the first occurrence by renaming the duplicates.
-                    dedupe_cols(&mut merged);
-                    // The pair stream only carries the co-located level's
-                    // (delta) columns; join the new entity's ancestor
-                    // tables for inherited attributes.
-                    self.join_new_ancestors(merged, &new_binding, new_end_entity)
-                }
-                CoFormat::Denormalized => {
-                    // Pair rows: both sides present.
-                    let plan = Plan::scan(self.cat, table.as_str())?;
-                    let lkey0 = co_col(Side::Left, &self.lw.key_columns(&rel.from.entity)?[0].0);
-                    let rkey0 = co_col(Side::Right, &self.lw.key_columns(&rel.to.entity)?[0].0);
-                    let li = plan.require_column(&lkey0)?;
-                    let ri = plan.require_column(&rkey0)?;
-                    let plan = plan
-                        .filter(Expr::IsNotNull(Box::new(Expr::Col(li))))
-                        .filter(Expr::IsNotNull(Box::new(Expr::Col(ri))));
-                    let mut pair_cols = Vec::new();
-                    let mut exprs = Vec::new();
-                    for (i, f) in plan.fields.iter().enumerate() {
-                        let (attr, side_binding) =
-                            if let Some(s) = strip_side_name(&f.name, Side::Left) {
-                                (
-                                    s.to_string(),
-                                    if bound_is_from { &bound_binding } else { &new_binding },
-                                )
-                            } else if let Some(s) = strip_side_name(&f.name, Side::Right) {
-                                (
-                                    s.to_string(),
-                                    if bound_is_from { &new_binding } else { &bound_binding },
-                                )
-                            } else {
-                                // relationship attribute column
-                                (f.name.clone(), &new_binding)
-                            };
-                        exprs.push((Expr::Col(i), attr.clone()));
-                        pair_cols.push(ScopeCol { binding: side_binding.clone(), attr });
-                    }
-                    let pair_scope = Scope {
-                        plan: plan.project(exprs),
-                        cols: pair_cols,
-                        bindings: right.bindings.clone(),
+            RelHome::Linked { table, left, right: right_table } => {
+                // Follow the stored pointers: scan the link table and fetch
+                // both members by row id — the new end's whole row, and of
+                // the bound end only the key the scope joins on (its other
+                // columns are already in the scope).
+                let link = Plan::scan(self.cat, table.as_str())?;
+                let [l, r] = LINK_COLS.map(|c| link.require_column(c));
+                let member_cols = |member: &str, whole: bool| -> MappingResult<Vec<usize>> {
+                    let schema = self.cat.table(member)?.schema();
+                    Ok(if whole { (0..schema.arity()).collect() } else { schema.primary_key.clone() })
+                };
+                let left_cols = member_cols(&left, !bound_is_from)?;
+                let right_cols = member_cols(&right_table, bound_is_from)?;
+                let left_end = LINK_COLS.len() + left_cols.len();
+                let pair_plan = link
+                    .fetch(self.cat, &left, l?, left_cols)?
+                    .fetch(self.cat, &right_table, r?, right_cols)?;
+                // Provenance: the row ids belong to the relationship, left
+                // member cols to the from side, right ones to the to side.
+                let rel_binding = format!("@rel:{rel_name}");
+                let mut pair_cols = Vec::new();
+                for (i, f) in pair_plan.fields.iter().enumerate() {
+                    let side_binding = if i < LINK_COLS.len() {
+                        &rel_binding
+                    } else if i < left_end {
+                        if bound_is_from { &bound_binding } else { &new_binding }
+                    } else if bound_is_from {
+                        &new_binding
+                    } else {
+                        &bound_binding
                     };
-                    let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
-                    let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
-                    let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
-                    dedupe_cols(&mut merged);
-                    self.join_new_ancestors(merged, &new_binding, new_end_entity)
+                    pair_cols.push(ScopeCol {
+                        binding: side_binding.clone(),
+                        attr: f.name.clone(),
+                    });
                 }
-            },
+                let pair_scope =
+                    Scope { plan: pair_plan, cols: pair_cols, bindings: right.bindings.clone() };
+                // Join the existing scope to the pair stream on the
+                // bound side's key.
+                let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
+                let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
+                let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
+                // The bound side's columns now appear twice (from the
+                // original scope and the pair stream); keep provenance
+                // on the first occurrence by renaming the duplicates.
+                dedupe_cols(&mut merged);
+                // The pair stream only carries the co-located level's
+                // (delta) columns; join the new entity's ancestor
+                // tables for inherited attributes.
+                self.join_new_ancestors(merged, &new_binding, new_end_entity)
+            }
+            RelHome::CoLocated { table } => {
+                // Pair rows: both sides present.
+                let plan = Plan::scan(self.cat, table.as_str())?;
+                let lkey0 = co_col(Side::Left, &self.lw.key_columns(&rel.from.entity)?[0].0);
+                let rkey0 = co_col(Side::Right, &self.lw.key_columns(&rel.to.entity)?[0].0);
+                let li = plan.require_column(&lkey0)?;
+                let ri = plan.require_column(&rkey0)?;
+                let plan = plan
+                    .filter(Expr::IsNotNull(Box::new(Expr::Col(li))))
+                    .filter(Expr::IsNotNull(Box::new(Expr::Col(ri))));
+                let mut pair_cols = Vec::new();
+                let mut exprs = Vec::new();
+                for (i, f) in plan.fields.iter().enumerate() {
+                    let (attr, side_binding) =
+                        if let Some(s) = strip_side_name(&f.name, Side::Left) {
+                            (
+                                s.to_string(),
+                                if bound_is_from { &bound_binding } else { &new_binding },
+                            )
+                        } else if let Some(s) = strip_side_name(&f.name, Side::Right) {
+                            (
+                                s.to_string(),
+                                if bound_is_from { &new_binding } else { &bound_binding },
+                            )
+                        } else {
+                            // relationship attribute column
+                            (f.name.clone(), &new_binding)
+                        };
+                    exprs.push((Expr::Col(i), attr.clone()));
+                    pair_cols.push(ScopeCol { binding: side_binding.clone(), attr });
+                }
+                let pair_scope = Scope {
+                    plan: plan.project(exprs),
+                    cols: pair_cols,
+                    bindings: right.bindings.clone(),
+                };
+                let lk = key_exprs(&scope, &bound_binding, &bound_keys)?;
+                let rk = key_exprs(&pair_scope, &bound_binding, &bound_keys)?;
+                let mut merged = merge_scopes(scope, pair_scope, kind, lk, rk);
+                dedupe_cols(&mut merged);
+                self.join_new_ancestors(merged, &new_binding, new_end_entity)
+            }
             RelHome::ImplicitWeak { weak } => {
                 // The weak side's plan exposes the owner key attributes.
                 let owner = self

@@ -1,16 +1,23 @@
 //! Plan-shape tests: the rewriter must compile the same ERQL into the
 //! physical shapes the paper reasons about — a 3-way join under the
 //! normalized mapping, a `_type` filter under the merged mapping, a
-//! 2-relation union under disjoint tables, a pointer-following factorized
-//! scan under M6, and the direct side-table scan for unnest on M1.
+//! 2-relation union under disjoint tables, a link-table scan that fetches
+//! both members by row id under M6f, and the direct side-table scan for
+//! unnest on M1.
 
-use erbium_engine::{Plan, PlanKind};
+use erbium_engine::{execute_streaming, ExecContext, Plan, PlanKind};
 use erbium_mapping::presets::paper;
 use erbium_mapping::{CoFormat, Lowering, QueryRewriter};
 use erbium_model::fixtures;
 use erbium_storage::Catalog;
 
 fn plan_for(mapping_name: &str, sql: &str) -> Plan {
+    planned(mapping_name, sql).0
+}
+
+/// The optimized plan of `sql` under a mapping, with the (empty) catalog
+/// the mapping was installed into.
+fn planned(mapping_name: &str, sql: &str) -> (Plan, Catalog) {
     let schema = fixtures::experiment();
     let mapping = match mapping_name {
         "M1" => paper::m1(&schema),
@@ -26,7 +33,8 @@ fn plan_for(mapping_name: &str, sql: &str) -> Plan {
     lw.install(&mut cat).unwrap();
     let stmt = erbium_query::parse_single(sql).unwrap();
     let erbium_query::Statement::Select(sel) = stmt else { panic!("expected select") };
-    QueryRewriter::new(&lw, &cat).rewrite_optimized(&sel).unwrap()
+    let plan = QueryRewriter::new(&lw, &cat).rewrite_optimized(&sel).unwrap();
+    (plan, cat)
 }
 
 fn count_nodes(plan: &Plan, pred: &dyn Fn(&PlanKind) -> bool) -> usize {
@@ -34,6 +42,7 @@ fn count_nodes(plan: &Plan, pred: &dyn Fn(&PlanKind) -> bool) -> usize {
     match &plan.kind {
         PlanKind::Filter { input, .. }
         | PlanKind::Project { input, .. }
+        | PlanKind::Fetch { input, .. }
         | PlanKind::Aggregate { input, .. }
         | PlanKind::Unnest { input, .. }
         | PlanKind::Sort { input, .. }
@@ -120,17 +129,59 @@ fn point_lookup_uses_index_under_m2_not_m1() {
     assert!(m1.explain().contains("Scan R__r_mv1"), "{}", m1.explain());
 }
 
+/// The first node of `plan` (pre-order) satisfying `pred`.
+fn find<'p>(plan: &'p Plan, pred: &dyn Fn(&PlanKind) -> bool) -> Option<&'p Plan> {
+    if pred(&plan.kind) {
+        return Some(plan);
+    }
+    match &plan.kind {
+        PlanKind::Filter { input, .. }
+        | PlanKind::Project { input, .. }
+        | PlanKind::Fetch { input, .. }
+        | PlanKind::Aggregate { input, .. }
+        | PlanKind::Unnest { input, .. }
+        | PlanKind::Sort { input, .. }
+        | PlanKind::Limit { input, .. }
+        | PlanKind::Distinct { input } => find(input, pred),
+        PlanKind::Join { left, right, .. } => find(left, pred).or_else(|| find(right, pred)),
+        PlanKind::Union { inputs } => inputs.iter().find_map(|i| find(i, pred)),
+        _ => None,
+    }
+}
+
 #[test]
 fn via_join_follows_pointers_under_m6f() {
     let plan = plan_for("M6f", "SELECT r.r_id, w.s1_a FROM R2 r JOIN S1 w VIA r2_s1");
-    assert!(
-        count_nodes(&plan, &|k| matches!(
-            k,
-            PlanKind::FactorizedScan { side: erbium_engine::plan::FactorizedSide::Join, .. }
-        )) == 1,
-        "{}",
-        plan.explain()
-    );
+    let text = plan.explain();
+    let fetch = |k: &PlanKind| matches!(k, PlanKind::Fetch { .. });
+    assert_eq!(count_nodes(&plan, &fetch), 2, "{text}");
+    // Scan link → Fetch left member → Fetch right member: the members are
+    // reached by row id, with no hash join between them and the link table.
+    let pairs = find(&plan, &fetch).expect("a fetch");
+    let top = matches!(&pairs.kind, PlanKind::Fetch { table, .. } if table == "r2_s1__co__r");
+    assert!(top, "{text}");
+    assert_eq!(count_nodes(pairs, &|k| matches!(k, PlanKind::Join { .. })), 0, "{text}");
+    // Of the bound end (R2) only the key the scope joins on is fetched.
+    let chain = "Fetch r2_s1__co__l rid=#0 [cols=r_id]\n    Scan r2_s1__co\n";
+    assert!(pairs.explain().contains(chain), "{text}");
+    assert!(!text.contains("Scan r2_s1__co__r"), "the right member is only fetched: {text}");
+}
+
+#[test]
+fn co_located_entity_is_a_plain_columnar_scan_under_m6f() {
+    // E9b: a single-entity query on a factorized member reads it like any
+    // delta-layout table — M1's plan over the member instead of `R2`, its
+    // scan columnar (the member's three columns are all E9b reads, so
+    // there is nothing to prune, as under M1).
+    const E9B: &str = "SELECT r.r_id, r.r2_a, r.r2_b FROM R2 r";
+    let (plan, cat) = planned("M6f", E9B);
+    let text = plan.explain();
+    assert_eq!(text.replace("Scan r2_s1__co__l", "Scan R2"), plan_for("M1", E9B).explain());
+    let mut stream = execute_streaming(&plan, &cat, &ExecContext::default()).unwrap();
+    stream.drain().unwrap();
+    let metrics = stream.metrics().render();
+    let scan = metrics.lines().find(|l| l.contains("Scan r2_s1__co__l")).expect("member scan");
+    assert!(scan.contains("[columnar]"), "{metrics}");
 }
 
 #[test]

@@ -34,7 +34,7 @@
 //! path accepts nests deeper than [`MAX_DEPTH`]. A stored value conforms to
 //! its column's [`DataType`] (`DataType::check` at every table write) and
 //! can therefore nest no deeper than the type does ([`DataType::depth`]);
-//! `Catalog::create_table` / `create_factorized` reject a schema whose
+//! `Catalog::create_table` rejects a schema whose
 //! column types nest deeper than `MAX_DEPTH`. Every row in a WAL record,
 //! checkpoint or spilled page belongs to such a table. On the wire the cap
 //! applies to the peer's input, where rejecting is the point.

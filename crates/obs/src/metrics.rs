@@ -385,17 +385,17 @@ mod tests {
         assert!(text.contains("# TYPE z_last counter"));
     }
 
-    /// The ingest / incremental-checkpoint / CSR / table-scan counters
-    /// registered by the storage and core crates: same-name registration
-    /// hands back the same instance (so increments from different call
-    /// sites aggregate), and all four render as proper counter families.
+    /// The ingest / incremental-checkpoint / table-scan counters registered
+    /// by the storage and core crates: same-name registration hands back
+    /// the same instance (so increments from different call sites
+    /// aggregate), and all four render as proper counter families.
     #[test]
-    fn ingest_checkpoint_and_csr_counters_register_once_and_render() {
+    fn ingest_checkpoint_and_scan_counters_register_once_and_render() {
         let r = Registry::default();
         let names = [
             "erbium_ingest_rows_total",
             "erbium_checkpoint_delta_tables",
-            "erbium_csr_rebuilds_total",
+            "erbium_checkpoint_delta_pages_total",
             "erbium_storage_table_scans_total",
         ];
         for name in names {

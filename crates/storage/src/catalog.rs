@@ -10,7 +10,6 @@
 use crate::buffer_pool::BufferPool;
 use crate::cow::cow_mut;
 use crate::error::{StorageError, StorageResult};
-use crate::factorized::FactorizedTable;
 use crate::stats::{CatalogStats, TableStats};
 use crate::table::Table;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -21,16 +20,15 @@ use std::sync::Arc;
 /// Tables live behind `Arc`s so that cloning a `Catalog` is shallow — a
 /// handful of pointer bumps, independent of data size. That clone *is* the
 /// snapshot mechanism for concurrent reads: a published read view holds a
-/// cloned `Catalog`, and every mutation goes through [`Catalog::table_mut`]
-/// / [`Catalog::factorized_mut`], which copy-on-write (`Arc::make_mut`) the
-/// table iff a snapshot still shares it. Readers therefore keep a fully
-/// consistent, immutable view (rows, columns, indexes, stats) with no locks
-/// held while the writer keeps mutating. A table copy is itself shallow in
-/// its pages, index shards and dictionary chunks, which the write then
-/// detaches one by one. The metadata area and the statistics registry are
-/// shared the same way and copied only by the rare writes to them
-/// (install, ANALYZE, evolve, remap, and the first write that marks a
-/// table's statistics stale).
+/// cloned `Catalog`, and every mutation goes through [`Catalog::table_mut`],
+/// which copy-on-writes (`Arc::make_mut`) the table iff a snapshot still
+/// shares it. Readers therefore keep a fully consistent, immutable view
+/// (rows, columns, indexes, stats) with no locks held while the writer
+/// keeps mutating. A table copy is itself shallow in its pages, index
+/// shards and dictionary chunks, which the write then detaches one by one.
+/// The metadata area and the statistics registry are shared the same way
+/// and copied only by the rare writes to them (install, ANALYZE, evolve,
+/// remap, and the first write that marks a table's statistics stale).
 #[derive(Debug, Clone)]
 pub struct Catalog {
     /// The buffer pool every table installed in this catalog is bound to.
@@ -38,23 +36,19 @@ pub struct Catalog {
     /// layer thread a budgeted pool through instead.
     pool: Arc<BufferPool>,
     tables: FxHashMap<String, Arc<Table>>,
-    factorized: FxHashMap<String, Arc<FactorizedTable>>,
     meta: Arc<FxHashMap<String, serde_json::Value>>,
-    /// ANALYZE-gathered statistics, keyed by table name (factorized
-    /// structures contribute `name`, `name#left`, `name#right`).
+    /// ANALYZE-gathered statistics, keyed by table name.
     stats: Arc<CatalogStats>,
     /// Commit epoch: advanced once per transaction by the database layer
     /// ([`Catalog::advance_epoch`]); a pinned snapshot records the epoch it
     /// was taken at. Process-local: recovery restarts at 0.
     epoch: u64,
-    /// Plain tables mutated since the last checkpoint (names inserted by
+    /// Tables mutated since the last checkpoint (names inserted by
     /// [`Catalog::table_mut`], cleared by [`Catalog::mark_checkpointed`]).
     /// Incremental checkpoints serialize exactly this set into a delta.
     dirty_tables: FxHashSet<String>,
-    /// Factorized structures mutated since the last checkpoint.
-    dirty_facts: FxHashSet<String>,
     /// True when the *shape* of the catalog changed since the last
-    /// checkpoint (table/structure created or dropped). A structural change
+    /// checkpoint (table created or dropped). A structural change
     /// forces the next checkpoint to be a full snapshot: deltas only carry
     /// changed content, not existence.
     structural_dirty: bool,
@@ -76,12 +70,10 @@ impl Catalog {
         Catalog {
             pool,
             tables: FxHashMap::default(),
-            factorized: FxHashMap::default(),
             meta: Arc::default(),
             stats: Arc::default(),
             epoch: 0,
             dirty_tables: FxHashSet::default(),
-            dirty_facts: FxHashSet::default(),
             structural_dirty: false,
         }
     }
@@ -113,14 +105,6 @@ impl Catalog {
                     evicted += t.reclaim_pages(force).unwrap_or(0);
                 }
             }
-            for ft in self.factorized.values_mut() {
-                if !self.pool.over_budget() {
-                    return evicted;
-                }
-                if let Some(ft) = Arc::get_mut(ft) {
-                    evicted += ft.reclaim_pages(force).unwrap_or(0);
-                }
-            }
         }
         evicted
     }
@@ -137,11 +121,11 @@ impl Catalog {
         self.epoch
     }
 
-    /// Register a new table. Fails if the name is taken (by either a plain
-    /// or a factorized table) or a column type nests too deep to decode.
+    /// Register a new table. Fails if the name is taken or a column type
+    /// nests too deep to decode.
     pub fn create_table(&mut self, mut table: Table) -> StorageResult<()> {
         let name = table.name().to_string();
-        if self.tables.contains_key(&name) || self.factorized.contains_key(&name) {
+        if self.tables.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }
         check_nesting(table.schema())?;
@@ -193,85 +177,16 @@ impl Catalog {
         self.tables.contains_key(name)
     }
 
-    /// Names of all plain tables, sorted (stable for tests and display).
+    /// Names of all tables, sorted (stable for tests and display).
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.keys().cloned().collect();
         names.sort();
         names
     }
 
-    /// Register a factorized (multi-relation) structure.
-    pub fn create_factorized(&mut self, name: impl Into<String>, mut ft: FactorizedTable) -> StorageResult<()> {
-        let name = name.into();
-        if self.tables.contains_key(&name) || self.factorized.contains_key(&name) {
-            return Err(StorageError::TableExists(name));
-        }
-        check_nesting(ft.left().schema())?;
-        check_nesting(ft.right().schema())?;
-        ft.bind_pool(&self.pool);
-        self.structural_dirty = true;
-        self.factorized.insert(name, Arc::new(ft));
-        Ok(())
-    }
-
-    pub fn drop_factorized(&mut self, name: &str) -> StorageResult<FactorizedTable> {
-        let ft = self
-            .factorized
-            .remove(name)
-            .ok_or_else(|| StorageError::TableNotFound(name.to_string()))?;
-        for key in [name.to_string(), format!("{name}#left"), format!("{name}#right")] {
-            self.remove_stats(&key);
-        }
-        self.dirty_facts.remove(name);
-        self.structural_dirty = true;
-        Ok(Arc::try_unwrap(ft).unwrap_or_else(|shared| (*shared).clone()))
-    }
-
-    pub fn factorized(&self, name: &str) -> StorageResult<&FactorizedTable> {
-        self.factorized
-            .get(name)
-            .map(|ft| ft.as_ref())
-            .ok_or_else(|| StorageError::TableNotFound(name.to_string()))
-    }
-
-    /// Mutable access to a factorized structure; marks all three of its
-    /// statistics entries stale and copy-on-writes the structure if a
-    /// snapshot still shares it (see [`Catalog::table_mut`]).
-    pub fn factorized_mut(&mut self, name: &str) -> StorageResult<&mut FactorizedTable> {
-        if !self.factorized.contains_key(name) {
-            return Err(StorageError::TableNotFound(name.to_string()));
-        }
-        for key in [name.to_string(), format!("{name}#left"), format!("{name}#right")] {
-            self.mark_stats_stale(&key);
-        }
-        if !self.dirty_facts.contains(name) {
-            self.dirty_facts.insert(name.to_string());
-        }
-        let ft = cow_mut(self.factorized.get_mut(name).expect("checked above"));
-        ft.bump_content_epoch();
-        Ok(ft)
-    }
-
-    pub fn has_factorized(&self, name: &str) -> bool {
-        self.factorized.contains_key(name)
-    }
-
-    pub fn factorized_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.factorized.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Plain tables mutated since the last checkpoint, sorted.
+    /// Tables mutated since the last checkpoint, sorted.
     pub fn dirty_table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.dirty_tables.iter().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Factorized structures mutated since the last checkpoint, sorted.
-    pub fn dirty_factorized_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.dirty_facts.iter().cloned().collect();
         names.sort();
         names
     }
@@ -281,14 +196,13 @@ impl Catalog {
         self.structural_dirty
     }
 
-    /// Reset all dirty tracking, down to the per-page marks of every plain
+    /// Reset all dirty tracking, down to the per-page marks of every
     /// table. Called by the checkpointer once the current state is safely
     /// on disk (full snapshot or delta), and by recovery once the catalog
     /// equals the checkpoint chain. Clearing page marks needs no write
     /// access, so a table still shared with a snapshot is not copied.
     pub(crate) fn mark_checkpointed(&mut self) {
         self.dirty_tables.clear();
-        self.dirty_facts.clear();
         self.structural_dirty = false;
         for t in self.tables.values() {
             t.mark_pages_saved();
@@ -342,29 +256,18 @@ impl Catalog {
         self.meta.iter()
     }
 
-    /// Iterate all plain tables (checkpoint support).
+    /// Iterate all tables (checkpoint support).
     pub(crate) fn tables_iter(&self) -> impl Iterator<Item = (&String, &Table)> {
         self.tables.iter().map(|(n, t)| (n, t.as_ref()))
     }
 
-    /// Iterate all factorized structures (checkpoint support).
-    pub(crate) fn factorized_iter(&self) -> impl Iterator<Item = (&String, &FactorizedTable)> {
-        self.factorized.iter().map(|(n, ft)| (n, ft.as_ref()))
-    }
-
-    /// Mutable sweep over all plain tables without stats bookkeeping
+    /// Mutable sweep over all tables without stats bookkeeping
     /// (WAL-redo epilogue: free-list rebuild).
     pub(crate) fn tables_iter_mut(&mut self) -> impl Iterator<Item = &mut Table> {
         self.tables.values_mut().map(cow_mut)
     }
 
-    /// Mutable sweep over all factorized structures without stats
-    /// bookkeeping (WAL-redo epilogue: free-list rebuild).
-    pub(crate) fn factorized_iter_mut(&mut self) -> impl Iterator<Item = &mut FactorizedTable> {
-        self.factorized.values_mut().map(cow_mut)
-    }
-
-    /// Total live rows across all plain tables.
+    /// Total live rows across all tables.
     pub fn total_rows(&self) -> usize {
         self.tables.values().map(|t| t.len()).sum()
     }
@@ -375,8 +278,7 @@ impl Catalog {
         &self.stats
     }
 
-    /// Gathered statistics for one table (or factorized-stats key such as
-    /// `name#left`), stale or not.
+    /// Gathered statistics for one table, stale or not.
     pub fn table_stats(&self, name: &str) -> Option<&TableStats> {
         self.stats.get(name)
     }
@@ -406,13 +308,12 @@ impl Catalog {
     /// Replace the whole statistics registry. Recovery uses this to restore
     /// the registry persisted in a checkpoint snapshot *before* redoing the
     /// WAL suffix, so mutations in the suffix re-derive staleness through
-    /// the ordinary [`Catalog::table_mut`] / [`Catalog::factorized_mut`]
-    /// paths.
+    /// ordinary [`Catalog::table_mut`] path.
     pub(crate) fn set_stats(&mut self, stats: CatalogStats) {
         self.stats = Arc::new(stats);
     }
 
-    /// Recompute statistics for just the named plain tables. The bulk-ingest
+    /// Recompute statistics for just the named tables. The bulk-ingest
     /// path calls this once per batch to refresh what it touched instead of
     /// re-scanning the whole catalog. Tables without an existing stats entry
     /// are skipped: the no-stats-until-ANALYZE contract stays intact (a bulk
@@ -433,33 +334,15 @@ impl Catalog {
         written
     }
 
-    /// ANALYZE: gather fresh statistics for every plain table and every
-    /// factorized structure in one pass each. Factorized structures yield
-    /// three entries — the stored join under the structure's own name and
-    /// the member sides under `name#left` / `name#right`. Returns the number
-    /// of statistics entries written.
+    /// ANALYZE: gather fresh statistics for every table in one pass each.
+    /// Returns the number of statistics entries written.
     pub fn analyze(&mut self) -> usize {
-        let mut written = 0;
         let table_stats: Vec<(String, TableStats)> =
             self.tables.iter().map(|(n, t)| (n.clone(), t.compute_stats())).collect();
+        let written = table_stats.len();
         let registry = Arc::make_mut(&mut self.stats);
         for (name, stats) in table_stats {
             registry.put(name, stats);
-            written += 1;
-        }
-        let fact_stats: Vec<(String, TableStats, TableStats, TableStats)> = self
-            .factorized
-            .iter()
-            .map(|(n, ft)| {
-                let (left, right, join) = ft.compute_stats();
-                (n.clone(), left, right, join)
-            })
-            .collect();
-        for (name, left, right, join) in fact_stats {
-            registry.put(format!("{name}#left"), left);
-            registry.put(format!("{name}#right"), right);
-            registry.put(name, join);
-            written += 3;
         }
         written
     }
@@ -566,44 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_factorized_writes_three_entries() {
-        use crate::value::{DataType, Value};
-        let left = TableSchema::new(
-            "l",
-            vec![Column::not_null("lid", DataType::Int)],
-            vec![0],
-        );
-        let right = TableSchema::new(
-            "r",
-            vec![Column::not_null("rid", DataType::Int)],
-            vec![0],
-        );
-        let mut ft = FactorizedTable::new("f", left, right);
-        let l0 = ft.insert_left(vec![Value::Int(1)]).unwrap();
-        let r0 = ft.insert_right(vec![Value::Int(10)]).unwrap();
-        let r1 = ft.insert_right(vec![Value::Int(20)]).unwrap();
-        ft.link(l0, r0).unwrap();
-        ft.link(l0, r1).unwrap();
-
-        let mut c = Catalog::new();
-        c.create_factorized("f", ft).unwrap();
-        assert_eq!(c.analyze(), 3);
-        assert_eq!(c.table_stats("f#left").unwrap().row_count, 1);
-        assert_eq!(c.table_stats("f#right").unwrap().row_count, 2);
-        assert_eq!(c.table_stats("f").unwrap().row_count, 2, "join stats count pairs");
-        assert_eq!(c.table_stats("f").unwrap().columns.len(), 2, "join stats span both sides");
-
-        c.factorized_mut("f").unwrap();
-        assert!(c.stats().is_stale("f"));
-        assert!(c.stats().is_stale("f#left"));
-        assert!(c.stats().is_stale("f#right"));
-
-        c.drop_factorized("f").unwrap();
-        assert!(c.table_stats("f").is_none());
-        assert!(c.table_stats("f#left").is_none());
-    }
-
-    #[test]
     fn cloned_catalog_is_a_snapshot_under_cow() {
         use crate::value::Value;
         let mut c = Catalog::new();
@@ -650,15 +495,6 @@ mod tests {
         assert!(c.dirty_table_names().is_empty());
         c.drop_table("b").unwrap();
         assert!(c.structural_dirty(), "drop is structural");
-
-        // Factorized structures are tracked in their own set.
-        let left = TableSchema::new("l", vec![Column::not_null("lid", DataType::Int)], vec![0]);
-        let right = TableSchema::new("r", vec![Column::not_null("rid", DataType::Int)], vec![0]);
-        c.create_factorized("f", FactorizedTable::new("f", left, right)).unwrap();
-        c.mark_checkpointed();
-        c.factorized_mut("f").unwrap().insert_left(vec![Value::Int(1)]).unwrap();
-        assert_eq!(c.dirty_factorized_names(), vec!["f".to_string()]);
-        assert!(c.dirty_table_names().is_empty());
     }
 
     #[test]

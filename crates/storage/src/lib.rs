@@ -16,9 +16,6 @@
 //! * undo-log [`txn`] transactions so that a single logical E/R update that
 //!   touches several physical tables commits or rolls back atomically — the
 //!   paper calls this out as one of the two key OLTP challenges;
-//! * [`factorized`] multi-relation storage (the paper's third physical
-//!   representation target): the join of two relations stored compactly with
-//!   physical pointers and aggregate pushdown;
 //! * per-table [`stats`] used by the query optimizer and the mapping advisor.
 
 pub mod buffer_pool;
@@ -26,7 +23,6 @@ pub mod catalog;
 pub mod column;
 mod cow;
 pub mod error;
-pub mod factorized;
 pub mod group_commit;
 pub mod index;
 pub mod pages;
@@ -52,7 +48,6 @@ pub use catalog::Catalog;
 pub use column::{Bitmap, ColumnSlice, Columns, StringDict};
 pub use pages::SlotPin;
 pub use error::{StorageError, StorageResult};
-pub use factorized::{Csr, FactorizedTable};
 pub use group_commit::GroupCommitter;
 pub use index::{BTreeIndex, HashIndex, IndexKind};
 pub use row::{Row, RowId};
@@ -64,4 +59,4 @@ pub use stats::{CatalogStats, ColumnStats, TableStats};
 pub use table::Table;
 pub use txn::{Transaction, UndoEntry};
 pub use value::{DataType, Value};
-pub use wal::{FactSide, SyncPolicy, Wal, WalRecord};
+pub use wal::{SyncPolicy, Wal, WalRecord};

@@ -20,12 +20,12 @@
 //!   under `&self`, cleared only under `&mut self` at the pool's reclaim
 //!   choke points — so a borrowed row can never be deallocated while the
 //!   borrow lives, without any lock on the read path.
-//! * **Pinned reads** ([`SlotPin`], used by the executor's morsel leaves
-//!   and factorized join enumeration) clone the page `Arc`s for a slot
-//!   range up front. When the pool is over budget the decoded page is
-//!   *not* installed as resident — the pin is the only owner and the
-//!   memory returns as soon as the morsel drops it. This is what makes the
-//!   scan working set hard-bounded under a small frame budget.
+//! * **Pinned reads** ([`SlotPin`], used by the executor's morsel leaves)
+//!   clone the page `Arc`s for a slot range up front. When the pool is
+//!   over budget the decoded page is *not* installed as resident — the
+//!   pin is the only owner and the memory returns as soon as the morsel
+//!   drops it. This is what makes the scan working set hard-bounded under
+//!   a small frame budget.
 //!
 //! Writers fault the page in, then mutate through `Arc::make_mut`: in
 //! place when unshared, copy-on-write when a snapshot or pin still holds

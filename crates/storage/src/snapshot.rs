@@ -1,10 +1,9 @@
 //! Checkpoint snapshots and crash recovery.
 //!
 //! A snapshot is a full, self-contained image of one [`Catalog`]: every
-//! plain table (schema, secondary-index specs, and the raw slot vector —
+//! table (schema, secondary-index specs, and the raw slot vector —
 //! tombstones included, because [`crate::row::RowId`]s in the WAL suffix
-//! and in factorized pointer lists are slot positions), every factorized
-//! structure (both members plus the link pairs), and the metadata area
+//! and in row-id link tables are slot positions), and the metadata area
 //! (which is where the upper layers keep the E/R schema, the installed
 //! mapping, and the version log — so those ride along for free). Gathered
 //! statistics ride along too: an optional trailing section carries the
@@ -43,7 +42,7 @@
 //!     [header: schema JSON, index specs] [slot_count u32]
 //!     [pages u32] per row page written since the previous checkpoint:
 //!         [first slot u32] [slots u32] [slot]*      (the base's slot encoding)
-//! [factorized u32] per dirty factorized structure: the whole structure
+//! [factorized u32]                                (always 0, see below)
 //! [metadata map] [stats flag u8] [stats JSON, if the flag is 1]
 //! ```
 //!
@@ -54,8 +53,7 @@
 //! slot range it covers, so reading a delta does not depend on the page
 //! size the writer chose (a tuning heuristic, free to change between
 //! releases): a chain written under one page size and extended under
-//! another still recovers slot for slot. Factorized structures have
-//! no page deltas and are written whole. The older table-granular
+//! another still recovers slot for slot. The older table-granular
 //! `ERBSNAP2` delta (the same layout with each dirty table's slots in full
 //! after its header, and no page list) is still read, as a delta in which
 //! every table carries all of its pages; only `ERBSNAP3` is written.
@@ -63,8 +61,7 @@
 //! Compaction back to a full snapshot happens when the chain grows past
 //! [`MAX_DELTA_CHAIN`], when the catalog's shape changed (DDL), or when
 //! more than half the catalog is dirty anyway: more than half of its
-//! tables and factorized structures, and more than half of its row pages
-//! (a factorized structure counts as one page). A cycle that touches most
+//! tables and more than half of its row pages. A cycle that touches most
 //! tables but few pages of each (M1 spreads one logical write over six
 //! tables) therefore stays a delta. A full snapshot
 //! deletes the delta files *after* the base rename; a crash in between
@@ -93,17 +90,25 @@
 //! the checkpoint rename and the WAL truncation safe. The combination is
 //! exactly the committed prefix of history: rolled-back transactions never
 //! reached the log, and a torn tail loses only the in-flight group.
+//!
+//! ## The retired factorized section
+//!
+//! Both the base and the delta keep the count field of the factorized
+//! structures an older storage kind wrote there, always as 0, so every
+//! catalog without such a structure has the bytes it always had. A
+//! non-zero count is a directory written by an older version: reading it
+//! fails with an error naming the structure. Old directories are refused,
+//! not converted.
 
 use crate::buffer_pool::BufferPool;
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
-use crate::factorized::FactorizedTable;
 use crate::index::IndexKind;
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::CatalogStats;
 use crate::table::Table;
-use crate::wal::{scan_wal, FactSide, WalRecord};
+use crate::wal::{scan_wal, WalRecord};
 use erbium_model::codec::{
     crc32_update, frame_header, get_row, put_row, put_str, put_u32, put_u64, CodecError, Cursor,
 };
@@ -243,19 +248,6 @@ fn put_table_pages(buf: &mut Vec<u8>, t: &Table) -> usize {
     pages
 }
 
-/// One factorized structure: name, both member tables, the link pairs.
-fn put_fact(buf: &mut Vec<u8>, name: &str, ft: &FactorizedTable) {
-    put_str(buf, name);
-    put_table(buf, ft.left());
-    put_table(buf, ft.right());
-    let pairs = ft.link_pairs();
-    put_u32(buf, pairs.len() as u32);
-    for (l, r) in pairs {
-        put_u64(buf, l.0);
-        put_u64(buf, r.0);
-    }
-}
-
 /// The metadata area (E/R schema, mapping, version log all live here),
 /// sorted for deterministic bytes. Deltas carry it wholesale too: it is
 /// tiny relative to table data and per-key dirty tracking is not worth the
@@ -280,7 +272,7 @@ fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
     put_u64(&mut buf, next_txn);
 
-    // Plain tables, sorted for deterministic bytes.
+    // Tables, sorted for deterministic bytes.
     let mut tables: Vec<(&String, &Table)> = cat.tables_iter().collect();
     tables.sort_by_key(|(n, _)| n.as_str());
     put_u32(&mut buf, tables.len() as u32);
@@ -288,13 +280,7 @@ fn encode_body(cat: &Catalog, next_txn: u64) -> Vec<u8> {
         put_table(&mut buf, t);
     }
 
-    let mut facts: Vec<(&String, &FactorizedTable)> = cat.factorized_iter().collect();
-    facts.sort_by_key(|(n, _)| n.as_str());
-    put_u32(&mut buf, facts.len() as u32);
-    for (name, ft) in facts {
-        put_fact(&mut buf, name, ft);
-    }
-
+    put_u32(&mut buf, 0); // the retired factorized section (module docs)
     put_meta(&mut buf, cat);
 
     // Optional trailing section: the statistics registry. Only emitted when
@@ -345,7 +331,7 @@ fn get_slot(c: &mut Cursor<'_>) -> StorageResult<Option<Row>> {
     }
 }
 
-/// What the delta chain says about one plain table: its newest header and
+/// What the delta chain says about one table: its newest header and
 /// slot count, and the newest copy of every slot some delta carried, as
 /// disjoint slot ranges keyed by their first slot. That is all recovery
 /// needs: a slot written since the base is in the page the next delta
@@ -393,8 +379,6 @@ impl TablePatch {
 #[derive(Default)]
 struct ChainPatch {
     tables: FxHashMap<String, TablePatch>,
-    /// Factorized structures stay whole: the newest version of each.
-    facts: FxHashMap<String, FactorizedTable>,
     /// The newest delta's metadata area and statistics registry.
     meta_stats: Option<(FxHashMap<String, serde_json::Value>, CatalogStats)>,
     next_txn: u64,
@@ -484,21 +468,17 @@ fn get_table(
     build_table(patch, n, || get_slot(c), pool)
 }
 
-fn get_fact(
-    c: &mut Cursor<'_>,
-    pool: &Arc<BufferPool>,
-) -> StorageResult<(String, FactorizedTable)> {
-    let name = c.string()?;
-    let left = get_table(c, pool, &mut FxHashMap::default())?;
-    let right = get_table(c, pool, &mut FxHashMap::default())?;
-    let n_pairs = c.count(16)?;
-    let mut links = Vec::with_capacity(n_pairs);
-    for _ in 0..n_pairs {
-        links.push((RowId(c.u64()?), RowId(c.u64()?)));
+/// The retired factorized section: a count of 0, or a refusal naming the
+/// first structure an older version wrote (module docs).
+fn no_factorized(c: &mut Cursor<'_>) -> StorageResult<()> {
+    if c.u32()? == 0 {
+        return Ok(());
     }
-    let ft = FactorizedTable::from_parts(&name, left, right, links)
-        .map_err(|e| corrupt(format!("snapshot: factorized rebuild failed: {e}")))?;
-    Ok((name, ft))
+    let name = c.string()?;
+    Err(corrupt(format!(
+        "snapshot holds factorized structure '{name}', a storage kind this version no longer \
+         reads; co-located pairs are now plain member tables plus a row-id link table"
+    )))
 }
 
 fn get_meta(c: &mut Cursor<'_>) -> StorageResult<FxHashMap<String, serde_json::Value>> {
@@ -531,17 +511,10 @@ fn decode_body(
         let t = get_table(&mut c, pool, &mut chain.tables)?;
         cat.create_table(t).map_err(|e| corrupt(format!("snapshot: duplicate table: {e}")))?;
     }
-    for _ in 0..c.count(1)? {
-        let (name, mut ft) = get_fact(&mut c, pool)?;
-        if let Some(newer) = chain.facts.remove(&name) {
-            ft = newer;
-        }
-        cat.create_factorized(name, ft)
-            .map_err(|e| corrupt(format!("snapshot: duplicate factorized: {e}")))?;
-    }
-    // Deltas carry only structures that exist in their base: a shape change
+    no_factorized(&mut c)?;
+    // Deltas carry only tables that exist in their base: a shape change
     // forces a full snapshot.
-    if let Some(name) = chain.tables.keys().chain(chain.facts.keys()).next() {
+    if let Some(name) = chain.tables.keys().next() {
         return Err(corrupt(format!("delta: '{name}' is not in the base snapshot")));
     }
     cat.replace_meta(get_meta(&mut c)?);
@@ -735,15 +708,14 @@ pub fn load_snapshot_pooled(path: &Path, pool: &Arc<BufferPool>) -> StorageResul
 
 // ---- delta checkpoints -----------------------------------------------------
 
-/// Encode an `ERBSNAP3` page delta of the named dirty tables and factorized
-/// structures. Returns the body and the number of row pages in it.
+/// Encode an `ERBSNAP3` page delta of the named dirty tables. Returns the
+/// body and the number of row pages in it.
 fn encode_delta_body(
     cat: &Catalog,
     seq: u64,
     base_crc: u32,
     next_txn: u64,
     tables: &[String],
-    facts: &[String],
 ) -> StorageResult<(Vec<u8>, usize)> {
     let mut buf = Vec::with_capacity(1024);
     put_u64(&mut buf, seq);
@@ -756,11 +728,7 @@ fn encode_delta_body(
         pages += put_table_pages(&mut buf, cat.table(name)?);
     }
 
-    put_u32(&mut buf, facts.len() as u32);
-    for name in facts {
-        put_fact(&mut buf, name, cat.factorized(name)?);
-    }
-
+    put_u32(&mut buf, 0); // the retired factorized section (module docs)
     put_meta(&mut buf, cat);
     if cat.stats().is_empty() {
         buf.push(0);
@@ -789,7 +757,6 @@ fn apply_delta_body(
     chain: &mut ChainPatch,
     body: &[u8],
     paged: bool,
-    pool: &Arc<BufferPool>,
 ) -> StorageResult<DeltaHeader> {
     let mut c = Cursor::new(body);
     let head = get_delta_header(&mut c)?;
@@ -824,10 +791,7 @@ fn apply_delta_body(
         };
         chain.apply_table(header, slot_count, pages);
     }
-    for _ in 0..c.count(1)? {
-        let (name, ft) = get_fact(&mut c, pool)?;
-        chain.facts.insert(name, ft);
-    }
+    no_factorized(&mut c)?;
     let meta = get_meta(&mut c)?;
     let stats = match c.u8()? {
         0 => CatalogStats::default(),
@@ -893,10 +857,8 @@ pub enum CheckpointKind {
     /// An `ERBSNAP3` page delta carrying only the dirty subset of the
     /// catalog.
     Delta {
-        /// Plain tables with an entry in the delta (their written pages).
+        /// Tables with an entry in the delta (their written pages).
         tables: usize,
-        /// Factorized structures serialized whole into the delta.
-        factorized: usize,
     },
 }
 
@@ -926,7 +888,6 @@ pub fn write_checkpoint(
 
     let base_path = dir.join(SNAPSHOT_FILE);
     let dirty_tables = cat.dirty_table_names();
-    let dirty_facts = cat.dirty_factorized_names();
 
     // Survey the existing chain. Stale deltas (wrong base, e.g. survivors
     // of a crash between a full-snapshot rename and their deletion) are
@@ -937,17 +898,15 @@ pub fn write_checkpoint(
         let _ = std::fs::remove_file(path);
     }
 
-    // Most of the catalog is dirty when most of its structures are and
-    // most of its row pages are (a factorized structure, written whole,
-    // counts as one page).
-    let n_facts = cat.factorized_names().len();
-    let dirty = dirty_tables.len() + dirty_facts.len();
-    let total = cat.table_names().len() + n_facts;
-    let mut total_pages = n_facts;
+    // Most of the catalog is dirty when most of its tables are and most of
+    // its row pages are.
+    let dirty = dirty_tables.len();
+    let total = cat.table_names().len();
+    let mut total_pages = 0;
     for (_, t) in cat.tables_iter() {
         total_pages += t.page_count();
     }
-    let mut dirty_pages = dirty_facts.len();
+    let mut dirty_pages = 0;
     for name in &dirty_tables {
         dirty_pages += cat.table(name)?.unsaved_page_count();
     }
@@ -969,14 +928,13 @@ pub fn write_checkpoint(
     let _span = erbium_obs::span("checkpoint_delta");
     let base_crc = base_crc.expect("checked above");
     let seq = chain.live.last().map_or(0, |(seq, _)| *seq) + 1;
-    let (body, pages) =
-        encode_delta_body(cat, seq, base_crc, next_txn, &dirty_tables, &dirty_facts)?;
+    let (body, pages) = encode_delta_body(cat, seq, base_crc, next_txn, &dirty_tables)?;
     write_frame_atomic(dir, DELTA_TMP, &delta_file_name(seq), MAGIC3, &body)?;
     DELTA_TABLES
         .get_or_init(|| {
             Registry::global().counter(
                 "erbium_checkpoint_delta_tables",
-                "Tables and factorized structures written into delta checkpoints",
+                "Tables written into delta checkpoints",
             )
         })
         .add(dirty as u64);
@@ -989,7 +947,7 @@ pub fn write_checkpoint(
         })
         .add(pages as u64);
     cat.mark_checkpointed();
-    Ok(CheckpointKind::Delta { tables: dirty_tables.len(), factorized: dirty_facts.len() })
+    Ok(CheckpointKind::Delta { tables: dirty })
 }
 
 // ---- recovery --------------------------------------------------------------
@@ -1038,33 +996,6 @@ fn redo(cat: &mut Catalog, rec: WalRecord) -> StorageResult<()> {
                 .map_err(|e| corrupt(format!("WAL: bad CreateTable schema: {e}")))?;
             cat.create_table(Table::new(schema))?;
         }
-        WalRecord::FactInsert { name, side, rid, row } => {
-            let ft = cat.factorized_mut(&name)?;
-            match side {
-                FactSide::Left => ft.place_left(RowId(rid), row)?,
-                FactSide::Right => ft.place_right(RowId(rid), row)?,
-            }
-        }
-        WalRecord::FactUpdate { name, side, rid, row } => {
-            let ft = cat.factorized_mut(&name)?;
-            match side {
-                FactSide::Left => ft.update_left(RowId(rid), row)?,
-                FactSide::Right => ft.update_right(RowId(rid), row)?,
-            };
-        }
-        WalRecord::FactDelete { name, side, rid } => {
-            let ft = cat.factorized_mut(&name)?;
-            match side {
-                FactSide::Left => ft.delete_left(RowId(rid))?,
-                FactSide::Right => ft.delete_right(RowId(rid))?,
-            };
-        }
-        WalRecord::FactLink { name, l, r } => {
-            cat.factorized_mut(&name)?.link(RowId(l), RowId(r))?;
-        }
-        WalRecord::FactUnlink { name, l, r } => {
-            cat.factorized_mut(&name)?.unlink(RowId(l), RowId(r));
-        }
     }
     Ok(())
 }
@@ -1092,8 +1023,7 @@ impl Catalog {
     /// catalog larger than the frame budget stays within it. The delta
     /// chain's overlay is the exception: it is held decoded, outside the
     /// pool, until the base is decoded — at most one copy of each distinct
-    /// page the chain carries (plus the newest copy of each factorized
-    /// structure it carries), and one delta file's bytes at a time.
+    /// page the chain carries, and one delta file's bytes at a time.
     pub fn recover_with(dir: &Path, pool: Arc<BufferPool>) -> StorageResult<Recovered> {
         use erbium_obs::{Counter, Registry};
         use std::sync::OnceLock;
@@ -1123,7 +1053,7 @@ impl Catalog {
                     )));
                 }
                 expected += 1;
-                apply_delta_body(&mut patch, &delta, which == 1, &pool)?;
+                apply_delta_body(&mut patch, &delta, which == 1)?;
             }
             decode_body(&body, &pool, patch)?
         } else {
@@ -1164,9 +1094,6 @@ impl Catalog {
         }
         for t in cat.tables_iter_mut() {
             t.rebuild_free();
-        }
-        for ft in cat.factorized_iter_mut() {
-            ft.rebuild_free();
         }
         RECOVERIES
             .get_or_init(|| {
@@ -1240,25 +1167,18 @@ mod tests {
         t.insert(vec![Value::Int(3), Value::str("eve"), Value::Null, Value::Null]).unwrap();
         cat.create_table(t).unwrap();
 
-        let left = TableSchema::new(
-            "l",
-            vec![Column::not_null("lid", DataType::Int), Column::new("lv", DataType::Text)],
-            vec![0],
-        );
-        let right = TableSchema::new(
-            "r",
-            vec![Column::not_null("rid", DataType::Int), Column::new("rv", DataType::Int)],
-            vec![0],
-        );
-        let mut ft = FactorizedTable::new("f", left, right);
-        let l0 = ft.insert_left(vec![Value::Int(1), Value::str("a")]).unwrap();
-        let l1 = ft.insert_left(vec![Value::Int(2), Value::str("b")]).unwrap();
-        let r0 = ft.insert_right(vec![Value::Int(10), Value::Int(100)]).unwrap();
-        let r1 = ft.insert_right(vec![Value::Int(20), Value::Int(200)]).unwrap();
-        ft.link(l0, r0).unwrap();
-        ft.link(l0, r1).unwrap();
-        ft.link(l1, r1).unwrap();
-        cat.create_factorized("f", ft).unwrap();
+        // A row-id link table: `(l, r)` slot pairs, a hash index on each.
+        let mut f = Table::new(TableSchema::new(
+            "f",
+            vec![Column::not_null("l", DataType::Int), Column::not_null("r", DataType::Int)],
+            vec![],
+        ));
+        f.create_index("f_l", vec![0], IndexKind::Hash).unwrap();
+        f.create_index("f_r", vec![1], IndexKind::Hash).unwrap();
+        for (l, r) in [(0, 0), (0, 1), (1, 1)] {
+            f.insert(vec![Value::Int(l), Value::Int(r)]).unwrap();
+        }
+        cat.create_table(f).unwrap();
 
         let doc: serde_json::Value =
             serde_json::from_str(r#"{"preset": "m3", "v": 2}"#).unwrap();
@@ -1279,18 +1199,6 @@ mod tests {
             ia.sort();
             ib.sort();
             assert_eq!(ia, ib, "indexes of '{name}'");
-        }
-        assert_eq!(a.factorized_names(), b.factorized_names());
-        for name in a.factorized_names() {
-            let (fa, fb) = (a.factorized(&name).unwrap(), b.factorized(&name).unwrap());
-            assert_eq!(fa.left().slots_vec(), fb.left().slots_vec());
-            assert_eq!(fa.right().slots_vec(), fb.right().slots_vec());
-            let mut la = fa.link_pairs();
-            let mut lb = fb.link_pairs();
-            la.sort();
-            lb.sort();
-            assert_eq!(la, lb, "links of '{name}'");
-            assert_eq!(fa.pair_count(), fb.pair_count());
         }
         let mut ma: Vec<_> = a.meta_entries().map(|(k, v)| (k.clone(), v.clone())).collect();
         let mut mb: Vec<_> = b.meta_entries().map(|(k, v)| (k.clone(), v.clone())).collect();
@@ -1318,8 +1226,7 @@ mod tests {
     fn snapshot_roundtrip_preserves_stats() {
         let dir = temp_dir("stats-roundtrip");
         let mut cat = sample_catalog();
-        let written = cat.analyze();
-        assert!(written >= 4, "people + f + f#left + f#right");
+        assert_eq!(cat.analyze(), 2, "people + f");
         write_snapshot(&cat, 9, &dir).unwrap();
         let (back, _) = load_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap();
         assert_eq!(back.stats(), cat.stats(), "stats registry survives the snapshot");
@@ -1355,8 +1262,8 @@ mod tests {
         let n_stats = cat.stats().len();
         write_snapshot(&cat, 5, &dir).unwrap();
 
-        // Post-checkpoint traffic touches only `people`; the factorized
-        // structure `f` stays untouched.
+        // Post-checkpoint traffic touches only `people`; `f` stays
+        // untouched.
         let mut wal = Wal::open(dir.join(WAL_FILE), SyncPolicy::Always, 5).unwrap();
         Transaction::run_with(&mut cat, Some(&mut wal), |txn, cat| {
             txn.insert(
@@ -1375,9 +1282,7 @@ mod tests {
         assert_eq!(stats.len(), n_stats);
         // WAL-redone tables re-derive staleness; untouched entries stay fresh.
         assert!(stats.is_stale("people"), "redone table is stale");
-        assert!(!stats.is_stale("f"), "untouched structure stays fresh");
-        assert!(!stats.is_stale("f#left"));
-        assert!(!stats.is_stale("f#right"));
+        assert!(!stats.is_stale("f"), "untouched table stays fresh");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1424,8 +1329,7 @@ mod tests {
         })
         .unwrap();
         Transaction::run_with(&mut cat, Some(&mut wal), |txn, cat| {
-            let l2 = txn.fact_insert(cat, "f", FactSide::Left, vec![Value::Int(3), Value::str("c")])?;
-            txn.fact_link(cat, "f", l2, RowId(0))?;
+            txn.insert(cat, "f", vec![Value::Int(1), Value::Int(0)])?;
             let (rid, _) = cat.table("people").unwrap().lookup_pk(&Value::Int(3)).unwrap();
             txn.delete(cat, "people", rid)?;
             Ok(())
@@ -1450,7 +1354,7 @@ mod tests {
             t.lookup_pk(&Value::Int(4)).unwrap().1[2],
             Value::Float(f) if f == 9.0
         ), "redo reproduces canonicalized state");
-        assert_eq!(rec.catalog.factorized("f").unwrap().pair_count(), 4);
+        assert_eq!(rec.catalog.table("f").unwrap().len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1513,24 +1417,21 @@ mod tests {
         // Fresh catalog: shape is new, so the first checkpoint is full.
         assert_eq!(write_checkpoint(&mut cat, 5, &dir).unwrap(), CheckpointKind::Full);
 
-        // Touch only `people` (1 of 2 structures) → delta carrying it alone.
+        // Touch only `people` (1 of 2 tables) → delta carrying it alone.
         cat.table_mut("people")
             .unwrap()
             .insert(vec![Value::Int(7), Value::str("gil"), Value::Null, Value::Null])
             .unwrap();
         assert_eq!(
             write_checkpoint(&mut cat, 6, &dir).unwrap(),
-            CheckpointKind::Delta { tables: 1, factorized: 0 }
+            CheckpointKind::Delta { tables: 1 }
         );
         assert!(dir.join("snapshot.delta.1.erb").exists());
 
-        // Touch only the factorized structure → second delta in the chain.
-        let l = cat.factorized_mut("f").unwrap().insert_left(vec![Value::Int(9), Value::str("z")]).unwrap();
-        cat.factorized_mut("f").unwrap().link(l, RowId(0)).unwrap();
-        assert_eq!(
-            write_checkpoint(&mut cat, 7, &dir).unwrap(),
-            CheckpointKind::Delta { tables: 0, factorized: 1 }
-        );
+        // Touch only the link table → second delta in the chain.
+        cat.table_mut("f").unwrap().insert(vec![Value::Int(1), Value::Int(0)]).unwrap();
+        let kind = write_checkpoint(&mut cat, 7, &dir).unwrap();
+        assert_eq!(kind, CheckpointKind::Delta { tables: 1 });
         assert!(dir.join("snapshot.delta.2.erb").exists());
 
         let rec = Catalog::recover(&dir).unwrap();
@@ -1572,7 +1473,7 @@ mod tests {
             cat.table_mut("extra").unwrap().insert(vec![Value::Int(100 + i as i64)]).unwrap();
             assert_eq!(
                 write_checkpoint(&mut cat, 4 + i, &dir).unwrap(),
-                CheckpointKind::Delta { tables: 1, factorized: 0 },
+                CheckpointKind::Delta { tables: 1 },
                 "delta #{i}"
             );
         }
@@ -1727,15 +1628,6 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::Null]).unwrap();
         t.delete(r0).unwrap();
         cat.create_table(t).unwrap();
-        let mut ft = FactorizedTable::new(
-            "f",
-            TableSchema::new("l", vec![Column::not_null("lid", DataType::Int)], vec![0]),
-            TableSchema::new("r", vec![Column::not_null("rid", DataType::Int)], vec![0]),
-        );
-        let l = ft.insert_left(vec![Value::Int(1)]).unwrap();
-        let r = ft.insert_right(vec![Value::Int(10)]).unwrap();
-        ft.link(l, r).unwrap();
-        cat.create_factorized("f", ft).unwrap();
         cat.put_meta("k", serde_json::from_str(r#"{"v": 1}"#).unwrap());
         cat
     }
@@ -1748,12 +1640,46 @@ mod tests {
         (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
     }
 
-    /// `ERBSNAP1` and table-granular `ERBSNAP2` bodies of [`golden_catalog`],
-    /// bytes generated at the commit before the codec moved to
-    /// `erbium_model::codec` and the factorized/metadata sections were folded
-    /// into `put_fact`/`put_meta` (`seq` 2, `base_crc` 0xDEADBEEF, `next_txn`
-    /// 11; `t` and `f` dirty).
-    fn golden_bodies() -> (String, String) {
+    /// `ERBSNAP1`, table-granular `ERBSNAP2` and `ERBSNAP3` page-delta
+    /// bodies of [`golden_catalog`] (`seq` 2, `base_crc` 0xDEADBEEF,
+    /// `next_txn` 11; `t` dirty). The base and page delta were generated by
+    /// the last version that could still write factorized structures, so
+    /// a catalog without one kept its bytes when they were retired; the
+    /// `ERBSNAP2` body, which nothing writes any more, is that version's
+    /// pinned body with the factorized structure cut out.
+    fn golden_bodies() -> [String; 3] {
+        let snap1 = [
+            "090000000000000001000000860000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65",
+            "223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254657874222c226e616d65223a",
+            "226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c227072696d6172795f6b6579",
+            "223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000001020000000202000000000000",
+            "00000000000001000000010000006b070000007b2276223a317d",
+        ]
+        .concat();
+        let snap2 = [
+            "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
+            "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
+            "657874222c226e616d65223a226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c",
+            "227072696d6172795f6b6579223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000001",
+            "02000000020200000000000000000000000001000000010000006b070000007b2276223a317d00",
+        ]
+        .concat();
+        let snap3 = [
+            "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
+            "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
+            "657874222c226e616d65223a226e616d65222c226e756c6c61626c65223a747275657d5d2c226e616d65223a2274222c",
+            "227072696d6172795f6b6579223a5b305d7d010000000700000062795f6e616d65010000000100000001020000000100",
+            "00000000000002000000000102000000020200000000000000000000000001000000010000006b070000007b2276223a",
+            "317d00",
+        ]
+        .concat();
+        [snap1, snap2, snap3]
+    }
+
+    /// The bodies of [`golden_bodies`] when the catalog also held the
+    /// factorized structure `f` (members `l` and `r`, one link), pinned
+    /// before that storage kind was retired. Refusal inputs now.
+    fn retired_bodies() -> [String; 3] {
         let snap1 = [
             "090000000000000001000000860000007b22636f6c756d6e73223a5b7b226474797065223a22496e74222c226e616d65",
             "223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254657874222c226e616d65223a",
@@ -1781,17 +1707,6 @@ mod tests {
             "3a317d00",
         ]
         .concat();
-        (snap1, snap2)
-    }
-
-    /// Every body the checkpointer writes or still reads is pinned: the base
-    /// and the page delta byte for byte, the retired `ERBSNAP2` delta by
-    /// decoding it.
-    #[test]
-    fn golden_bodies_pin_the_checkpoint_format() {
-        let (snap1, snap2) = golden_bodies();
-        // The page delta of the same catalog: every page is unsaved, so `t`
-        // carries its one page (first slot 0, both slots) after its slot count.
         let snap3 = [
             "0200000000000000efbeadde0b0000000000000001000000860000007b22636f6c756d6e73223a5b7b22647479706522",
             "3a22496e74222c226e616d65223a226964222c226e756c6c61626c65223a66616c73657d2c7b226474797065223a2254",
@@ -1806,6 +1721,15 @@ mod tests {
             "0000006b070000007b2276223a317d00",
         ]
         .concat();
+        [snap1, snap2, snap3]
+    }
+
+    /// Every body the checkpointer writes or still reads is pinned: the base
+    /// and the page delta byte for byte, the retired `ERBSNAP2` delta by
+    /// decoding it.
+    #[test]
+    fn golden_bodies_pin_the_checkpoint_format() {
+        let [snap1, snap2, snap3] = golden_bodies();
         let mut cat = golden_catalog();
         let pool = BufferPool::unbounded();
 
@@ -1818,9 +1742,9 @@ mod tests {
         // ERBSNAP2 still decodes, as a delta in which `t` carries all its
         // pages.
         let mut chain = ChainPatch::default();
-        let head = apply_delta_body(&mut chain, &unhex(&snap2), false, &pool).unwrap();
+        let head = apply_delta_body(&mut chain, &unhex(&snap2), false).unwrap();
         assert_eq!(head, (2, 0xDEAD_BEEF, 11));
-        assert_eq!((chain.tables.len(), chain.facts.len()), (1, 1));
+        assert_eq!(chain.tables.len(), 1);
         let t = &chain.tables["t"];
         assert_eq!((t.slot_count, t.pages.len()), (2, 1));
         assert_eq!(t.pages[&0], cat.table("t").unwrap().slots_vec());
@@ -1828,13 +1752,14 @@ mod tests {
         assert_eq!(meta.len(), 1);
         assert!(stats.is_empty());
 
+        // The page delta: every page is unsaved, so `t` carries its one page
+        // (first slot 0, both slots) after its slot count.
         let tables = ["t".to_string()];
-        let facts = ["f".to_string()];
-        let (delta, pages) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &tables, &facts).unwrap();
+        let (delta, pages) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &tables).unwrap();
         assert_eq!(hex(&delta), snap3);
         assert_eq!(pages, 1);
         let mut paged = ChainPatch::default();
-        assert_eq!(apply_delta_body(&mut paged, &delta, true, &pool).unwrap(), head);
+        assert_eq!(apply_delta_body(&mut paged, &delta, true).unwrap(), head);
         assert_eq!(paged.tables["t"].pages, chain.tables["t"].pages, "same slots either way");
 
         // With statistics: ERBSNAP1 appends the stats string, a delta sets
@@ -1843,11 +1768,44 @@ mod tests {
         let mut stats = Vec::new();
         put_str(&mut stats, &serde_json::to_string(cat.stats()).unwrap());
         assert_eq!(hex(&encode_body(&cat, 9)), format!("{snap1}{}", hex(&stats)));
-        let (empty_delta, _) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &[], &[]).unwrap();
+        let (empty_delta, _) = encode_delta_body(&cat, 2, 0xDEAD_BEEF, 11, &[]).unwrap();
         assert_eq!(
             hex(&empty_delta),
             format!("0200000000000000efbeadde0b00000000000000000000000000000001000000010000006b070000007b2276223a317d01{}", hex(&stats))
         );
+    }
+
+    /// A base or a delta that holds a factorized structure is refused with
+    /// an error naming it, whether decoded directly or met by recovery.
+    #[test]
+    fn factorized_sections_are_refused_by_name() {
+        let [snap1, snap2, snap3] = retired_bodies().map(|h| unhex(&h));
+        let named = |r: StorageResult<()>| match r {
+            Err(StorageError::Corrupt(msg)) => msg.contains("factorized structure 'f'"),
+            _ => false,
+        };
+        let pool = BufferPool::unbounded();
+        assert!(named(decode_body(&snap1, &pool, ChainPatch::default()).map(drop)));
+        assert!(named(apply_delta_body(&mut ChainPatch::default(), &snap2, false).map(drop)));
+        assert!(named(apply_delta_body(&mut ChainPatch::default(), &snap3, true).map(drop)));
+
+        // (a) A base holding `f`.
+        let dir = temp_dir("retired-base");
+        write_frame_atomic(&dir, "snapshot.erb.tmp", SNAPSHOT_FILE, MAGIC, &snap1).unwrap();
+        assert!(named(Catalog::recover(&dir).map(drop)));
+        std::fs::remove_dir_all(&dir).ok();
+
+        // (b) A delta holding `f`, chained onto a base without one.
+        let dir = temp_dir("retired-delta");
+        write_snapshot(&golden_catalog(), 3, &dir).unwrap();
+        let base_crc = base_body_crc(&dir.join(SNAPSHOT_FILE)).unwrap();
+        for (magic, mut body) in [(MAGIC3, snap3), (MAGIC2, snap2)] {
+            body[..8].copy_from_slice(&1u64.to_le_bytes());
+            body[8..12].copy_from_slice(&base_crc.to_le_bytes());
+            write_frame_atomic(&dir, DELTA_TMP, &delta_file_name(1), magic, &body).unwrap();
+            assert!(named(Catalog::recover(&dir).map(drop)));
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A chain whose delta is the golden `ERBSNAP2` body (renumbered onto a
@@ -1855,25 +1813,30 @@ mod tests {
     #[test]
     fn table_granular_delta_chain_still_recovers() {
         let dir = temp_dir("snap2-chain");
-        // The base: an older `t` (an extra row, another tombstone) and an
-        // unlinked `f`.
-        let mut old = golden_catalog();
+        // A second table the delta does not mention, so that touching `t`
+        // alone later dirties half the catalog, not all of it.
+        let with_u = |mut cat: Catalog| {
+            cat.create_table(Table::new(churn_schema("u"))).unwrap();
+            cat
+        };
+        // The base: an older `t` (an extra row, another tombstone).
+        let mut old = with_u(golden_catalog());
         old.table_mut("t").unwrap().insert(vec![Value::Int(5), Value::str("e")]).unwrap();
         old.table_mut("t").unwrap().insert(vec![Value::Int(6), Value::Null]).unwrap();
         old.table_mut("t").unwrap().delete(RowId(1)).unwrap();
-        old.factorized_mut("f").unwrap().unlink(RowId(0), RowId(0));
         old.put_meta("k", serde_json::from_str(r#"{"v": 0}"#).unwrap());
         write_snapshot(&old, 3, &dir).unwrap();
         let base_crc = base_body_crc(&dir.join(SNAPSHOT_FILE)).unwrap();
 
-        let mut body = unhex(&golden_bodies().1);
+        let [_, snap2, _] = golden_bodies();
+        let mut body = unhex(&snap2);
         body[..8].copy_from_slice(&1u64.to_le_bytes());
         body[8..12].copy_from_slice(&base_crc.to_le_bytes());
         write_frame_atomic(&dir, DELTA_TMP, &delta_file_name(1), MAGIC2, &body).unwrap();
 
         let rec = Catalog::recover(&dir).unwrap();
         assert_eq!(rec.next_txn, 11);
-        assert_catalogs_equal(&golden_catalog(), &rec.catalog);
+        assert_catalogs_equal(&with_u(golden_catalog()), &rec.catalog);
         assert_eq!(rec.catalog.table("t").unwrap().free_slots(), vec![0]);
 
         // The next checkpoint extends the old chain with a page delta.
@@ -1881,7 +1844,7 @@ mod tests {
         cat.table_mut("t").unwrap().insert(vec![Value::Int(7), Value::str("g")]).unwrap();
         assert_eq!(
             write_checkpoint(&mut cat, 12, &dir).unwrap(),
-            CheckpointKind::Delta { tables: 1, factorized: 0 }
+            CheckpointKind::Delta { tables: 1 }
         );
         assert!(dir.join(delta_file_name(2)).exists());
         let rec = Catalog::recover(&dir).unwrap();
@@ -1896,12 +1859,11 @@ mod tests {
         let cat = golden_catalog();
         let pool = BufferPool::unbounded();
         let body = encode_body(&cat, 9);
-        let tables = ["t".to_string()];
-        let (delta, _) = encode_delta_body(&cat, 1, 7, 9, &tables, &["f".to_string()]).unwrap();
-        let legacy = unhex(&golden_bodies().1);
-        let apply = |bytes: &[u8], paged: bool| {
-            apply_delta_body(&mut ChainPatch::default(), bytes, paged, &pool)
-        };
+        let (delta, _) = encode_delta_body(&cat, 1, 7, 9, &["t".to_string()]).unwrap();
+        let [_, snap2, _] = golden_bodies();
+        let legacy = unhex(&snap2);
+        let apply =
+            |bytes: &[u8], paged: bool| apply_delta_body(&mut ChainPatch::default(), bytes, paged);
         for cut in 0..body.len() {
             assert!(matches!(
                 decode_body(&body[..cut], &pool, ChainPatch::default()),
@@ -1925,7 +1887,7 @@ mod tests {
                 // A flipped delta that still decodes must not panic when it
                 // is laid over the base either.
                 let mut chain = ChainPatch::default();
-                if apply_delta_body(&mut chain, &flipped, paged, &pool).is_ok() {
+                if apply_delta_body(&mut chain, &flipped, paged).is_ok() {
                     let _ = decode_body(&body, &pool, chain);
                 }
             }
@@ -1970,7 +1932,7 @@ mod tests {
         vec![Value::Int(id), Value::Int(v), s]
     }
 
-    /// Plain tables equal down to slot positions and free lists, and every
+    /// Tables equal down to slot positions and free lists, and every
     /// index answers alike.
     fn assert_tables_equal(live: &Catalog, back: &Catalog) {
         assert_catalogs_equal(live, back);
@@ -2015,7 +1977,7 @@ mod tests {
             let before = pages_written.get();
             assert_eq!(
                 write_checkpoint(&mut cat, 2, &dir).unwrap(),
-                CheckpointKind::Delta { tables: 1, factorized: 0 }
+                CheckpointKind::Delta { tables: 1 }
             );
             assert!(pages_written.get() > before, "the page counter ticks");
             let delta = std::fs::metadata(dir.join(delta_file_name(1))).unwrap().len() - 16;
@@ -2029,7 +1991,7 @@ mod tests {
     }
 
     /// An `ERBSNAP3` body by hand: one entry for `t` with the given slot
-    /// count and slot ranges, no factorized structures, empty metadata, no
+    /// count and slot ranges, the retired factorized count, empty metadata, no
     /// statistics.
     fn hand_delta(
         seq: u64,
@@ -2053,7 +2015,7 @@ mod tests {
                 put_slot(&mut b, slot);
             }
         }
-        put_u32(&mut b, 0); // factorized structures
+        put_u32(&mut b, 0); // the retired factorized section
         put_u32(&mut b, 0); // metadata entries
         b.push(0); // no statistics
         b
@@ -2080,10 +2042,10 @@ mod tests {
         let rid = 2 * page_rows + 3;
         cat.table_mut("t").unwrap().update(RowId(rid as u64), churn_row(rid as i64, 6)).unwrap();
         let tables = ["t".to_string()];
-        let (body, pages) = encode_delta_body(&cat, 1, base_crc, 2, &tables, &[]).unwrap();
+        let (body, pages) = encode_delta_body(&cat, 1, base_crc, 2, &tables).unwrap();
         assert_eq!(pages, 1);
         let mut chain = ChainPatch::default();
-        apply_delta_body(&mut chain, &body, true, &BufferPool::unbounded()).unwrap();
+        apply_delta_body(&mut chain, &body, true).unwrap();
         let written: Vec<(usize, usize)> =
             chain.tables["t"].pages.iter().map(|(&first, slots)| (first, slots.len())).collect();
         assert_eq!(written, vec![(2 * page_rows, 5)]);

@@ -136,9 +136,8 @@ struct StatsEntry {
 /// Per-table statistics registry held on the
 /// [`crate::catalog::Catalog`].
 ///
-/// Entries are keyed by table name; factorized structures contribute three
-/// entries (`name`, `name#left`, `name#right` — the stored join and the two
-/// member sides), matching the plan-level naming the engine and advisor use.
+/// Entries are keyed by table name, matching the plan-level naming the
+/// engine and advisor use.
 ///
 /// Writes through the catalog's mutable accessors mark entries **stale**
 /// rather than dropping them: slightly-off statistics still beat none for

@@ -357,8 +357,8 @@ impl Table {
 
     /// Materialized slot vector (live rows and tombstones), for tests and
     /// snapshot round-trips. The snapshot must preserve slot positions
-    /// exactly so that [`RowId`]s in the WAL suffix and in factorized link
-    /// vectors stay valid. Checkpoint encoding itself streams page by page
+    /// exactly so that [`RowId`]s in the WAL suffix and in row-id link
+    /// tables stay valid. Checkpoint encoding itself streams page by page
     /// via [`Table::page_pins`] instead of materializing this vector.
     #[cfg(test)]
     pub(crate) fn slots_vec(&self) -> Vec<Option<Row>> {

@@ -14,16 +14,11 @@
 //! `Begin .. ops .. Commit` group to the [`Wal`] — see
 //! [`Transaction::run_with`]. Rolled-back transactions never touch disk,
 //! and a crash tears at most the (discarded) tail of one group.
-//!
-//! Factorized structures are covered too: the `fact_*` methods route member
-//! inserts/updates/deletes and link/unlink through the same undo log and
-//! WAL group, closing the gap where factorized co-location used to bypass
-//! atomicity entirely.
 
 use crate::catalog::Catalog;
 use crate::error::{StorageError, StorageResult};
 use crate::row::{Row, RowId};
-use crate::wal::{FactSide, Wal, WalRecord};
+use crate::wal::{Wal, WalRecord};
 
 /// One inverse operation recorded in the undo log.
 #[derive(Debug, Clone)]
@@ -39,17 +34,6 @@ pub enum UndoEntry {
     Update { table: String, rid: RowId, old: Row },
     /// A table was created; undo by dropping it.
     CreateTable { table: String },
-    /// A factorized member row was inserted; undo by deleting it.
-    FactInsert { table: String, side: FactSide, rid: RowId },
-    /// A factorized member row was updated; undo by writing the old back.
-    FactUpdate { table: String, side: FactSide, rid: RowId, old: Row },
-    /// A factorized member row was deleted (cascading its links); undo by
-    /// restoring the row and re-adding every cascaded link.
-    FactDelete { table: String, side: FactSide, rid: RowId, old: Row, links: Vec<RowId> },
-    /// A link pair was added; undo by unlinking.
-    FactLink { table: String, l: RowId, r: RowId },
-    /// A link pair was removed; undo by re-linking.
-    FactUnlink { table: String, l: RowId, r: RowId },
 }
 
 /// An in-flight multi-table transaction.
@@ -177,129 +161,6 @@ impl Transaction {
         Ok(())
     }
 
-    /// Insert a member row of a factorized structure.
-    pub fn fact_insert(
-        &mut self,
-        cat: &mut Catalog,
-        name: &str,
-        side: FactSide,
-        row: Row,
-    ) -> StorageResult<RowId> {
-        let ft = cat.factorized_mut(name)?;
-        let rid = match side {
-            FactSide::Left => ft.insert_left(row)?,
-            FactSide::Right => ft.insert_right(row)?,
-        };
-        self.undo.push(UndoEntry::FactInsert { table: name.to_string(), side, rid });
-        if self.logging {
-            let ft = cat.factorized(name)?;
-            let member = match side {
-                FactSide::Left => ft.left(),
-                FactSide::Right => ft.right(),
-            };
-            let stored = member.get(rid).cloned().unwrap_or_default();
-            self.log.push(WalRecord::FactInsert {
-                name: name.to_string(),
-                side,
-                rid: rid.0,
-                row: stored,
-            });
-        }
-        Ok(rid)
-    }
-
-    /// Update a member row of a factorized structure (links preserved).
-    pub fn fact_update(
-        &mut self,
-        cat: &mut Catalog,
-        name: &str,
-        side: FactSide,
-        rid: RowId,
-        new_row: Row,
-    ) -> StorageResult<()> {
-        let ft = cat.factorized_mut(name)?;
-        let old = match side {
-            FactSide::Left => ft.update_left(rid, new_row)?,
-            FactSide::Right => ft.update_right(rid, new_row)?,
-        };
-        self.undo.push(UndoEntry::FactUpdate { table: name.to_string(), side, rid, old });
-        if self.logging {
-            let ft = cat.factorized(name)?;
-            let member = match side {
-                FactSide::Left => ft.left(),
-                FactSide::Right => ft.right(),
-            };
-            let stored = member.get(rid).cloned().unwrap_or_default();
-            self.log.push(WalRecord::FactUpdate {
-                name: name.to_string(),
-                side,
-                rid: rid.0,
-                row: stored,
-            });
-        }
-        Ok(())
-    }
-
-    /// Delete a member row of a factorized structure. Its links cascade
-    /// (exactly as online); the undo entry remembers them so rollback can
-    /// restore both row and pointers.
-    pub fn fact_delete(
-        &mut self,
-        cat: &mut Catalog,
-        name: &str,
-        side: FactSide,
-        rid: RowId,
-    ) -> StorageResult<Row> {
-        let ft = cat.factorized_mut(name)?;
-        let links: Vec<RowId> = match side {
-            FactSide::Left => ft.neighbours_right(rid).to_vec(),
-            FactSide::Right => ft.neighbours_left(rid).to_vec(),
-        };
-        let old = match side {
-            FactSide::Left => ft.delete_left(rid)?,
-            FactSide::Right => ft.delete_right(rid)?,
-        };
-        self.undo.push(UndoEntry::FactDelete {
-            table: name.to_string(),
-            side,
-            rid,
-            old: old.clone(),
-            links,
-        });
-        if self.logging {
-            self.log.push(WalRecord::FactDelete { name: name.to_string(), side, rid: rid.0 });
-        }
-        Ok(old)
-    }
-
-    /// Add a (left, right) link pair in a factorized structure.
-    pub fn fact_link(&mut self, cat: &mut Catalog, name: &str, l: RowId, r: RowId) -> StorageResult<()> {
-        cat.factorized_mut(name)?.link(l, r)?;
-        self.undo.push(UndoEntry::FactLink { table: name.to_string(), l, r });
-        if self.logging {
-            self.log.push(WalRecord::FactLink { name: name.to_string(), l: l.0, r: r.0 });
-        }
-        Ok(())
-    }
-
-    /// Remove a (left, right) link pair; `Ok(false)` when absent.
-    pub fn fact_unlink(
-        &mut self,
-        cat: &mut Catalog,
-        name: &str,
-        l: RowId,
-        r: RowId,
-    ) -> StorageResult<bool> {
-        let removed = cat.factorized_mut(name)?.unlink(l, r);
-        if removed {
-            self.undo.push(UndoEntry::FactUnlink { table: name.to_string(), l, r });
-            if self.logging {
-                self.log.push(WalRecord::FactUnlink { name: name.to_string(), l: l.0, r: r.0 });
-            }
-        }
-        Ok(removed)
-    }
-
     /// Write the accumulated redo records to the WAL as one committed
     /// group. Returns the group's transaction id (0 for an empty group).
     /// The redo log is drained; the undo log is untouched, so the caller
@@ -350,43 +211,6 @@ impl Transaction {
                 }
                 UndoEntry::CreateTable { table } => {
                     cat.drop_table(&table)?;
-                }
-                UndoEntry::FactInsert { table, side, rid } => {
-                    let ft = cat.factorized_mut(&table)?;
-                    match side {
-                        FactSide::Left => ft.delete_left(rid)?,
-                        FactSide::Right => ft.delete_right(rid)?,
-                    };
-                }
-                UndoEntry::FactUpdate { table, side, rid, old } => {
-                    let ft = cat.factorized_mut(&table)?;
-                    match side {
-                        FactSide::Left => ft.update_left(rid, old)?,
-                        FactSide::Right => ft.update_right(rid, old)?,
-                    };
-                }
-                UndoEntry::FactDelete { table, side, rid, old, links } => {
-                    let ft = cat.factorized_mut(&table)?;
-                    match side {
-                        FactSide::Left => {
-                            ft.restore_left(rid, old)?;
-                            for r in links {
-                                ft.link(rid, r)?;
-                            }
-                        }
-                        FactSide::Right => {
-                            ft.restore_right(rid, old)?;
-                            for l in links {
-                                ft.link(l, rid)?;
-                            }
-                        }
-                    }
-                }
-                UndoEntry::FactLink { table, l, r } => {
-                    cat.factorized_mut(&table)?.unlink(l, r);
-                }
-                UndoEntry::FactUnlink { table, l, r } => {
-                    cat.factorized_mut(&table)?.link(l, r)?;
                 }
             }
         }
@@ -617,84 +441,6 @@ mod tests {
         assert_eq!(txn.bulk_insert(&mut c, "m", Vec::new()).unwrap().1, 0);
         assert_eq!(txn.log.len(), 1);
         txn.commit();
-    }
-
-    // ---- factorized coverage -------------------------------------------
-
-    fn setup_fact() -> Catalog {
-        let mut c = Catalog::new();
-        let left = TableSchema::new(
-            "l",
-            vec![Column::not_null("lid", DataType::Int), Column::new("lv", DataType::Text)],
-            vec![0],
-        );
-        let right = TableSchema::new(
-            "r",
-            vec![Column::not_null("rid", DataType::Int), Column::new("rv", DataType::Int)],
-            vec![0],
-        );
-        c.create_factorized("f", crate::factorized::FactorizedTable::new("f", left, right))
-            .unwrap();
-        c
-    }
-
-    #[test]
-    fn fact_rollback_restores_rows_and_links() {
-        let mut c = setup_fact();
-        // Pre-existing state: one linked pair.
-        let (l0, r0) = {
-            let ft = c.factorized_mut("f").unwrap();
-            let l0 = ft.insert_left(vec![Value::Int(1), Value::str("a")]).unwrap();
-            let r0 = ft.insert_right(vec![Value::Int(10), Value::Int(100)]).unwrap();
-            ft.link(l0, r0).unwrap();
-            (l0, r0)
-        };
-
-        let mut txn = Transaction::new();
-        // New member rows + link.
-        let l1 = txn.fact_insert(&mut c, "f", FactSide::Left, vec![Value::Int(2), Value::str("b")]).unwrap();
-        txn.fact_link(&mut c, "f", l1, r0).unwrap();
-        // Update pre-existing member.
-        txn.fact_update(&mut c, "f", FactSide::Right, r0, vec![Value::Int(10), Value::Int(999)]).unwrap();
-        // Unlink, then delete the pre-existing left row (cascades nothing now).
-        txn.fact_unlink(&mut c, "f", l0, r0).unwrap();
-        txn.fact_delete(&mut c, "f", FactSide::Left, l0).unwrap();
-
-        txn.rollback(&mut c).unwrap();
-
-        let ft = c.factorized("f").unwrap();
-        assert_eq!(ft.left().len(), 1, "inserted left row gone, deleted one restored");
-        assert_eq!(ft.right().len(), 1);
-        assert_eq!(ft.count_join(), 1, "original link restored, new link removed");
-        assert_eq!(ft.neighbours_right(l0), &[r0]);
-        let (_, r) = ft.right().lookup_pk(&Value::Int(10)).unwrap();
-        assert_eq!(r[1], Value::Int(100), "member update reverted");
-        // PK index of the member restored too.
-        assert!(ft.left().lookup_pk(&Value::Int(1)).is_some());
-        assert!(ft.left().lookup_pk(&Value::Int(2)).is_none());
-    }
-
-    #[test]
-    fn fact_delete_rollback_restores_cascaded_links() {
-        let mut c = setup_fact();
-        let (l0, r0, r1) = {
-            let ft = c.factorized_mut("f").unwrap();
-            let l0 = ft.insert_left(vec![Value::Int(1), Value::Null]).unwrap();
-            let r0 = ft.insert_right(vec![Value::Int(10), Value::Null]).unwrap();
-            let r1 = ft.insert_right(vec![Value::Int(20), Value::Null]).unwrap();
-            ft.link(l0, r0).unwrap();
-            ft.link(l0, r1).unwrap();
-            (l0, r0, r1)
-        };
-        let mut txn = Transaction::new();
-        txn.fact_delete(&mut c, "f", FactSide::Left, l0).unwrap();
-        assert_eq!(c.factorized("f").unwrap().count_join(), 0);
-        txn.rollback(&mut c).unwrap();
-        let ft = c.factorized("f").unwrap();
-        assert_eq!(ft.count_join(), 2, "both cascaded links restored");
-        let mut ns = ft.neighbours_right(l0).to_vec();
-        ns.sort();
-        assert_eq!(ns, vec![r0, r1]);
     }
 
     #[test]

@@ -26,6 +26,13 @@
 //! is treated as the end of the log. This is what makes crash recovery a
 //! total function of the file contents.
 //!
+//! Tags 8–12 are retired: they held the records of the factorized storage
+//! kind, which co-location no longer uses (a co-located pair is now two
+//! member tables plus a row-id link table, logged with the plain records).
+//! A CRC-valid frame carrying one of them fails the scan with an error that
+//! names the record. It must not read as a torn tail, which would silently
+//! drop the committed groups after it.
+//!
 //! ## Sync policy
 //!
 //! [`SyncPolicy`] trades commit latency for durability window, exactly like
@@ -64,13 +71,6 @@ impl Default for SyncPolicy {
 
 // ---- records ---------------------------------------------------------------
 
-/// Which member table of a factorized structure an operation targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FactSide {
-    Left,
-    Right,
-}
-
 /// One physical operation (or group marker) in the log.
 ///
 /// Rows are logged *post-canonicalization* (the representation the table
@@ -94,17 +94,6 @@ pub enum WalRecord {
     Delete { table: String, rid: u64 },
     /// A plain table was created (schema as catalog-meta JSON).
     CreateTable { schema_json: String },
-    /// A row landed in one member of factorized structure `name`.
-    FactInsert { name: String, side: FactSide, rid: u64, row: Row },
-    /// A member row of factorized structure `name` was replaced.
-    FactUpdate { name: String, side: FactSide, rid: u64, row: Row },
-    /// A member row of factorized structure `name` was deleted (links
-    /// cascade exactly as they did online).
-    FactDelete { name: String, side: FactSide, rid: u64 },
-    /// A (left, right) pointer pair was added in structure `name`.
-    FactLink { name: String, l: u64, r: u64 },
-    /// A (left, right) pointer pair was removed from structure `name`.
-    FactUnlink { name: String, l: u64, r: u64 },
     /// A contiguous batch of rows landed at the tail of `table`, occupying
     /// slots `first .. first + rows.len()`. The compact bulk-ingest record:
     /// one frame describes the whole batch (the table name and slot base are
@@ -119,27 +108,15 @@ const R_INSERT: u8 = 4;
 const R_UPDATE: u8 = 5;
 const R_DELETE: u8 = 6;
 const R_CREATE_TABLE: u8 = 7;
-const R_FACT_INSERT: u8 = 8;
-const R_FACT_UPDATE: u8 = 9;
-const R_FACT_DELETE: u8 = 10;
-const R_FACT_LINK: u8 = 11;
-const R_FACT_UNLINK: u8 = 12;
 const R_BULK_INSERT: u8 = 13;
-
-fn put_side(buf: &mut Vec<u8>, side: FactSide) {
-    buf.push(match side {
-        FactSide::Left => 0,
-        FactSide::Right => 1,
-    });
-}
-
-fn get_side(c: &mut Cursor<'_>) -> CodecResult<FactSide> {
-    match c.u8()? {
-        0 => Ok(FactSide::Left),
-        1 => Ok(FactSide::Right),
-        tag => Err(CodecError::BadTag { what: "factorized side", tag }),
-    }
-}
+/// The retired factorized-structure records and their tags (module docs).
+const RETIRED: [(u8, &str); 5] = [
+    (8, "FactInsert"),
+    (9, "FactUpdate"),
+    (10, "FactDelete"),
+    (11, "FactLink"),
+    (12, "FactUnlink"),
+];
 
 impl WalRecord {
     /// Serialize the record payload (no framing).
@@ -178,38 +155,6 @@ impl WalRecord {
                 buf.push(R_CREATE_TABLE);
                 put_str(buf, schema_json);
             }
-            WalRecord::FactInsert { name, side, rid, row } => {
-                buf.push(R_FACT_INSERT);
-                put_str(buf, name);
-                put_side(buf, *side);
-                put_u64(buf, *rid);
-                put_row(buf, row);
-            }
-            WalRecord::FactUpdate { name, side, rid, row } => {
-                buf.push(R_FACT_UPDATE);
-                put_str(buf, name);
-                put_side(buf, *side);
-                put_u64(buf, *rid);
-                put_row(buf, row);
-            }
-            WalRecord::FactDelete { name, side, rid } => {
-                buf.push(R_FACT_DELETE);
-                put_str(buf, name);
-                put_side(buf, *side);
-                put_u64(buf, *rid);
-            }
-            WalRecord::FactLink { name, l, r } => {
-                buf.push(R_FACT_LINK);
-                put_str(buf, name);
-                put_u64(buf, *l);
-                put_u64(buf, *r);
-            }
-            WalRecord::FactUnlink { name, l, r } => {
-                buf.push(R_FACT_UNLINK);
-                put_str(buf, name);
-                put_u64(buf, *l);
-                put_u64(buf, *r);
-            }
             WalRecord::BulkInsert { table, first, rows } => {
                 buf.push(R_BULK_INSERT);
                 put_str(buf, table);
@@ -238,23 +183,6 @@ impl WalRecord {
             }
             R_DELETE => WalRecord::Delete { table: c.string()?, rid: c.u64()? },
             R_CREATE_TABLE => WalRecord::CreateTable { schema_json: c.string()? },
-            R_FACT_INSERT => WalRecord::FactInsert {
-                name: c.string()?,
-                side: get_side(&mut c)?,
-                rid: c.u64()?,
-                row: get_row(&mut c)?,
-            },
-            R_FACT_UPDATE => WalRecord::FactUpdate {
-                name: c.string()?,
-                side: get_side(&mut c)?,
-                rid: c.u64()?,
-                row: get_row(&mut c)?,
-            },
-            R_FACT_DELETE => {
-                WalRecord::FactDelete { name: c.string()?, side: get_side(&mut c)?, rid: c.u64()? }
-            }
-            R_FACT_LINK => WalRecord::FactLink { name: c.string()?, l: c.u64()?, r: c.u64()? },
-            R_FACT_UNLINK => WalRecord::FactUnlink { name: c.string()?, l: c.u64()?, r: c.u64()? },
             R_BULK_INSERT => {
                 let table = c.string()?;
                 let first = c.u64()?;
@@ -539,8 +467,20 @@ pub fn scan_wal(path: &Path) -> StorageResult<WalScan> {
     while !frames.is_done() {
         // Short header, short payload, CRC mismatch and undecodable payload
         // all end the log here: the one place a `CodecError` becomes a torn
-        // tail.
-        let Ok(rec) = frames.frame().and_then(WalRecord::decode) else {
+        // tail. A retired record is no tear: it is committed data this
+        // version cannot read, so the scan fails.
+        let Ok(payload) = frames.frame() else {
+            scan.torn_tail = true;
+            break;
+        };
+        if let Some((tag, name)) = RETIRED.iter().find(|(tag, _)| payload.first() == Some(tag)) {
+            return Err(StorageError::Corrupt(format!(
+                "WAL frame {} is a {name} record (tag {tag}) of the retired factorized \
+                 storage kind, which this version does not read",
+                scan.frames
+            )));
+        }
+        let Ok(rec) = WalRecord::decode(payload) else {
             scan.torn_tail = true;
             break;
         };
@@ -597,21 +537,6 @@ mod tests {
             WalRecord::Update { table: "t".into(), rid: 0, row: vec![Value::Int(2)] },
             WalRecord::Delete { table: "t".into(), rid: 0 },
             WalRecord::CreateTable { schema_json: "{\"name\":\"x\"}".into() },
-            WalRecord::FactInsert {
-                name: "f".into(),
-                side: FactSide::Left,
-                rid: 3,
-                row: vec![Value::Int(7)],
-            },
-            WalRecord::FactUpdate {
-                name: "f".into(),
-                side: FactSide::Right,
-                rid: 4,
-                row: vec![Value::Null],
-            },
-            WalRecord::FactDelete { name: "f".into(), side: FactSide::Left, rid: 3 },
-            WalRecord::FactLink { name: "f".into(), l: 1, r: 2 },
-            WalRecord::FactUnlink { name: "f".into(), l: 1, r: 2 },
             WalRecord::BulkInsert {
                 table: "t".into(),
                 first: 42,
@@ -650,7 +575,7 @@ mod tests {
     /// codec moved to `erbium_model::codec`: the on-disk format is pinned.
     #[test]
     fn golden_frames_pin_the_wal_format() {
-        let recs = vec![
+        let recs = [
             WalRecord::Begin { txn: 1 },
             WalRecord::Commit { txn: 1 },
             WalRecord::Abort { txn: 2 },
@@ -670,21 +595,6 @@ mod tests {
             WalRecord::Update { table: "t".into(), rid: 3, row: vec![Value::Int(2)] },
             WalRecord::Delete { table: "t".into(), rid: 3 },
             WalRecord::CreateTable { schema_json: "{\"name\":\"x\"}".into() },
-            WalRecord::FactInsert {
-                name: "f".into(),
-                side: FactSide::Left,
-                rid: 4,
-                row: vec![Value::Int(7)],
-            },
-            WalRecord::FactUpdate {
-                name: "f".into(),
-                side: FactSide::Right,
-                rid: 5,
-                row: vec![Value::Null],
-            },
-            WalRecord::FactDelete { name: "f".into(), side: FactSide::Left, rid: 4 },
-            WalRecord::FactLink { name: "f".into(), l: 1, r: 2 },
-            WalRecord::FactUnlink { name: "f".into(), l: 1, r: 2 },
             WalRecord::BulkInsert {
                 table: "t".into(),
                 first: 42,
@@ -699,11 +609,6 @@ mod tests {
             "1b000000f898768f050100000074030000000000000001000000020200000000000000",
             "0e000000ce7e2fd70601000000740300000000000000",
             "11000000382b0bab070c0000007b226e616d65223a2278227d",
-            "1c000000331feae208010000006600040000000000000001000000020700000000000000",
-            "14000000e51c0ffd0901000000660105000000000000000100000000",
-            "0f0000004ae560750a0100000066000400000000000000",
-            "16000000d4cf548f0b010000006601000000000000000200000000000000",
-            "1600000094f18dea0c010000006601000000000000000200000000000000",
             "290000007b9249e10d01000000742a00000000000000020000000200000002010000000000000004010000006100000000",
         ];
         assert_eq!(recs.len(), golden.len());
@@ -713,6 +618,86 @@ mod tests {
             let got: String = frame.iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(got, hex, "{rec:?}");
             assert_eq!(&WalRecord::decode(Cursor::new(&frame).frame().unwrap()).unwrap(), rec);
+        }
+    }
+
+    /// The frames of the five retired factorized-structure records (tags
+    /// 8–12), as `golden_frames_pin_the_wal_format` pinned them before the
+    /// records were retired.
+    pub(crate) const RETIRED_FRAMES: [(&str, &str); 5] = [
+        ("FactInsert", "1c000000331feae208010000006600040000000000000001000000020700000000000000"),
+        ("FactUpdate", "14000000e51c0ffd0901000000660105000000000000000100000000"),
+        ("FactDelete", "0f0000004ae560750a0100000066000400000000000000"),
+        ("FactLink", "16000000d4cf548f0b010000006601000000000000000200000000000000"),
+        ("FactUnlink", "1600000094f18dea0c010000006601000000000000000200000000000000"),
+    ];
+
+    pub(crate) fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    fn group(txn: u64, ops: &[WalRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_record(&mut out, &WalRecord::Begin { txn });
+        for op in ops {
+            frame_record(&mut out, op);
+        }
+        frame_record(&mut out, &WalRecord::Commit { txn });
+        out
+    }
+
+    /// A retired record inside a committed group fails the scan with an
+    /// error naming it; it is never read as a torn tail that would drop the
+    /// committed group after it.
+    #[test]
+    fn retired_factorized_records_fail_the_scan() {
+        let insert = WalRecord::Insert { table: "t".into(), rid: 0, row: vec![Value::Int(1)] };
+        for (name, frame) in RETIRED_FRAMES {
+            let payload = Cursor::new(&unhex(frame)).frame().unwrap().to_vec();
+            assert!(matches!(WalRecord::decode(&payload), Err(CodecError::BadTag { .. })));
+            let mut file = group(1, std::slice::from_ref(&insert));
+            file.extend(&group(2, &[]));
+            let at = file.len() - 17; // before group 2's Commit frame
+            file.splice(at..at, unhex(frame));
+            file.extend(&group(3, std::slice::from_ref(&insert)));
+            let path = temp_path("retired");
+            std::fs::write(&path, &file).unwrap();
+            match scan_wal(&path) {
+                Err(StorageError::Corrupt(msg)) => assert!(msg.contains(name), "{msg}"),
+                other => panic!("{name}: expected a refusal, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// The tails a crash leaves — a short header, a short payload, a CRC
+    /// mismatch, a zero-filled run (which frames as a CRC-valid empty
+    /// payload: `crc32([]) == 0`) — still end the log cleanly after the
+    /// committed prefix.
+    #[test]
+    fn crash_tails_still_truncate() {
+        let insert = WalRecord::Insert { table: "t".into(), rid: 0, row: vec![Value::Int(1)] };
+        let good = group(1, std::slice::from_ref(&insert));
+        let mut crc_bad = Vec::new();
+        frame_record(&mut crc_bad, &insert);
+        crc_bad[4] ^= 0xFF;
+        let (_, link) = RETIRED_FRAMES[3];
+        let tails: [Vec<u8>; 5] = [
+            vec![0x10, 0x00],
+            unhex(link)[..12].to_vec(),
+            crc_bad,
+            vec![0u8; 64],
+            vec![0u8; 3],
+        ];
+        for tail in tails {
+            let path = temp_path("tails");
+            let mut file = good.clone();
+            file.extend(&tail);
+            std::fs::write(&path, &file).unwrap();
+            let scan = scan_wal(&path).unwrap();
+            assert!(scan.torn_tail, "{tail:?}");
+            assert_eq!(scan.committed.len(), 1, "{tail:?}");
+            std::fs::remove_file(&path).ok();
         }
     }
 

@@ -83,6 +83,15 @@ if grep -rn "PlanKind::" crates/advisor/src; then
     echo "ERROR: crates/advisor/src walks a plan; price it with erbium_engine::cost::plan_cost" >&2
     exit 1
 fi
+# One storage kind: factorized co-location is two plain member tables plus
+# a row-id link table, read through the engine's `Fetch`. The retired
+# factorized structure, its plan leaves and its transaction API must not
+# come back (wal.rs keeps only the retired record names and tag numbers,
+# which these patterns do not match, for the refusal of old logs).
+if grep -rnE --include='*.rs' "FactorizedTable|FactorizedScan|FactorizedCount|create_factorized|fn fact_" crates; then
+    echo "ERROR: the retired factorized storage kind is back under crates/" >&2
+    exit 1
+fi
 # One of each: the CRC-32, the cursor and the Value codec live in
 # erbium-model's codec module and nowhere else; the plan cost function in
 # erbium-engine's cost module.

@@ -20,7 +20,7 @@
 //! | [`query`] | `erbium-query` | ERQL parser (DDL + SELECT with `VIA`/`NEST`) |
 //! | [`mapping`] | `erbium-mapping` | graph-cover mappings, CRUD + query rewriting |
 //! | [`engine`] | `erbium-engine` | plans, optimizer, executor |
-//! | [`storage`] | `erbium-storage` | tables, indexes, transactions, factorized storage |
+//! | [`storage`] | `erbium-storage` | tables, indexes, transactions, WAL, checkpoints |
 //! | [`evolve`] | `erbium-evolve` | schema evolution, migration, versioning |
 //! | [`advisor`] | `erbium-advisor` | workload-aware mapping advisor |
 //! | [`datagen`] | `erbium-datagen` | the paper's synthetic instances |

@@ -56,7 +56,7 @@ const QUERIES: &[(&str, &str)] = &[
         "SELECT r.r_id, s.s_id FROM R r JOIN S s VIA r_s \
          WHERE r.r_b < 10 AND s.s_b < 5",
     ),
-    // 3-way join (E5 class): factorized under M5/M6f, hash joins elsewhere.
+    // 3-way join (E5 class): hash joins under every mapping but M3/M4.
     ("join3", "SELECT r.r_id, r.r_a, r.r_b, r.r1_a, r.r1_b, r.r3_a FROM R3 r"),
     // Grouped partial aggregation: output *order* (first-seen group order)
     // and float AVG must both be invariant; exercises the single-key fast

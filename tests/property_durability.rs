@@ -44,7 +44,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 /// Content fingerprint of the catalog: every table's live rows (with their
-/// row ids) plus every factorized table's members and link pairs, in a
+/// row ids; factorized members and link tables are tables too), in a
 /// canonical order. Statistics and free lists are deliberately excluded —
 /// they are not part of the durable state contract.
 fn fingerprint(db: &Database) -> String {
@@ -59,20 +59,6 @@ fn fingerprint(db: &Database) -> String {
             t.scan().map(|(rid, r)| format!("{}:{r:?}", rid.0)).collect();
         rows.sort();
         writeln!(out, "T {name} {rows:?}").unwrap();
-    }
-    let mut names = cat.factorized_names();
-    names.sort();
-    for name in names {
-        let f = cat.factorized(&name).unwrap();
-        let mut left: Vec<String> =
-            f.left().scan().map(|(rid, r)| format!("{}:{r:?}", rid.0)).collect();
-        left.sort();
-        let mut right: Vec<String> =
-            f.right().scan().map(|(rid, r)| format!("{}:{r:?}", rid.0)).collect();
-        right.sort();
-        let mut pairs: Vec<String> = f.enumerate_join().iter().map(|r| format!("{r:?}")).collect();
-        pairs.sort();
-        writeln!(out, "F {name} L{left:?} R{right:?} J{pairs:?}").unwrap();
     }
     out
 }
@@ -749,4 +735,108 @@ fn crash_mid_group_loses_or_keeps_whole_groups() {
     }
     fs::remove_dir_all(&dir).ok();
     fs::remove_dir_all(&crash_dir).ok();
+}
+
+/// Retired WAL tags 8–12 once logged factorized co-location. A committed
+/// group holding one of those records makes `Database::open` fail with an
+/// error naming it, and the log stays whole: the record is never cut off
+/// as a torn tail, which would drop the committed group after it.
+#[test]
+fn retired_factorized_wal_records_fail_open() {
+    use erbiumdb::storage::wal::frame_record;
+    use erbiumdb::storage::{WalRecord, WAL_FILE};
+    // The frames as the WAL format pinned them before the tags retired.
+    let retired = [
+        ("FactInsert", "1c000000331feae208010000006600040000000000000001000000020700000000000000"),
+        ("FactUpdate", "14000000e51c0ffd0901000000660105000000000000000100000000"),
+        ("FactDelete", "0f0000004ae560750a0100000066000400000000000000"),
+        ("FactLink", "16000000d4cf548f0b010000006601000000000000000200000000000000"),
+        ("FactUnlink", "1600000094f18dea0c010000006601000000000000000200000000000000"),
+    ];
+    let unhex = |s: &str| -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    };
+    for (name, frame) in retired {
+        let dir = tmpdir(&format!("retired-{name}"));
+        let mut log = Vec::new();
+        for (txn, retired_frame) in [(1, Some(frame)), (2, None)] {
+            frame_record(&mut log, &WalRecord::Begin { txn });
+            log.extend(retired_frame.map(unhex).unwrap_or_default());
+            frame_record(&mut log, &WalRecord::Commit { txn });
+        }
+        fs::write(dir.join(WAL_FILE), &log).unwrap();
+        let err = Database::open(&dir).err().expect("a retired record fails open");
+        assert!(err.to_string().contains(name), "{name}: {err}");
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log, "{name}: the log stays whole");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One `link` on a checkpointed M6f database dirties the link table alone,
+/// and the next checkpoint is a delta of that one table's written page:
+/// under one size-independent bound at 200 and at 4,000 pairs, while the
+/// whole link table at 4,000 pairs is several pages past it.
+#[test]
+fn m6f_link_checkpoints_as_a_link_table_page_delta() {
+    use erbiumdb::core::BulkEntity;
+    use erbiumdb::mapping::presets::paper;
+    use erbiumdb::storage::CheckpointKind;
+    const BOUND: u64 = 32 * 1024;
+    for n in [200i64, 4000] {
+        let dir = tmpdir(&format!("m6f-delta-{n}"));
+        let mut db = Database::open(&dir).unwrap();
+        db.execute(EXPERIMENT_DDL).unwrap();
+        let schema = db.schema().clone();
+        db.install(paper::m6(&schema, CoFormat::Factorized).unwrap()).unwrap();
+        let batch = |f: &dyn Fn(i64) -> Vec<(&'static str, Value)>| -> Vec<BulkEntity> {
+            (0..n).map(|i| BulkEntity::new(&f(i))).collect()
+        };
+        db.copy_from("S", &batch(&|i| {
+            vec![("s_id", Value::Int(i)), ("s_a", Value::str("s")), ("s_b", Value::Int(i))]
+        }))
+        .unwrap();
+        db.copy_from("S1", &batch(&|i| vec![("s_id", Value::Int(i)), ("s1_no", Value::Int(0))]))
+            .unwrap();
+        let no_values = || Value::Array(vec![]);
+        db.copy_from("R2", &batch(&|i| {
+            vec![
+                ("r_id", Value::Int(i)),
+                ("r_a", Value::str("r")),
+                ("r_b", Value::Int(i)),
+                ("r_mv1", no_values()),
+                ("r_mv2", no_values()),
+                ("r_mv3", no_values()),
+            ]
+        }))
+        .unwrap();
+        db.transaction(|tx| {
+            for i in 1..n {
+                tx.link("r2_s1", &[Value::Int(i)], &[Value::Int(i), Value::Int(0)], &[])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        db.checkpoint().unwrap();
+        let whole = db.catalog().table("r2_s1__co").unwrap().page_count();
+
+        db.link("r2_s1", &[Value::Int(0)], &[Value::Int(0), Value::Int(0)], &[]).unwrap();
+        assert_eq!(db.catalog().dirty_table_names(), vec!["r2_s1__co".to_string()]);
+        assert_eq!(db.checkpoint().unwrap(), Some(CheckpointKind::Delta { tables: 1 }));
+        let newest = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.to_string_lossy().contains("snapshot.delta."))
+            .max_by_key(|p| fs::metadata(p).unwrap().modified().unwrap())
+            .expect("a delta file");
+        let bytes = fs::metadata(&newest).unwrap().len();
+        assert!(bytes < BOUND, "n={n}: the delta holds {bytes} bytes");
+        if n == 4000 {
+            assert!(whole >= 4, "the link table spans {whole} pages");
+        }
+        drop(db);
+        let db = Database::open(&dir).unwrap();
+        let pairs = db.query("SELECT r.r_id, w.s1_no FROM R2 r JOIN S1 w VIA r2_s1").unwrap();
+        assert_eq!(pairs.rows.len(), n as usize, "every link survives the delta chain");
+        fs::remove_dir_all(&dir).ok();
+    }
 }
