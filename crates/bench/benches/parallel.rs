@@ -1,19 +1,15 @@
 //! Ablation: full-pipeline morsel parallelism on the persistent worker
 //! pool (A-parallel in EXPERIMENTS.md).
 //!
-//! Two axes over an E5/E6-class synthetic workload (selective filter →
-//! hash join → grouped aggregation, the operators where the paper's
-//! factorized-vs-1NF comparisons are decided):
-//!
-//! * **1 vs. N threads** — scans (with fused Filter/Project), join build
-//!   *and probe*, and partial aggregation all ride the shared
-//!   [`erbium_engine::WorkerPool`]; on a multi-core box the parallel arms
-//!   should approach linear speedup, while on single-core CI boxes both
-//!   arms measure the same work plus pool scheduling overhead (results
-//!   are asserted bit-identical by `tests/parallel_invariance.rs`).
-//! * **fusion on vs. off** — whether the Filter/Project chain above each
-//!   scan executes inside the scan's morsel workers or as serial
-//!   post-passes.
+//! One axis, 1 vs. N threads, over an E5/E6-class synthetic workload
+//! (selective filter → hash join → grouped aggregation, the operators
+//! where the paper's factorized-vs-1NF comparisons are decided). Scans
+//! (with fused Filter/Project), join build *and probe*, and partial
+//! aggregation all ride the shared [`erbium_engine::WorkerPool`]; on a
+//! multi-core box the parallel arms should approach linear speedup, while
+//! on single-core CI boxes both arms measure the same work plus pool
+//! scheduling overhead (results are asserted bit-identical by
+//! `tests/parallel_invariance.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use erbium_engine::{execute_streaming, AggCall, AggFunc, ExecContext, Expr, JoinKind, Plan};
@@ -80,13 +76,10 @@ fn bench_parallel(c: &mut Criterion) {
             ),
         ]);
     for threads in [1usize, 2, 4] {
-        for fusion in [true, false] {
-            let ctx = ExecContext::default().with_threads(threads).with_fusion(fusion);
-            let tag = if fusion { "fused" } else { "unfused" };
-            g.bench_function(format!("scan_filter_project/t{threads}_{tag}"), |b| {
-                b.iter(|| std::hint::black_box(drain(&pipeline, &cat, &ctx)));
-            });
-        }
+        let ctx = ExecContext::default().with_threads(threads);
+        g.bench_function(format!("scan_filter_project/t{threads}"), |b| {
+            b.iter(|| std::hint::black_box(drain(&pipeline, &cat, &ctx)));
+        });
     }
 
     // E6-class join: selective probe side against a shared build table.

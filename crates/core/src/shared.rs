@@ -34,7 +34,7 @@
 use crate::database::{Database, DbResult, QueryResult, SlowQueryRecord};
 use crate::governance::AccessPolicy;
 use crate::DbError;
-use erbium_engine::{ExecContext, PlanCache, PlanCacheStats};
+use erbium_engine::{ExecContext, Plan, PlanCache, PlanCacheStats};
 use erbium_mapping::{EntityData, EntityStore, Lowering};
 use erbium_model::ErSchema;
 use erbium_storage::{Catalog, GroupCommitter, SyncPolicy, Value};
@@ -435,6 +435,12 @@ impl Snapshot {
     pub fn get(&self, entity: &str, key: &[Value]) -> DbResult<Option<EntityData>> {
         let lw = self.view.lowering.as_deref().ok_or(DbError::NotInstalled)?;
         Ok(EntityStore::new(lw).get(&self.view.catalog, entity, key)?)
+    }
+
+    /// Compile an ERQL SELECT to an optimized physical plan against this
+    /// pinned view (see [`Database::plan`]).
+    pub fn plan(&self, sql: &str) -> DbResult<Plan> {
+        self.ctx().plan(sql).map(|p| (*p).clone())
     }
 
     /// Render the optimized plan of a query against this pinned view.

@@ -12,6 +12,12 @@
 //! (thread-count-independent, bit-identical) output. See `DESIGN.md` §9 for
 //! the determinism argument.
 //!
+//! There is one execution path: fusion, the vectorized scan, the columnar
+//! join build and the columnar aggregate are chosen by plan shape alone,
+//! so an [`ExecContext`] carries only sizes, a thread count and the
+//! cancellation flag; neither the sizes nor the thread count change a
+//! query's answer.
+//!
 //! Entry points:
 //!
 //! * [`execute_streaming`] — compile to a [`QueryStream`] handle that the
@@ -54,17 +60,6 @@ pub struct ExecContext {
     /// are bit-identical to single-threaded execution (including float
     /// aggregates and `ARRAY_AGG` order).
     pub threads: usize,
-    /// Fuse Filter/Project chains into the scan's morsel workers instead of
-    /// running them as serial post-passes. On by default; disable to ablate.
-    pub fusion: bool,
-    /// Execute eligible leaf pipelines over the tables' typed column
-    /// vectors (selection-vector kernels + late row materialization)
-    /// instead of cloning row-shaped slots. On by default; disable to
-    /// ablate. Results are bit-identical either way — the columnar
-    /// kernels replicate `Value` comparison semantics exactly and
-    /// non-vectorizable predicates fall back to row evaluation in the
-    /// original order.
-    pub columnar: bool,
     cancel: Arc<AtomicBool>,
 }
 
@@ -82,8 +77,6 @@ impl Default for ExecContext {
             batch_size: 1024,
             morsel_size: 4096,
             threads: default_threads(),
-            fusion: true,
-            columnar: true,
             cancel: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -106,18 +99,6 @@ impl ExecContext {
 
     pub fn with_threads(mut self, n: usize) -> ExecContext {
         self.threads = n.max(1);
-        self
-    }
-
-    /// Enable or disable pipeline fusion (on by default).
-    pub fn with_fusion(mut self, on: bool) -> ExecContext {
-        self.fusion = on;
-        self
-    }
-
-    /// Enable or disable columnar (vectorized) execution (on by default).
-    pub fn with_columnar(mut self, on: bool) -> ExecContext {
-        self.columnar = on;
         self
     }
 
@@ -516,8 +497,8 @@ mod tests {
         let mut qs = execute_streaming(&p, &c, &ctx).unwrap();
         let rows = qs.drain().unwrap();
         let m = qs.metrics();
-        assert_eq!(rows.len(), 32);
-        assert_eq!(rows[0], vec![Value::Int(1)]);
+        let want: Vec<Row> = (1..=32i64).map(|y| vec![Value::Int(y)]).collect();
+        assert_eq!(rows, want, "fused chain yields the filtered, projected rows in slot order");
         // Plan shape is preserved: Project -> Filter -> Scan, but the whole
         // chain executed inside the scan's morsel workers.
         assert_eq!(m.name, "Project");
@@ -531,10 +512,6 @@ mod tests {
         // At least the submitting thread participates in every wave; on a
         // multi-core machine pool workers join it (peak is recorded).
         assert!(scan.workers >= 1, "expected participant count\n{}", m.render());
-        // With fusion disabled the same plan yields identical rows.
-        let plain =
-            execute_streaming(&p, &c, &ctx.clone().with_fusion(false)).unwrap().drain().unwrap();
-        assert_eq!(plain, rows);
     }
 
     #[test]
@@ -609,11 +586,8 @@ mod tests {
             c.drop_table("link").unwrap();
             c.create_table(link(vec![Value::Int(0), bad.clone()])).unwrap();
             let plan = Plan::scan(&c, "link").unwrap().fetch(&c, "dept", 0, vec![1]).unwrap();
-            for columnar in [true, false] {
-                let ctx = ExecContext::new().with_columnar(columnar);
-                let err = execute_streaming(&plan, &c, &ctx).unwrap().drain().unwrap_err();
-                assert!(matches!(err, EngineError::Eval(_)), "{bad}: {err}");
-            }
+            let err = execute(&plan, &c).unwrap_err();
+            assert!(matches!(err, EngineError::Eval(_)), "{bad}: {err}");
         }
         let dept = || Plan::scan(&c, "dept").unwrap();
         assert!(dept().fetch(&c, "dept", 1, vec![0]).is_err(), "text is no row id");

@@ -20,7 +20,7 @@
 //!   morsel order;
 //! * **fused pipelines** — `Filter`/`Project` chains sitting directly
 //!   above a leaf execute *inside* the scan's morsel jobs instead of as
-//!   serial post-passes (disable with `ExecContext::with_fusion(false)`);
+//!   serial post-passes (chosen by plan shape alone);
 //! * **hash joins** — the build side is hashed in parallel over contiguous
 //!   chunks merged in chunk order, and the probe side is morsel-partitioned
 //!   against the shared read-only build table, outputs concatenated in
@@ -31,24 +31,24 @@
 //!
 //! ## Columnar (vectorized) execution
 //!
-//! With [`crate::exec::ExecContext::columnar`] (on by default), leaf table
-//! scans run over the table's typed column vectors instead of cloning
-//! row-shaped slots: each morsel builds a *selection vector* of live slot
-//! ids, applies the vectorizable prefix of the pushed-down filters (and of
-//! the fused Filter/Project chain) as tight per-column kernels compiled by
+//! Every leaf table scan runs over the table's typed column vectors: each
+//! morsel builds a *selection vector* of live slot ids, applies the
+//! vectorizable prefix of the pushed-down filters (and of the fused
+//! Filter/Project chain) as tight per-column kernels compiled by
 //! [`crate::vplan`], row-evaluates any residual predicates against
 //! borrowed rows in the original order, and only then materializes the
 //! surviving rows — restricted to the scan's pruned projection — via a
 //! column-at-a-time gather ([`crate::vector`]). Single-key hash-join
 //! builds and single-key aggregates over a bare scan skip row streams
 //! entirely and run the same selection + gather pass against the column
-//! vectors. Everything else falls back to the row-batch operators; the
-//! split is observable via the `engine_columnar_batches_total` /
-//! `engine_fallback_row_batches_total` counters and the `[columnar]`
-//! marker on metric nodes. Columnar execution is bit-identical to the row
-//! path at every configuration: the kernels replicate `Value` comparison
-//! semantics (including NULL and cross-type ordering) exactly, and
-//! selection order is slot order, the same order the row path visits.
+//! vectors. Which of these runs is decided by plan shape alone; every
+//! other operator consumes row batches. The split is observable via the
+//! `engine_columnar_batches_total` / `engine_fallback_row_batches_total`
+//! counters and the `[columnar]` marker on metric nodes. The kernels
+//! replicate `Value` comparison semantics (including NULL and cross-type
+//! ordering) exactly, and selection order is slot order, so a scan yields
+//! the same rows in the same order as filtering `Table::scan` row by row
+//! — the row-store twin `tests/parallel_invariance.rs` checks against.
 //!
 //! ## Determinism
 //!
@@ -94,14 +94,14 @@ fn m_columnar_batches() -> &'static erbium_obs::Counter {
     })
 }
 
-/// Batches a kernel produced on the row path *while columnar execution
-/// was enabled* — the observable fallback: stream-drained join builds.
+/// Join builds drained from a row stream: the batches a hash-join build
+/// side pulled because it could not hash straight off column vectors.
 fn m_fallback_row_batches() -> &'static erbium_obs::Counter {
     static H: OnceLock<Arc<erbium_obs::Counter>> = OnceLock::new();
     H.get_or_init(|| {
         erbium_obs::Registry::global().counter(
             "engine_fallback_row_batches_total",
-            "row-path batches produced while columnar execution was enabled",
+            "join builds drained from a row stream (batches)",
         )
     })
 }
@@ -230,10 +230,7 @@ pub(crate) fn compile<'a>(
             // bare scan keyed by one column with a typed vector, hash it
             // straight off the column vectors instead of compiling and
             // draining a row stream.
-            let columnar_build =
-                if ctx.columnar { columnar_build_source(right, right_keys, cat) } else { None };
-            let track_fallback = ctx.columnar && columnar_build.is_none();
-            let (src, rm) = match columnar_build {
+            let (src, rm) = match columnar_build_source(right, right_keys, cat) {
                 Some((src, rm)) => (src, rm),
                 None => {
                     let (r, rm) = compile(right, cat, ctx)?;
@@ -251,7 +248,6 @@ pub(crate) fn compile<'a>(
                     right_arity: right.fields.len(),
                     threads: ctx.threads.max(1),
                     metrics: Arc::clone(&m),
-                    track_fallback,
                     build: None,
                 }),
                 m,
@@ -387,9 +383,6 @@ fn compile_fused<'a>(
     cat: &'a Catalog,
     ctx: &ExecContext,
 ) -> EngineResult<Option<(BoxedRowStream<'a>, Arc<OpMetrics>)>> {
-    if !ctx.fusion {
-        return Ok(None);
-    }
     // Collect the Filter/Project chain (top-down) above the leaf.
     let mut chain: Vec<&'a Plan> = Vec::new();
     let mut base = plan;
@@ -598,58 +591,6 @@ fn push_chunked(buf: &mut VecDeque<Vec<Row>>, mut rows: Vec<Row>, batch: usize) 
     }
 }
 
-/// Morsel scan over one table: examine rows in the slot range, apply the
-/// pushed-down filters against borrowed rows, clone only survivors
-/// (restricted to the pruned `projection` when one is set), then run any
-/// fused operator chain over the morsel's survivors in place.
-///
-/// With [`ExecContext::columnar`] the scan dispatches to
-/// [`columnar_scan_stream`] instead: same morsel structure, same output,
-/// but filters run as vector kernels over a selection of slot ids and
-/// rows materialize late, column at a time.
-fn table_scan_stream<'a>(
-    t: &'a Table,
-    filters: &'a [Expr],
-    projection: Option<&'a [usize]>,
-    scan_m: Arc<OpMetrics>,
-    steps: Vec<FusedStep<'a>>,
-    ctx: &ExecContext,
-) -> BoxedRowStream<'a> {
-    if ctx.columnar {
-        return columnar_scan_stream(t, filters, projection, scan_m, steps, ctx);
-    }
-    let total = t.slot_count();
-    let wave_m = Arc::clone(&scan_m);
-    let work = move |range: Range<usize>, out: &mut Vec<Row>| -> EngineResult<()> {
-        let mut examined = 0u64;
-        // Pin the morsel's pages once: rows borrow from the pin, and a
-        // bounded buffer pool serves evicted pages transiently instead of
-        // growing the resident set past its frame budget.
-        let pin = t.pin_slots(range);
-        'rows: for (_, row) in pin.iter() {
-            examined += 1;
-            for f in filters {
-                if !f.eval_predicate(row)? {
-                    continue 'rows;
-                }
-            }
-            out.push(match projection {
-                Some(cols) => cols.iter().map(|&c| row[c].clone()).collect(),
-                None => row.clone(),
-            });
-        }
-        scan_m.add_rows_in(examined);
-        if !steps.is_empty() {
-            // Fused pipeline: record the scan's own emission here (the
-            // enclosing meter only sees the chain's top operator).
-            scan_m.record_batch(out.len() as u64);
-            apply_fused(&steps, out)?;
-        }
-        Ok(())
-    };
-    Box::new(MorselStream::new(Box::new(work), total, ctx, wave_m))
-}
-
 // ---- columnar (vectorized) kernels -----------------------------------------
 
 /// One fused step compiled onto the columnar path: either a vector
@@ -669,9 +610,10 @@ struct VStep {
 }
 
 /// Row-evaluate residual (non-vectorizable) predicates over the selected
-/// slots, compacting `sel` in place in selection order — the same
-/// left-to-right, row-at-a-time order the row path uses, so error
-/// behaviour is identical.
+/// slots, compacting `sel` in place in selection order — left to right,
+/// row at a time, so a predicate that errors does so on the same row a
+/// row-by-row filter would reach first. These reads borrow the row pages
+/// (`Table::get`), so a residual predicate faults evicted pages back in.
 fn apply_residual(
     t: &Table,
     residual: &[Expr],
@@ -696,15 +638,15 @@ fn apply_residual(
     Ok(())
 }
 
-/// Columnar morsel scan: build a selection vector of live slots, narrow it
-/// with compiled vector predicates (scan filters first, then the
+/// The morsel scan over one table: build a selection vector of live slots,
+/// narrow it with compiled vector predicates (scan filters first, then the
 /// vectorizable prefix of the fused chain), row-evaluate residuals, and
 /// late-materialize survivors column-at-a-time through the pruned
-/// projection. Bit-identical to the row path: selection order is slot
-/// order, predicates replicate `Value` semantics, and any fused suffix
-/// that could not vectorize runs via [`apply_fused`] on the gathered rows
-/// exactly as it would on cloned rows.
-fn columnar_scan_stream<'a>(
+/// projection. Bit-identical to filtering `Table::scan` row by row:
+/// selection order is slot order, predicates replicate `Value` semantics,
+/// and any fused suffix that could not vectorize runs via [`apply_fused`]
+/// on the gathered rows.
+fn table_scan_stream<'a>(
     t: &'a Table,
     filters: &'a [Expr],
     projection: Option<&'a [usize]>,
@@ -1133,9 +1075,6 @@ struct JoinStream<'a> {
     right_arity: usize,
     threads: usize,
     metrics: Arc<OpMetrics>,
-    /// Count drained build batches toward the fallback counter (columnar
-    /// mode is on but this build side could not take the columnar path).
-    track_fallback: bool,
     build: Option<JoinBuild>,
 }
 
@@ -1246,9 +1185,7 @@ impl JoinStream<'_> {
             BuildSource::Stream(mut right) => {
                 let mut rows: Vec<Row> = Vec::new();
                 while let Some(b) = right.next_batch()? {
-                    if self.track_fallback {
-                        m_fallback_row_batches().inc();
-                    }
+                    m_fallback_row_batches().inc();
                     rows.extend(b);
                 }
                 let table = if self.threads > 1 && rows.len() >= 2 {
@@ -1259,8 +1196,8 @@ impl JoinStream<'_> {
                 self.build = Some(JoinBuild { rows, table });
             }
             BuildSource::Columnar { t, filters, mapping, key_col, metrics } => {
-                // Select build rows in slot order — exactly the order the
-                // row path would have drained them — then hash the key
+                // Select build rows in slot order — exactly the order a
+                // drained scan stream would yield them — then hash the key
                 // column without materializing it into the rows twice.
                 let identity: Vec<usize> = (0..t.schema().arity()).collect();
                 let (preds, residual) = vplan::split_filters(filters, t, &identity);
@@ -1276,7 +1213,7 @@ impl JoinStream<'_> {
                 let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
                 for (i, &s) in sel.iter().enumerate() {
                     // NULL keys never join: key_at returns None for them,
-                    // matching the row path's skip.
+                    // matching `hash_build_range`'s skip.
                     if let Some(v) = vector::key_at(t, key_col, s) {
                         table.entry(v).or_default().push(i);
                     }
@@ -1700,14 +1637,14 @@ impl RowStream for AggregateStream<'_> {
 
 /// Columnar aggregate over a bare scan: when an `Aggregate` sits directly
 /// on a `Scan` (at most one group key — the single-key fast path; larger
-/// group lists fall back to the row operator) and columnar execution is
-/// on, skip the row stream entirely. The scan's selection + filters run
-/// once over the column vectors, and the aggregate folds
-/// [`AGG_CHUNK`]-sized chunks of the selection, reading only the columns
-/// the group/agg expressions actually touch — unreferenced columns are
-/// never materialized at all. Chunk boundaries are the same pure function
-/// of the post-filter row index as the row path's, and partials absorb in
-/// chunk order, so results (floats included) are bit-identical.
+/// group lists fall back to the row operator), skip the row stream
+/// entirely. The scan's selection + filters run once over the column
+/// vectors, and the aggregate folds [`AGG_CHUNK`]-sized chunks of the
+/// selection, reading only the columns the group/agg expressions actually
+/// touch — unreferenced columns are never materialized at all. Chunk
+/// boundaries are the same pure function of the post-filter row index as
+/// the row operator's, and partials absorb in chunk order, so results
+/// (floats included) are bit-identical.
 fn columnar_agg_stream<'a>(
     input: &'a Plan,
     group: &'a [Expr],
@@ -1715,7 +1652,7 @@ fn columnar_agg_stream<'a>(
     cat: &'a Catalog,
     ctx: &ExecContext,
 ) -> EngineResult<Option<(BoxedRowStream<'a>, Arc<OpMetrics>)>> {
-    if !ctx.columnar || group.len() > 1 {
+    if group.len() > 1 {
         return Ok(None);
     }
     let PlanKind::Scan { table, filters, projection } = &input.kind else { return Ok(None) };

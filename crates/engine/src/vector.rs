@@ -26,8 +26,8 @@ pub(crate) fn live_selection(live: &Bitmap, range: Range<usize>, sel: &mut Vec<u
 /// Filter `sel` in place by one compiled predicate, preserving order.
 ///
 /// Every arm masks by the validity bitmap first: NULL never qualifies a
-/// comparison (matching the row path, where NULL operands make the
-/// predicate NULL, hence not TRUE).
+/// comparison (matching row-at-a-time `Expr` evaluation, where NULL
+/// operands make the predicate NULL, hence not TRUE).
 pub(crate) fn apply_pred(pred: &VecPred, t: &Table, sel: &mut Vec<usize>) {
     match pred {
         VecPred::IntCmp { col, set, lit } => {

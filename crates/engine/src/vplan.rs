@@ -6,8 +6,8 @@
 //! [`Expr`] and [`Value`] — the kernels in `vector.rs` operate purely on
 //! typed slices, selection vectors, and the compiled forms below (a
 //! check.sh gate enforces that `vector.rs` contains no per-row `Value`
-//! enum match). Everything here replicates the row path's semantics
-//! exactly: comparisons follow `Value`'s total order (i64 order for
+//! enum match). Everything here replicates row-at-a-time `Expr`
+//! evaluation exactly: comparisons follow `Value`'s total order (i64 order for
 //! Int/Int, `f64::total_cmp` for any Float operand, string order for
 //! dictionary columns, constant rank order across types), and a NULL on
 //! either side of a comparison yields NULL, which a predicate treats as
@@ -171,8 +171,8 @@ pub(crate) fn compile_pred(e: &Expr, t: &Table, mapping: &[usize]) -> Option<Vec
 /// Split conjunctive filters into the maximal vectorizable *prefix* plus
 /// the row-evaluated residual suffix. Stopping at the first
 /// non-vectorizable conjunct (rather than cherry-picking) preserves the
-/// row path's left-to-right evaluation order, so error-raising predicates
-/// fire for exactly the same rows.
+/// left-to-right evaluation order of a row-at-a-time filter, so
+/// error-raising predicates fire for exactly the same rows.
 pub(crate) fn split_filters<'a>(
     filters: &'a [Expr],
     t: &Table,

@@ -85,8 +85,6 @@ fn streaming_is_invariant_under_batch_morsel_and_thread_configs() {
                 ExecContext::default().with_threads(1),
                 ExecContext::default().with_threads(4),
                 ExecContext::default().with_threads(4).with_batch_size(2).with_morsel_size(5),
-                ExecContext::default().with_fusion(false),
-                ExecContext::default().with_fusion(false).with_threads(4).with_morsel_size(3),
             ];
             for (i, ctx) in configs.iter().enumerate() {
                 let rows = drain(&plan, &cat, ctx);

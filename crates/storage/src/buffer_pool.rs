@@ -15,9 +15,12 @@
 //! call [`crate::catalog::Catalog::reclaim_pages`], which clock-sweeps
 //! resident pages (second-chance via per-page hot bits) and evicts cold
 //! ones until the pool is back under budget. Between choke points the
-//! budget is a soft target; scans that use the pin API
-//! ([`crate::table::Table::pin_slots`]) never make over-budget pages
-//! resident at all, so the steady-state query working set is hard-bounded.
+//! budget is a soft target, and a read-only query reaches none of them:
+//! a scan that reads row pages (residual predicates, array/struct columns)
+//! installs every page it touches and leaves them resident until the next
+//! write reclaims them. Only the transient page pins of snapshot encode,
+//! free-list rebuild and delta checkpoints decline to install over-budget
+//! pages.
 //!
 //! ## Eviction vs. the WAL (why write-back never leaks uncommitted state)
 //!

@@ -46,7 +46,6 @@ pub mod value {
 pub use buffer_pool::{BufferPool, BufferPoolStats, PAGE_SIZE};
 pub use catalog::Catalog;
 pub use column::{Bitmap, ColumnSlice, Columns, StringDict};
-pub use pages::SlotPin;
 pub use error::{StorageError, StorageResult};
 pub use group_commit::GroupCommitter;
 pub use index::{BTreeIndex, HashIndex, IndexKind};

@@ -2,7 +2,7 @@
 //!
 //! The row view of a [`crate::table::Table`] — the redundant full-`Row`
 //! copies that back point reads, `Other`-typed cells (arrays/structs with
-//! no typed column vector), snapshot encoding, and the row-path executor —
+//! no typed column vector), residual predicates, and snapshot encoding —
 //! dominates a table's memory footprint. This module splits that vector of
 //! slots into fixed-capacity **pages** so the [`crate::buffer_pool`] can
 //! evict cold ones: each page is a `Vec<Option<Row>>` of `page_rows` slots
@@ -19,13 +19,22 @@
 //!   tied to `&Table`. They fault pages in through a `OnceLock`: set-once
 //!   under `&self`, cleared only under `&mut self` at the pool's reclaim
 //!   choke points — so a borrowed row can never be deallocated while the
-//!   borrow lives, without any lock on the read path.
-//! * **Pinned reads** ([`SlotPin`], used by the executor's morsel leaves)
-//!   clone the page `Arc`s for a slot range up front. When the pool is
-//!   over budget the decoded page is *not* installed as resident — the
-//!   pin is the only owner and the memory returns as soon as the morsel
-//!   drops it. This is what makes the scan working set hard-bounded under
-//!   a small frame budget.
+//!   borrow lives, without any lock on the read path. A fault-in installs
+//!   the page even when the pool is over budget.
+//! * **Transient page pins** (`page_pins`, `unsaved_pages`: snapshot
+//!   encode, free-list rebuild, delta checkpoints) clone one page `Arc` at
+//!   a time. When the pool is over budget the decoded page is *not*
+//!   installed — the pin is the only owner and the memory returns when
+//!   the caller drops it.
+//!
+//! The executor's scans read the column vectors, not these pages, except
+//! through borrowing reads in two places: residual (non-vectorizable)
+//! predicates and array/struct columns, which have no typed vector. Those
+//! reads install every page they touch, and a read-only query reaches no
+//! reclaim choke point (reclaim runs after commit, rollback, checkpoint,
+//! bulk load and recovery), so such a scan grows residency past the frame
+//! budget until the next write. Scan memory is therefore not hard-bounded;
+//! ROADMAP item 5 tracks the fix.
 //!
 //! Writers fault the page in, then mutate through `Arc::make_mut`: in
 //! place when unshared, copy-on-write when a snapshot or pin still holds
@@ -390,22 +399,8 @@ impl RowStore {
         SlotIter { store: self, i: start, end, page: None, page_first: 0 }
     }
 
-    /// Pin the pages covering `start..end` (clamped): clone their `Arc`s
-    /// so the payloads outlive any eviction. Over-budget fault-ins stay
-    /// transient — owned only by the returned pin.
-    pub(crate) fn pin(&self, start: usize, end: usize) -> SlotPin {
-        let end = end.min(self.len);
-        let start = start.min(end);
-        let mask = self.page_rows() - 1;
-        let (first_page, last_page) =
-            if start == end { (0, 0) } else { (start >> self.shift, ((end - 1) >> self.shift) + 1) };
-        let mut pages = Vec::with_capacity(last_page - first_page);
-        for pidx in first_page..last_page {
-            pages.push(self.pin_page(pidx));
-        }
-        SlotPin { pages, first_page, shift: self.shift, mask, start, end }
-    }
-
+    /// Clone page `pidx`'s `Arc`. Over budget, an evicted page is decoded
+    /// transiently and not installed: the caller holds the only copy.
     fn pin_page(&self, pidx: usize) -> Arc<PageData> {
         let slot = &self.pages[pidx];
         if let Some(d) = slot.data.get() {
@@ -414,7 +409,7 @@ impl RowStore {
             return d.clone();
         }
         if self.pool.over_budget() {
-            // Transient decode: hand the only copy to the pin, never
+            // Transient decode: hand the only copy to the caller, never
             // install it — the pool stays at its current residency.
             self.pool.note_miss();
             return Arc::new(self.decode_extent(slot));
@@ -545,42 +540,6 @@ impl<'a> Iterator for SlotIter<'a> {
             }
         }
         None
-    }
-}
-
-/// A pinned view of the slots in `start..end`: holds `Arc`s to the
-/// covering pages, so the rows stay valid however the pool evicts. The
-/// executor pins one morsel at a time — peak pinned memory is one morsel's
-/// pages per worker, independent of table size.
-pub struct SlotPin {
-    pages: Vec<Arc<PageData>>,
-    first_page: usize,
-    shift: u32,
-    mask: usize,
-    start: usize,
-    end: usize,
-}
-
-impl SlotPin {
-    /// The row at absolute slot index `i`, if within the pinned range and
-    /// occupied.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&Row> {
-        if i < self.start || i >= self.end {
-            return None;
-        }
-        let page = self.pages.get((i >> self.shift) - self.first_page)?;
-        page.get(i & self.mask).and_then(|s| s.as_ref())
-    }
-
-    /// Iterate occupied slots in the pinned range as `(slot, row)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Row)> + '_ {
-        (self.start..self.end).filter_map(move |i| self.get(i).map(|r| (i, r)))
-    }
-
-    /// The pinned slot range.
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.end
     }
 }
 

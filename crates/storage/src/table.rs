@@ -4,7 +4,7 @@ use crate::buffer_pool::BufferPool;
 use crate::column::{Bitmap, ColumnSlice, Columns};
 use crate::error::{StorageError, StorageResult};
 use crate::index::{HashIndex, IndexKind, SecondaryIndex};
-use crate::pages::{page_rows_for, PageData, RowStore, SlotPin};
+use crate::pages::{page_rows_for, PageData, RowStore};
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::stats::{ColumnStats, TableStats, NDV_CAP};
@@ -380,15 +380,6 @@ impl Table {
     /// stays within the frame budget.
     pub(crate) fn page_pins(&self) -> impl Iterator<Item = (usize, Arc<PageData>)> + '_ {
         self.rows.page_pins()
-    }
-
-    /// Pin the pages covering `range` and return an owning handle whose
-    /// rows can be borrowed without touching the table again (morsel
-    /// execution: one pin per morsel, dropped when the morsel completes).
-    /// Bounds behave exactly like [`Table::scan_slots`]: the end is
-    /// clamped, a start past the end yields an empty pin.
-    pub fn pin_slots(&self, range: std::ops::Range<usize>) -> SlotPin {
-        self.rows.pin(range.start, range.end)
     }
 
     /// Rebuild a table from a checkpointed slot vector: rows are validated,

@@ -1,11 +1,12 @@
 //! Parallel-execution invariance: the streaming executor guarantees
-//! **bit-identical** results regardless of thread count, morsel size,
-//! batch size, pipeline fusion, or columnar execution (see `DESIGN.md`
-//! §9 — morsel-ordered reassembly, chunk-ordered aggregate merges over
-//! fixed chunk boundaries — and §11 — vectorized kernels reproduce the
-//! row path's visit order and `Value::cmp` semantics exactly). This
-//! sweep pins that guarantee across every parallel operator family on
-//! the paper's mappings M1–M6:
+//! **bit-identical** results regardless of thread count, morsel size or
+//! batch size (see `DESIGN.md` §9 — morsel-ordered reassembly,
+//! chunk-ordered aggregate merges over fixed chunk boundaries), and its
+//! vectorized scans, columnar join builds and columnar aggregates agree
+//! with the plan's row-store twin, `row_store_twin` (§11 — the kernels
+//! reproduce slot visit order and `Value::cmp` semantics exactly). This
+//! sweep pins both across every parallel operator family on the paper's
+//! mappings M1–M6:
 //!
 //! * scan + fused Filter/Project chains,
 //! * hash-join build and morsel-partitioned probe,
@@ -19,11 +20,61 @@
 
 use erbium_datagen::{experiment_database, ExperimentConfig};
 use erbiumdb::core::Database;
-use erbiumdb::engine::{EngineError, ExecContext};
+use erbiumdb::engine::{execute_streaming, EngineError, ExecContext, Plan, PlanKind};
 use erbiumdb::mapping::presets::paper;
 use erbiumdb::mapping::CoFormat;
 use erbiumdb::model::fixtures;
-use erbiumdb::storage::Value;
+use erbiumdb::storage::{Catalog, Value};
+
+/// The row-store twin of `plan`: every `Scan { table, filters, projection }`
+/// leaf becomes `Values` holding the rows `Table::scan` yields (the row
+/// pages, not the column mirror), one `Filter` per pushed-down filter in
+/// order, then a `Project` of the `projection` columns. Other leaves stay.
+/// The twin runs no vector kernel, fused chain, columnar join build or
+/// columnar aggregate — those all need a `Scan` leaf — so it is the
+/// row-at-a-time answer the vectorized plan must reproduce bit for bit.
+fn row_store_twin(plan: &Plan, cat: &Catalog) -> Plan {
+    let mut twin = plan.clone();
+    twin_leaves(&mut twin, cat);
+    twin
+}
+
+fn twin_leaves(plan: &mut Plan, cat: &Catalog) {
+    match &mut plan.kind {
+        PlanKind::Scan { table, filters, projection } => {
+            let t = cat.table(table).unwrap();
+            let rows = t.scan().map(|(_, row)| row.clone()).collect();
+            let mut twin = Plan::values(Plan::scan(cat, table).unwrap().fields, rows);
+            for f in filters.iter() {
+                twin = twin.filter(f.clone());
+            }
+            if let Some(cols) = projection {
+                twin = twin.project_columns(cols);
+            }
+            *plan = twin;
+        }
+        PlanKind::Fetch { input, .. }
+        | PlanKind::Filter { input, .. }
+        | PlanKind::Project { input, .. }
+        | PlanKind::Aggregate { input, .. }
+        | PlanKind::Unnest { input, .. }
+        | PlanKind::Sort { input, .. }
+        | PlanKind::Limit { input, .. }
+        | PlanKind::Distinct { input } => twin_leaves(input, cat),
+        PlanKind::Join { left, right, .. } => {
+            twin_leaves(left, cat);
+            twin_leaves(right, cat);
+        }
+        PlanKind::Union { inputs } => inputs.iter_mut().for_each(|p| twin_leaves(p, cat)),
+        PlanKind::IndexLookup { .. } | PlanKind::IndexRange { .. } | PlanKind::Values { .. } => {}
+    }
+}
+
+/// Run `plan`'s row-store twin on one thread.
+fn twin_rows(plan: &Plan, cat: &Catalog) -> Vec<Vec<Value>> {
+    let ctx = ExecContext::default().with_threads(1);
+    execute_streaming(&row_store_twin(plan, cat), cat, &ctx).and_then(|mut qs| qs.drain()).unwrap()
+}
 
 fn databases() -> Vec<(String, Database)> {
     let cfg = ExperimentConfig { n_r: 150, mv_avg: 3, seed: 11 };
@@ -80,37 +131,29 @@ const QUERIES: &[(&str, &str)] = &[
 ];
 
 #[test]
-fn results_are_bit_identical_across_thread_morsel_batch_fusion_and_columnar_configs() {
+fn results_are_bit_identical_across_configs_and_row_store_twin() {
     for (mapping, db) in databases() {
         for &(family, sql) in QUERIES {
-            // The reference is the serial, row-at-a-time interpreter: one
-            // thread, columnar kernels off. Every other configuration —
-            // including the vectorized path — must reproduce it bit for bit.
-            let reference = db
-                .query_with(sql, &ExecContext::default().with_threads(1).with_columnar(false))
-                .unwrap_or_else(|e| panic!("{mapping}/{family}: {e}"))
-                .rows;
+            // The reference is the plan's row-store twin run serially: row
+            // pages, row-at-a-time operators, one thread. Every
+            // configuration of the real plan must reproduce it bit for bit.
+            let plan = db.plan(sql).unwrap_or_else(|e| panic!("{mapping}/{family}: {e}"));
+            let reference = twin_rows(&plan, db.catalog());
             assert!(!reference.is_empty(), "{mapping}/{family}: fixture should produce rows");
             for threads in [1usize, 2, 4, 8] {
                 for morsel in [1usize, 7, 4096] {
                     for batch in [3usize, 1024] {
-                        for fusion in [true, false] {
-                            for columnar in [true, false] {
-                                let ctx = ExecContext::default()
-                                    .with_threads(threads)
-                                    .with_morsel_size(morsel)
-                                    .with_batch_size(batch)
-                                    .with_fusion(fusion)
-                                    .with_columnar(columnar);
-                                let rows = db.query_with(sql, &ctx).unwrap().rows;
-                                assert_eq!(
-                                    rows, reference,
-                                    "{mapping}/{family}: threads={threads} morsel={morsel} \
-                                     batch={batch} fusion={fusion} columnar={columnar} \
-                                     diverged from the serial row-path reference"
-                                );
-                            }
-                        }
+                        let ctx = ExecContext::default()
+                            .with_threads(threads)
+                            .with_morsel_size(morsel)
+                            .with_batch_size(batch);
+                        let rows = db.query_with(sql, &ctx).unwrap().rows;
+                        assert_eq!(
+                            rows, reference,
+                            "{mapping}/{family}: threads={threads} morsel={morsel} \
+                             batch={batch} diverged from the row-store twin\n{}",
+                            plan.explain()
+                        );
                     }
                 }
             }
@@ -156,8 +199,8 @@ fn cancellation_mid_wave_surfaces_cancelled() {
 }
 
 /// Property sweep over **every `Value` variant** the storage layer can
-/// hold: the columnar kernels must agree bit-for-bit with the row-path
-/// interpreter on a table that mixes NULLs, booleans, extreme and
+/// hold: the columnar kernels must agree bit-for-bit with the row-store
+/// twin on a table that mixes NULLs, booleans, extreme and
 /// ordinary integers, adversarial floats (NaN, ±0.0, ±∞ — compared via
 /// `f64::total_cmp`), dictionary-encoded strings (duplicates, the empty
 /// string), and the fallback `Other` column kinds (arrays, structs).
@@ -166,11 +209,9 @@ fn cancellation_mid_wave_surfaces_cancelled() {
 /// (non-vectorizable) conjuncts, projection pruning, hash-join builds
 /// keyed on each scalar type, and grouped/global aggregation.
 #[test]
-fn all_value_variants_bit_identical_columnar_on_off() {
-    use erbiumdb::engine::{
-        execute_streaming, AggCall, AggFunc, BinOp, Expr, Plan, ScalarFunc,
-    };
-    use erbiumdb::storage::{Catalog, Column, DataType, Table, TableSchema};
+fn all_value_variants_bit_identical_to_row_store_twin() {
+    use erbiumdb::engine::{AggCall, AggFunc, BinOp, Expr, ScalarFunc};
+    use erbiumdb::storage::{Column, DataType, Table, TableSchema};
 
     // Deterministic xorshift so the fixture is reproducible yet messy.
     let mut state = 0x9e3779b97f4a7c15u64;
@@ -292,6 +333,19 @@ fn all_value_variants_bit_identical_columnar_on_off() {
             scan(&cat).join(scan(&cat), erbiumdb::engine::JoinKind::Inner, vec![Expr::col(key)], vec![Expr::col(key)]),
         ));
     }
+    // The same build keyed through a pruned scan: the build side reads
+    // only `id` and the key column, so the join key `#1` names table
+    // column `key` only through the scan's projection.
+    for (name, key) in [("float", 2usize), ("bool", 3), ("str", 4)] {
+        let mut pruned = scan(&cat);
+        pruned.fields = vec![pruned.fields[0].clone(), pruned.fields[key].clone()];
+        pruned.kind =
+            PlanKind::Scan { table: "z".into(), filters: vec![], projection: Some(vec![0, key]) };
+        plans.push((
+            format!("join on {name} through a pruned build side"),
+            scan(&cat).join(pruned, erbiumdb::engine::JoinKind::Inner, vec![Expr::col(key)], vec![Expr::col(1)]),
+        ));
+    }
     // Aggregation: global, single-key (dict / bool / float keys — the
     // columnar fast path), and multi-key (row fallback).
     plans.push((
@@ -325,35 +379,22 @@ fn all_value_variants_bit_identical_columnar_on_off() {
     ));
 
     for (name, plan) in &plans {
-        let reference = execute_streaming(
-            plan,
-            &cat,
-            &ExecContext::default().with_threads(1).with_columnar(false),
-        )
-        .and_then(|mut qs| qs.drain())
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let reference = twin_rows(plan, &cat);
         for threads in [1usize, 4] {
             for morsel in [7usize, 4096] {
-                for fusion in [true, false] {
-                    for columnar in [true, false] {
-                        let ctx = ExecContext::default()
-                            .with_threads(threads)
-                            .with_morsel_size(morsel)
-                            .with_batch_size(64)
-                            .with_fusion(fusion)
-                            .with_columnar(columnar);
-                        let rows = execute_streaming(plan, &cat, &ctx).unwrap().drain().unwrap();
-                        // Vec<Value> equality is bit-faithful for floats
-                        // only via to_bits; compare a rendered form that
-                        // distinguishes NaN payload sign and -0.0.
-                        assert_eq!(
-                            bits(&rows),
-                            bits(&reference),
-                            "{name}: threads={threads} morsel={morsel} fusion={fusion} \
-                             columnar={columnar} diverged"
-                        );
-                    }
-                }
+                let ctx = ExecContext::default()
+                    .with_threads(threads)
+                    .with_morsel_size(morsel)
+                    .with_batch_size(64);
+                let rows = execute_streaming(plan, &cat, &ctx).unwrap().drain().unwrap();
+                // Vec<Value> equality is bit-faithful for floats only via
+                // to_bits; compare a rendered form that distinguishes NaN
+                // payload sign and -0.0.
+                assert_eq!(
+                    bits(&rows),
+                    bits(&reference),
+                    "{name}: threads={threads} morsel={morsel} diverged from the row-store twin"
+                );
             }
         }
     }
@@ -428,8 +469,8 @@ fn concurrent_parallel_queries_share_the_pool_without_interference() {
 // while one writer commits underneath. Isolation is structural (the writer
 // detaches copy-on-write tables instead of mutating shared memory), so the
 // invariant to pin is absolute: a snapshot's results never change, no
-// matter what commits after it was acquired — on the row path and the
-// columnar path alike.
+// matter what commits after it was acquired — and they equal the row-store
+// twin run over the pinned catalog.
 
 fn shared_acct_db(batches: i64) -> erbiumdb::core::SharedDatabase {
     let mut db = Database::new();
@@ -475,16 +516,12 @@ fn pinned_snapshot_ignores_concurrent_insert_update_delete() {
     db.update_entity("acct", &[Value::Int(0)], &[("score", Value::Int(999))]).unwrap();
     db.delete_entity("acct", &[Value::Int(3)]).unwrap();
 
-    // The pinned snapshot still sees the pre-write state — identically on
-    // the row path and the columnar path.
-    for columnar in [false, true] {
-        let ctx = ExecContext::default().with_columnar(columnar);
-        assert_eq!(
-            sorted(snap.query_with(ALL, &ctx).unwrap().rows),
-            reference,
-            "snapshot drifted under concurrent writes (columnar={columnar})"
-        );
-    }
+    // The pinned snapshot still sees the pre-write state, and so does the
+    // row-store twin over the pinned catalog.
+    let rows = snap.query(ALL).unwrap().rows;
+    assert_eq!(sorted(rows.clone()), reference, "snapshot drifted under concurrent writes");
+    let twin = twin_rows(&snap.plan(ALL).unwrap(), snap.catalog());
+    assert_eq!(rows, twin, "pinned answer differs from the row-store twin");
     // A fresh snapshot does see all three writes.
     let now = sorted(db.query(ALL).unwrap().rows);
     assert_ne!(now, reference);
@@ -645,9 +682,7 @@ fn concurrent_readers_see_only_whole_transactions() {
             s.spawn(move || {
                 for iter in 0..30usize {
                     let snap = db.snapshot();
-                    let columnar = (reader + iter) % 2 == 0;
-                    let ctx = ExecContext::default().with_columnar(columnar);
-                    let rows = snap.query_with(AGG, &ctx).unwrap().rows;
+                    let rows = snap.query(AGG).unwrap().rows;
                     assert!(!rows.is_empty());
                     for row in &rows {
                         assert_eq!(
@@ -656,12 +691,15 @@ fn concurrent_readers_see_only_whole_transactions() {
                             "reader {reader} iter {iter} saw a torn batch: {row:?}"
                         );
                     }
-                    // Snapshot stability: the same pin answers identically.
+                    // Snapshot stability: the same pin answers identically,
+                    // and the row-store twin over the pinned catalog agrees.
                     assert_eq!(
-                        snap.query_with(AGG, &ctx).unwrap().rows,
+                        snap.query(AGG).unwrap().rows,
                         rows,
                         "reader {reader} iter {iter}: snapshot result changed under it"
                     );
+                    let twin = twin_rows(&snap.plan(AGG).unwrap(), snap.catalog());
+                    assert_eq!(twin, rows, "reader {reader} iter {iter}: differs from the twin");
                 }
             });
         }
