@@ -12,11 +12,11 @@
 //! (thread-count-independent, bit-identical) output. See `DESIGN.md` §9 for
 //! the determinism argument.
 //!
-//! There is one execution path: fusion, the vectorized scan, the columnar
-//! join build and the columnar aggregate are chosen by plan shape alone,
-//! so an [`ExecContext`] carries only sizes, a thread count and the
-//! cancellation flag; neither the sizes nor the thread count change a
-//! query's answer.
+//! There is one execution path: every scan is the vectorized scan, fusion
+//! is chosen by plan shape alone, and every other operator (join builds
+//! and aggregates included) consumes that scan's row batches, so an
+//! [`ExecContext`] carries only sizes, a thread count and the cancellation
+//! flag; neither the sizes nor the thread count change a query's answer.
 //!
 //! Entry points:
 //!
@@ -512,6 +512,34 @@ mod tests {
         // At least the submitting thread participates in every wave; on a
         // multi-core machine pool workers join it (peak is recorded).
         assert!(scan.workers >= 1, "expected participant count\n{}", m.render());
+    }
+
+    #[test]
+    fn every_node_of_a_vectorized_fused_chain_is_marked_columnar() {
+        let mut c = Catalog::new();
+        let mut t = Table::new(TableSchema::new(
+            "pairs",
+            vec![Column::not_null("x", DataType::Int), Column::new("y", DataType::Int)],
+            vec![0],
+        ));
+        for i in 0..64i64 {
+            t.insert(vec![Value::Int(i), Value::Int(i % 8)]).unwrap();
+        }
+        c.create_table(t).unwrap();
+        // Project(bare column) -> Filter -> Scan: the filter compiles to a
+        // vector predicate and the projection to a column remap, so the
+        // chain's top node ran columnar too, not only the nodes below it.
+        let p = Plan::scan(&c, "pairs")
+            .unwrap()
+            .filter(Expr::binary(crate::expr::BinOp::Lt, Expr::col(1), Expr::lit(2i64)))
+            .project(vec![(Expr::col(0), "x".into())]);
+        let mut qs = execute_streaming(&p, &c, &ExecContext::new()).unwrap();
+        assert_eq!(qs.drain().unwrap().len(), 16);
+        let text = qs.metrics().render();
+        assert_eq!(text.lines().count(), 3, "Project, Filter, Scan:\n{text}");
+        for line in text.lines() {
+            assert!(line.contains("[fused] [columnar]"), "{line}\n{text}");
+        }
     }
 
     #[test]

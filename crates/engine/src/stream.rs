@@ -38,17 +38,17 @@
 //! [`crate::vplan`], row-evaluates any residual predicates against
 //! borrowed rows in the original order, and only then materializes the
 //! surviving rows — restricted to the scan's pruned projection — via a
-//! column-at-a-time gather ([`crate::vector`]). Single-key hash-join
-//! builds and single-key aggregates over a bare scan skip row streams
-//! entirely and run the same selection + gather pass against the column
-//! vectors. Which of these runs is decided by plan shape alone; every
-//! other operator consumes row batches. The split is observable via the
-//! `engine_columnar_batches_total` / `engine_fallback_row_batches_total`
-//! counters and the `[columnar]` marker on metric nodes. The kernels
-//! replicate `Value` comparison semantics (including NULL and cross-type
-//! ordering) exactly, and selection order is slot order, so a scan yields
-//! the same rows in the same order as filtering `Table::scan` row by row
-//! — the row-store twin `tests/parallel_invariance.rs` checks against.
+//! column-at-a-time gather ([`crate::vector`]). This scan is the one
+//! kernel: every other operator, hash-join builds and aggregates
+//! included, consumes the row batches it (or its fused chain) emits. The
+//! columnar work is observable via the `engine_columnar_batches_total` /
+//! `engine_columnar_cells_total` counters and the `[columnar]` marker on
+//! the scan and on every fused node that compiled to a vector predicate
+//! or a column remap. The kernels replicate `Value` comparison semantics
+//! (including NULL and cross-type ordering) exactly, and selection order
+//! is slot order, so a scan yields the same rows in the same order as
+//! filtering `Table::scan` row by row — the row-store twin
+//! `tests/parallel_invariance.rs` checks against.
 //!
 //! ## Determinism
 //!
@@ -74,34 +74,24 @@ use crate::plan::{JoinKind, Plan, PlanKind, SortKey};
 use crate::pool::WorkerPool;
 use crate::vector;
 use crate::vplan::{self, VecPred};
-use erbium_storage::{Catalog, ColumnSlice, Row, RowId, Table, Value};
+use erbium_storage::{Catalog, Row, RowId, Table, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::Hash;
 use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Batches produced by columnar (vectorized) kernels: selection-vector
-/// scan morsels, columnar join builds, columnar aggregate passes.
+/// Batches produced by columnar (vectorized) kernels: one per
+/// selection-vector scan morsel.
 fn m_columnar_batches() -> &'static erbium_obs::Counter {
     static H: OnceLock<Arc<erbium_obs::Counter>> = OnceLock::new();
     H.get_or_init(|| {
         erbium_obs::Registry::global().counter(
             "engine_columnar_batches_total",
             "batches produced by columnar (vectorized) kernels",
-        )
-    })
-}
-
-/// Join builds drained from a row stream: the batches a hash-join build
-/// side pulled because it could not hash straight off column vectors.
-fn m_fallback_row_batches() -> &'static erbium_obs::Counter {
-    static H: OnceLock<Arc<erbium_obs::Counter>> = OnceLock::new();
-    H.get_or_init(|| {
-        erbium_obs::Registry::global().counter(
-            "engine_fallback_row_batches_total",
-            "join builds drained from a row stream (batches)",
         )
     })
 }
@@ -226,22 +216,12 @@ pub(crate) fn compile<'a>(
                 return Err(EngineError::Plan("join key arity mismatch".into()));
             }
             let (l, lm) = compile(left, cat, ctx)?;
-            // Single-key columnar build fast path: when the build side is a
-            // bare scan keyed by one column with a typed vector, hash it
-            // straight off the column vectors instead of compiling and
-            // draining a row stream.
-            let (src, rm) = match columnar_build_source(right, right_keys, cat) {
-                Some((src, rm)) => (src, rm),
-                None => {
-                    let (r, rm) = compile(right, cat, ctx)?;
-                    (BuildSource::Stream(r), rm)
-                }
-            };
+            let (r, rm) = compile(right, cat, ctx)?;
             let m = OpMetrics::new(format!("Join {kind:?}"), vec![lm, rm]);
             (
                 Box::new(JoinStream {
                     left: l,
-                    right: src,
+                    right: r,
                     kind: *kind,
                     left_keys,
                     right_keys,
@@ -254,24 +234,20 @@ pub(crate) fn compile<'a>(
             )
         }
         PlanKind::Aggregate { input, group, aggs } => {
-            if let Some(pair) = columnar_agg_stream(input, group, aggs, cat, ctx)? {
-                pair
-            } else {
-                let (child, cm) = compile(input, cat, ctx)?;
-                let m = OpMetrics::new("Aggregate", vec![cm]);
-                (
-                    Box::new(AggregateStream {
-                        input: child,
-                        group,
-                        aggs,
-                        batch: ctx.batch_size,
-                        threads: ctx.threads.max(1),
-                        metrics: Arc::clone(&m),
-                        out: None,
-                    }),
-                    m,
-                )
-            }
+            let (child, cm) = compile(input, cat, ctx)?;
+            let m = OpMetrics::new("Aggregate", vec![cm]);
+            (
+                Box::new(AggregateStream {
+                    input: child,
+                    group,
+                    aggs,
+                    batch: ctx.batch_size,
+                    threads: ctx.threads.max(1),
+                    metrics: Arc::clone(&m),
+                    out: None,
+                }),
+                m,
+            )
         }
         PlanKind::Unnest { input, column, keep_empty } => {
             let (child, cm) = compile(input, cat, ctx)?;
@@ -331,13 +307,22 @@ enum FusedOp<'a> {
     Project(&'a [Expr]),
 }
 
-/// A fused operator plus its metrics node. The chain's *top* operator is
-/// metered by the enclosing [`MeterStream`] and carries `metrics: None`
-/// here; interior operators record their own rows/batches from inside the
-/// morsel job (one "batch" per morsel).
+/// A fused operator plus its metrics node. Interior operators record their
+/// own rows/batches from inside the morsel job (one "batch" per morsel);
+/// the chain's *top* operator records nothing here (`record: false`), its
+/// rows and batches are the enclosing [`MeterStream`]'s.
 struct FusedStep<'a> {
     op: FusedOp<'a>,
-    metrics: Option<Arc<OpMetrics>>,
+    metrics: Arc<OpMetrics>,
+    record: bool,
+}
+
+impl FusedStep<'_> {
+    fn record_batch(&self, rows: usize) {
+        if self.record {
+            self.metrics.record_batch(rows as u64);
+        }
+    }
 }
 
 /// Run the fused operator chain over one morsel's rows, in place.
@@ -366,9 +351,7 @@ fn apply_fused(steps: &[FusedStep<'_>], rows: &mut Vec<Row>) -> EngineResult<()>
                 }
             }
         }
-        if let Some(m) = &step.metrics {
-            m.record_batch(rows.len() as u64);
-        }
+        step.record_batch(rows.len());
     }
     Ok(())
 }
@@ -411,11 +394,11 @@ fn compile_fused<'a>(
         };
         let m = OpMetrics::new(name, vec![top_m]);
         m.mark_fused();
-        steps.push(FusedStep { op, metrics: Some(Arc::clone(&m)) });
+        steps.push(FusedStep { op, metrics: Arc::clone(&m), record: true });
         top_m = m;
     }
     // The chain's top node is metered by the enclosing MeterStream.
-    steps.last_mut().expect("chain is non-empty").metrics = None;
+    steps.last_mut().expect("chain is non-empty").record = false;
     let stream = table_scan_stream(t, filters, projection.as_deref(), scan_m, steps, ctx);
     Ok(Some((stream, top_m)))
 }
@@ -601,14 +584,6 @@ enum VOp {
     Remap,
 }
 
-/// A compiled columnar step plus the plan node's metrics (mirrors
-/// [`FusedStep`]: `None` for the chain's top node, which the enclosing
-/// meter records).
-struct VStep {
-    op: VOp,
-    metrics: Option<Arc<OpMetrics>>,
-}
-
 /// Row-evaluate residual (non-vectorizable) predicates over the selected
 /// slots, compacting `sel` in place in selection order — left to right,
 /// row at a time, so a predicate that errors does so on the same row a
@@ -668,7 +643,7 @@ fn table_scan_stream<'a>(
     };
     // Compile the maximal vectorizable prefix of the fused chain; the
     // remainder runs row-shaped on the gathered output (`tail`).
-    let mut vsteps: Vec<VStep> = Vec::new();
+    let mut vsteps: Vec<(VOp, FusedStep<'a>)> = Vec::new();
     let mut tail: Vec<FusedStep<'a>> = Vec::new();
     let mut it = steps.into_iter();
     for step in it.by_ref() {
@@ -681,10 +656,8 @@ fn table_scan_stream<'a>(
         };
         match compiled {
             Some(op) => {
-                if let Some(m) = &step.metrics {
-                    m.mark_columnar();
-                }
-                vsteps.push(VStep { op, metrics: step.metrics });
+                step.metrics.mark_columnar();
+                vsteps.push((op, step));
             }
             None => {
                 tail.push(step);
@@ -706,13 +679,11 @@ fn table_scan_stream<'a>(
             // enclosing meter only sees the chain's top operator).
             scan_m.record_batch(sel.len() as u64);
         }
-        for v in &vsteps {
-            if let VOp::Filter(p) = &v.op {
+        for (op, step) in &vsteps {
+            if let VOp::Filter(p) = op {
                 vector::apply_pred(p, t, &mut sel);
             }
-            if let Some(m) = &v.metrics {
-                m.record_batch(sel.len() as u64);
-            }
+            step.record_batch(sel.len());
         }
         vector::gather_rows(t, &mapping, &sel, out);
         m_columnar_cells().add((sel.len() * mapping.len()) as u64);
@@ -1040,296 +1011,242 @@ impl RowStream for UnionStream<'_> {
     }
 }
 
+// ---- hash keys -------------------------------------------------------------
+
+/// The key of a join or group-by hash table, evaluated from a list of
+/// expressions: `()` for none (a global aggregate), a bare [`Value`] for
+/// one — the common case for the mapping layer's FK joins and groupings,
+/// with no per-row `Vec` allocation — and `Vec<Value>` for several.
+trait HashKey: Clone + Eq + Hash + Send + Sync + 'static {
+    /// Evaluate `exprs` over `row`, left to right. With `null_stops` the
+    /// first NULL ends evaluation with `None` (a NULL join key never
+    /// matches); without it NULL is an ordinary key value (NULL group keys
+    /// fall into one group).
+    fn eval(exprs: &[Expr], row: &[Value], null_stops: bool) -> EngineResult<Option<Self>>;
+    /// The key's values as the start of an output row with room for
+    /// `extra` more.
+    fn into_row(self, extra: usize) -> Row;
+}
+
+impl HashKey for () {
+    fn eval(_: &[Expr], _: &[Value], _: bool) -> EngineResult<Option<()>> {
+        Ok(Some(()))
+    }
+
+    fn into_row(self, extra: usize) -> Row {
+        Vec::with_capacity(extra)
+    }
+}
+
+impl HashKey for Value {
+    fn eval(exprs: &[Expr], row: &[Value], null_stops: bool) -> EngineResult<Option<Value>> {
+        let [e] = exprs else { unreachable!("a Value key has exactly one expression") };
+        let v = e.eval(row)?;
+        Ok(if null_stops && v.is_null() { None } else { Some(v) })
+    }
+
+    fn into_row(self, extra: usize) -> Row {
+        let mut row = Vec::with_capacity(1 + extra);
+        row.push(self);
+        row
+    }
+}
+
+impl HashKey for Vec<Value> {
+    fn eval(exprs: &[Expr], row: &[Value], null_stops: bool) -> EngineResult<Option<Vec<Value>>> {
+        let mut key = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            let v = e.eval(row)?;
+            if null_stops && v.is_null() {
+                return Ok(None);
+            }
+            key.push(v);
+        }
+        Ok(Some(key))
+    }
+
+    fn into_row(mut self, extra: usize) -> Row {
+        self.reserve(extra);
+        self
+    }
+}
+
 // ---- hash join -------------------------------------------------------------
 
 /// Minimum probe-chunk size (rows) before the probe side fans out to the
 /// pool; smaller batches probe inline to keep small queries cheap.
 const PROBE_FANOUT_MIN: usize = 16;
 
-/// Where the join's build (right) side comes from.
-enum BuildSource<'a> {
-    /// Compiled row stream, drained and hashed row by row.
-    Stream(BoxedRowStream<'a>),
-    /// Single-key columnar fast path: a bare scan hashed straight off the
-    /// table's column vectors — the build rows are selected and gathered
-    /// without ever compiling a row stream. `mapping` is the scan's
-    /// (possibly pruned) projection; `key_col` is the *table* column the
-    /// single join key resolves to.
-    Columnar {
-        t: &'a Table,
-        filters: &'a [Expr],
-        mapping: Vec<usize>,
-        key_col: usize,
-        metrics: Arc<OpMetrics>,
-    },
-    /// Build already consumed.
-    Done,
-}
-
 struct JoinStream<'a> {
     left: BoxedRowStream<'a>,
-    right: BuildSource<'a>,
+    right: BoxedRowStream<'a>,
     kind: JoinKind,
     left_keys: &'a [Expr],
     right_keys: &'a [Expr],
     right_arity: usize,
     threads: usize,
     metrics: Arc<OpMetrics>,
-    build: Option<JoinBuild>,
+    build: Option<Box<dyn Probe>>,
 }
 
-/// Probe the build-side plan for columnar-build eligibility: a bare
-/// `Scan` whose single join key is a column reference with a typed
-/// column vector. Returns the build source plus a `Scan` metrics node
-/// standing in for the uncompiled right child.
-fn columnar_build_source<'a>(
-    right: &'a Plan,
-    right_keys: &'a [Expr],
-    cat: &'a Catalog,
-) -> Option<(BuildSource<'a>, Arc<OpMetrics>)> {
-    let PlanKind::Scan { table, filters, projection } = &right.kind else { return None };
-    let [Expr::Col(k)] = right_keys else { return None };
-    let t = cat.table(table).ok()?;
-    let mapping: Vec<usize> = match projection {
-        Some(p) => p.clone(),
-        None => (0..right.fields.len()).collect(),
-    };
-    let key_col = *mapping.get(*k)?;
-    t.column_slice(key_col)?;
-    let m = OpMetrics::new(format!("Scan {table}"), vec![]);
-    m.mark_columnar();
-    Some((BuildSource::Columnar { t, filters, mapping, key_col, metrics: Arc::clone(&m) }, m))
-}
+/// Build-side hash table: join key -> ascending build-row indexes.
+type KeyTable<K> = FxHashMap<K, Vec<usize>>;
 
-/// Build-side hash table keyed either by a bare [`Value`] (single join key
-/// — the overwhelmingly common case for FK joins produced by the mapping
-/// layer) or by a composed `Vec<Value>` for multi-key joins. The
-/// single-key form avoids one heap allocation per build row *and* per
-/// probe row.
-enum KeyMap {
-    Single(FxHashMap<Value, Vec<usize>>),
-    Multi(FxHashMap<Vec<Value>, Vec<usize>>),
-}
-
-impl KeyMap {
-    fn for_keys(keys: &[Expr]) -> KeyMap {
-        if keys.len() == 1 {
-            KeyMap::Single(FxHashMap::default())
-        } else {
-            KeyMap::Multi(FxHashMap::default())
-        }
-    }
-
-    /// Merge `part` into `self` (both sides must come from the same key
-    /// list, so the variants always agree).
-    fn merge(&mut self, part: KeyMap) {
-        match (self, part) {
-            (KeyMap::Single(m), KeyMap::Single(p)) => {
-                for (k, mut v) in p {
-                    m.entry(k).or_default().append(&mut v);
-                }
-            }
-            (KeyMap::Multi(m), KeyMap::Multi(p)) => {
-                for (k, mut v) in p {
-                    m.entry(k).or_default().append(&mut v);
-                }
-            }
-            _ => unreachable!("partial key maps built from one key list"),
-        }
-    }
-}
-
-struct JoinBuild {
+/// The hashed build side: the drained build rows plus their key table.
+struct JoinBuild<K> {
     rows: Vec<Row>,
-    table: KeyMap,
+    table: KeyTable<K>,
 }
 
-impl JoinBuild {
-    /// Evaluate the probe keys over `row` and look up the matching build
-    /// rows. NULL keys never join.
-    fn probe(&self, keys: &[Expr], row: &[Value]) -> EngineResult<Option<&Vec<usize>>> {
-        match (&self.table, keys) {
-            (KeyMap::Single(m), [e]) => {
-                let v = e.eval(row)?;
-                Ok(if v.is_null() { None } else { m.get(&v) })
-            }
-            (KeyMap::Multi(m), keys) => {
-                let mut key = Vec::with_capacity(keys.len());
-                for e in keys {
-                    let v = e.eval(row)?;
-                    if v.is_null() {
-                        return Ok(None);
+/// A hashed build side, whatever its key type.
+trait Probe: Sync {
+    /// Probe one chunk of owned left rows against the build table. Pure
+    /// function of the chunk's row order, so chunk outputs concatenated in
+    /// chunk order are identical to a sequential probe of the whole batch.
+    fn probe_batch(
+        &self,
+        kind: JoinKind,
+        left_keys: &[Expr],
+        right_arity: usize,
+        batch: Vec<Row>,
+    ) -> EngineResult<Vec<Row>>;
+}
+
+impl<K: HashKey> JoinBuild<K> {
+    /// Hash the drained build rows on `keys`. With `threads > 1` the key
+    /// evaluation + insertion runs on pool workers over contiguous chunks
+    /// whose partial tables are merged in chunk order — per-key row indexes
+    /// stay ascending, so probe output order matches sequential execution.
+    fn hash(
+        rows: Vec<Row>,
+        keys: &[Expr],
+        threads: usize,
+        metrics: &OpMetrics,
+    ) -> EngineResult<Box<dyn Probe>> {
+        let table: KeyTable<K> = if threads > 1 && rows.len() >= 2 {
+            parallel_hash_build(&rows, keys, threads, metrics)?
+        } else {
+            hash_build_range(&rows, keys, 0, rows.len())?
+        };
+        Ok(Box::new(JoinBuild { rows, table }))
+    }
+}
+
+impl<K: HashKey> Probe for JoinBuild<K> {
+    fn probe_batch(
+        &self,
+        kind: JoinKind,
+        left_keys: &[Expr],
+        right_arity: usize,
+        batch: Vec<Row>,
+    ) -> EngineResult<Vec<Row>> {
+        let mut out = Vec::new();
+        for lrow in batch {
+            // NULL keys never join.
+            let matches = match K::eval(left_keys, &lrow, true)? {
+                Some(key) => self.table.get(&key),
+                None => None,
+            };
+            match kind {
+                JoinKind::Inner => {
+                    if let Some(idxs) = matches {
+                        for &i in idxs {
+                            let mut row = Vec::with_capacity(lrow.len() + right_arity);
+                            row.extend_from_slice(&lrow);
+                            row.extend_from_slice(&self.rows[i]);
+                            out.push(row);
+                        }
                     }
-                    key.push(v);
                 }
-                Ok(m.get(&key))
-            }
-            (KeyMap::Single(_), _) => {
-                Err(EngineError::Plan("join key arity mismatch".into()))
+                JoinKind::Left => match matches {
+                    Some(idxs) if !idxs.is_empty() => {
+                        for &i in idxs {
+                            let mut row = Vec::with_capacity(lrow.len() + right_arity);
+                            row.extend_from_slice(&lrow);
+                            row.extend_from_slice(&self.rows[i]);
+                            out.push(row);
+                        }
+                    }
+                    _ => {
+                        let mut row = Vec::with_capacity(lrow.len() + right_arity);
+                        row.extend_from_slice(&lrow);
+                        row.extend(std::iter::repeat_n(Value::Null, right_arity));
+                        out.push(row);
+                    }
+                },
+                JoinKind::Semi => {
+                    if matches.is_some_and(|m| !m.is_empty()) {
+                        // Left rows are owned: emit by move, no clone.
+                        out.push(lrow);
+                    }
+                }
             }
         }
+        Ok(out)
     }
 }
 
 impl JoinStream<'_> {
-    /// Drain the build (right) side and hash it. With `threads > 1` the key
-    /// evaluation + insertion runs on pool workers over contiguous chunks
-    /// whose partial tables are merged in chunk order — per-key row indexes
-    /// stay ascending, so probe output order matches sequential execution.
+    /// Drain the build (right) side and hash it on a key type chosen by
+    /// the key count.
     fn build_side(&mut self) -> EngineResult<()> {
         if self.build.is_some() {
             return Ok(());
         }
-        match std::mem::replace(&mut self.right, BuildSource::Done) {
-            BuildSource::Done => unreachable!("build side taken once"),
-            BuildSource::Stream(mut right) => {
-                let mut rows: Vec<Row> = Vec::new();
-                while let Some(b) = right.next_batch()? {
-                    m_fallback_row_batches().inc();
-                    rows.extend(b);
-                }
-                let table = if self.threads > 1 && rows.len() >= 2 {
-                    parallel_hash_build(&rows, self.right_keys, self.threads, &self.metrics)?
-                } else {
-                    hash_build_range(&rows, self.right_keys, 0, rows.len())?
-                };
-                self.build = Some(JoinBuild { rows, table });
-            }
-            BuildSource::Columnar { t, filters, mapping, key_col, metrics } => {
-                // Select build rows in slot order — exactly the order a
-                // drained scan stream would yield them — then hash the key
-                // column without materializing it into the rows twice.
-                let identity: Vec<usize> = (0..t.schema().arity()).collect();
-                let (preds, residual) = vplan::split_filters(filters, t, &identity);
-                let mut sel: Vec<usize> = Vec::new();
-                vector::live_selection(t.live_slots(), 0..t.slot_count(), &mut sel);
-                metrics.add_rows_in(sel.len() as u64);
-                for p in &preds {
-                    vector::apply_pred(p, t, &mut sel);
-                }
-                apply_residual(t, residual, &mut sel)?;
-                let mut rows: Vec<Row> = Vec::with_capacity(sel.len());
-                vector::gather_rows(t, &mapping, &sel, &mut rows);
-                let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-                for (i, &s) in sel.iter().enumerate() {
-                    // NULL keys never join: key_at returns None for them,
-                    // matching `hash_build_range`'s skip.
-                    if let Some(v) = vector::key_at(t, key_col, s) {
-                        table.entry(v).or_default().push(i);
-                    }
-                }
-                metrics.record_batch(rows.len() as u64);
-                m_columnar_cells().add((rows.len() * mapping.len()) as u64);
-                m_columnar_batches().inc();
-                self.build = Some(JoinBuild { rows, table: KeyMap::Single(table) });
-            }
+        let mut rows: Vec<Row> = Vec::new();
+        while let Some(b) = self.right.next_batch()? {
+            rows.extend(b);
         }
+        let (keys, threads, metrics) = (self.right_keys, self.threads, &self.metrics);
+        self.build = Some(match keys.len() {
+            1 => JoinBuild::<Value>::hash(rows, keys, threads, metrics)?,
+            _ => JoinBuild::<Vec<Value>>::hash(rows, keys, threads, metrics)?,
+        });
         Ok(())
     }
 }
 
-fn hash_build_range(rows: &[Row], keys: &[Expr], lo: usize, hi: usize) -> EngineResult<KeyMap> {
-    if let [e] = keys {
-        // Single-key fast path: no per-row Vec allocation.
-        let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::default();
-        for (i, row) in rows[lo..hi].iter().enumerate() {
-            let v = e.eval(row)?;
-            if v.is_null() {
-                continue; // NULL keys never join
-            }
-            table.entry(v).or_default().push(lo + i);
+fn hash_build_range<K: HashKey>(
+    rows: &[Row],
+    keys: &[Expr],
+    lo: usize,
+    hi: usize,
+) -> EngineResult<KeyTable<K>> {
+    let mut table = KeyTable::<K>::default();
+    for (i, row) in rows[lo..hi].iter().enumerate() {
+        // NULL keys never join.
+        if let Some(key) = K::eval(keys, row, true)? {
+            table.entry(key).or_default().push(lo + i);
         }
-        return Ok(KeyMap::Single(table));
     }
-    let mut table: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-    'build: for (i, row) in rows[lo..hi].iter().enumerate() {
-        let mut key = Vec::with_capacity(keys.len());
-        for e in keys {
-            let v = e.eval(row)?;
-            if v.is_null() {
-                continue 'build; // NULL keys never join
-            }
-            key.push(v);
-        }
-        table.entry(key).or_default().push(lo + i);
-    }
-    Ok(KeyMap::Multi(table))
+    Ok(table)
 }
 
-fn parallel_hash_build(
+fn parallel_hash_build<K: HashKey>(
     rows: &[Row],
     keys: &[Expr],
     threads: usize,
     metrics: &OpMetrics,
-) -> EngineResult<KeyMap> {
+) -> EngineResult<KeyTable<K>> {
     let chunk = rows.len().div_ceil(threads).max(1);
     let mut tasks = Vec::with_capacity(threads);
     let mut lo = 0;
     while lo < rows.len() {
         let hi = (lo + chunk).min(rows.len());
-        tasks.push(move || hash_build_range(rows, keys, lo, hi));
+        tasks.push(move || hash_build_range::<K>(rows, keys, lo, hi));
         lo = hi;
     }
     let (results, workers) = WorkerPool::global().run_scoped(tasks);
     metrics.record_wave(workers as u64);
-    let mut merged = KeyMap::for_keys(keys);
+    let mut merged = KeyTable::<K>::default();
     for part in results {
         let part = part
             .map_err(|m| EngineError::Eval(format!("join build worker panicked: {m}")))??;
-        merged.merge(part);
-    }
-    Ok(merged)
-}
-
-/// Probe one chunk of owned left rows against the shared build table.
-/// Pure function of the chunk's row order, so chunk outputs concatenated
-/// in chunk order are identical to a sequential probe of the whole batch.
-fn probe_batch(
-    build: &JoinBuild,
-    kind: JoinKind,
-    left_keys: &[Expr],
-    right_arity: usize,
-    batch: Vec<Row>,
-) -> EngineResult<Vec<Row>> {
-    let mut out = Vec::new();
-    for lrow in batch {
-        let matches = build.probe(left_keys, &lrow)?;
-        match kind {
-            JoinKind::Inner => {
-                if let Some(idxs) = matches {
-                    for &i in idxs {
-                        let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                        row.extend_from_slice(&lrow);
-                        row.extend_from_slice(&build.rows[i]);
-                        out.push(row);
-                    }
-                }
-            }
-            JoinKind::Left => match matches {
-                Some(idxs) if !idxs.is_empty() => {
-                    for &i in idxs {
-                        let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                        row.extend_from_slice(&lrow);
-                        row.extend_from_slice(&build.rows[i]);
-                        out.push(row);
-                    }
-                }
-                _ => {
-                    let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                    row.extend_from_slice(&lrow);
-                    row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                    out.push(row);
-                }
-            },
-            JoinKind::Semi => {
-                if matches.is_some_and(|m| !m.is_empty()) {
-                    // Left rows are owned: emit by move, no clone.
-                    out.push(lrow);
-                }
-            }
+        for (k, mut v) in part {
+            merged.entry(k).or_default().append(&mut v);
         }
     }
-    Ok(out)
+    Ok(merged)
 }
 
 /// Split owned `rows` into up to `parts` contiguous chunks of at least
@@ -1350,15 +1267,15 @@ impl RowStream for JoinStream<'_> {
         self.build_side()?;
         loop {
             let Some(batch) = self.left.next_batch()? else { return Ok(None) };
-            let build = self.build.as_ref().expect("built above");
+            let build: &dyn Probe = self.build.as_deref().expect("built above");
+            let (kind, keys, arity) = (self.kind, self.left_keys, self.right_arity);
             let out = if self.threads > 1 && batch.len() >= 2 * PROBE_FANOUT_MIN {
                 // Morsel-partition the probe batch across the pool; chunk
                 // outputs concatenate in chunk order (deterministic).
                 let parts = split_owned(batch, self.threads, PROBE_FANOUT_MIN);
-                let (kind, keys, arity) = (self.kind, self.left_keys, self.right_arity);
                 let tasks: Vec<_> = parts
                     .into_iter()
-                    .map(|chunk| move || probe_batch(build, kind, keys, arity, chunk))
+                    .map(|chunk| move || build.probe_batch(kind, keys, arity, chunk))
                     .collect();
                 let (results, workers) = WorkerPool::global().run_scoped(tasks);
                 self.metrics.record_wave(workers as u64);
@@ -1370,7 +1287,7 @@ impl RowStream for JoinStream<'_> {
                 }
                 out
             } else {
-                probe_batch(build, self.kind, self.left_keys, self.right_arity, batch)?
+                build.probe_batch(kind, keys, arity, batch)?
             };
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -1399,68 +1316,32 @@ struct AggregateStream<'a> {
 }
 
 /// Partial (or global) aggregation state: one hash table of group keys to
-/// accumulator rows, preserving first-seen group order. `Single` is the
-/// single-key fast path (keys directly on `Value`, no per-row `Vec`
-/// allocation).
-enum GroupedAcc {
-    /// Global aggregate (no GROUP BY): exactly one accumulator row.
-    Global(Vec<Accumulator>),
-    Single { map: FxHashMap<Value, usize>, states: Vec<(Value, Vec<Accumulator>)> },
-    Multi { map: FxHashMap<Vec<Value>, usize>, states: Vec<(Vec<Value>, Vec<Accumulator>)> },
+/// accumulator rows, preserving first-seen group order. A global
+/// aggregate (no GROUP BY) is the one group of the unit key.
+struct GroupedAcc<K> {
+    map: FxHashMap<K, usize>,
+    states: Vec<(K, Vec<Accumulator>)>,
 }
 
-impl GroupedAcc {
-    fn new(group: &[Expr], aggs: &[AggCall]) -> GroupedAcc {
-        match group.len() {
-            0 => GroupedAcc::Global(aggs.iter().map(|a| a.accumulator()).collect()),
-            1 => GroupedAcc::Single { map: FxHashMap::default(), states: Vec::new() },
-            _ => GroupedAcc::Multi { map: FxHashMap::default(), states: Vec::new() },
-        }
+impl<K: HashKey> GroupedAcc<K> {
+    fn new() -> GroupedAcc<K> {
+        GroupedAcc { map: FxHashMap::default(), states: Vec::new() }
     }
 
     fn update(&mut self, group: &[Expr], aggs: &[AggCall], row: &Row) -> EngineResult<()> {
-        match self {
-            GroupedAcc::Global(accs) => {
-                for (acc, call) in accs.iter_mut().zip(aggs) {
-                    acc.update(call.arg.eval(row)?)?;
-                }
+        let key = K::eval(group, row, false)?.expect("group keys keep NULLs");
+        let slot = match self.map.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let s = self.states.len();
+                self.states.push((e.key().clone(), aggs.iter().map(|a| a.accumulator()).collect()));
+                e.insert(s);
+                s
             }
-            GroupedAcc::Single { map, states } => {
-                let [g] = group else { unreachable!("Single requires one group key") };
-                let key = g.eval(row)?;
-                let slot = match map.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let s = states.len();
-                        map.insert(key.clone(), s);
-                        states.push((key, aggs.iter().map(|a| a.accumulator()).collect()));
-                        s
-                    }
-                };
-                let (_, accs) = &mut states[slot];
-                for (acc, call) in accs.iter_mut().zip(aggs) {
-                    acc.update(call.arg.eval(row)?)?;
-                }
-            }
-            GroupedAcc::Multi { map, states } => {
-                let mut key = Vec::with_capacity(group.len());
-                for e in group {
-                    key.push(e.eval(row)?);
-                }
-                let slot = match map.get(&key) {
-                    Some(&s) => s,
-                    None => {
-                        let s = states.len();
-                        map.insert(key.clone(), s);
-                        states.push((key, aggs.iter().map(|a| a.accumulator()).collect()));
-                        s
-                    }
-                };
-                let (_, accs) = &mut states[slot];
-                for (acc, call) in accs.iter_mut().zip(aggs) {
-                    acc.update(call.arg.eval(row)?)?;
-                }
-            }
+        };
+        let (_, accs) = &mut self.states[slot];
+        for (acc, call) in accs.iter_mut().zip(aggs) {
+            acc.update(call.arg.eval(row)?)?;
         }
         Ok(())
     }
@@ -1469,85 +1350,61 @@ impl GroupedAcc {
     /// append in `other`'s order, so absorbing partials in chunk order
     /// reproduces the global first-seen group order (and `ARRAY_AGG`
     /// element order) of sequential execution exactly.
-    fn absorb(&mut self, other: GroupedAcc) -> EngineResult<()> {
-        match (self, other) {
-            (GroupedAcc::Global(a), GroupedAcc::Global(b)) => {
-                for (acc, part) in a.iter_mut().zip(b) {
-                    acc.merge(part)?;
-                }
-            }
-            (GroupedAcc::Single { map, states }, GroupedAcc::Single { states: ostates, .. }) => {
-                for (key, accs) in ostates {
-                    match map.get(&key) {
-                        Some(&s) => {
-                            for (acc, part) in states[s].1.iter_mut().zip(accs) {
-                                acc.merge(part)?;
-                            }
-                        }
-                        None => {
-                            map.insert(key.clone(), states.len());
-                            states.push((key, accs));
-                        }
+    fn absorb(&mut self, other: GroupedAcc<K>) -> EngineResult<()> {
+        for (key, accs) in other.states {
+            match self.map.get(&key) {
+                Some(&s) => {
+                    for (acc, part) in self.states[s].1.iter_mut().zip(accs) {
+                        acc.merge(part)?;
                     }
                 }
-            }
-            (GroupedAcc::Multi { map, states }, GroupedAcc::Multi { states: ostates, .. }) => {
-                for (key, accs) in ostates {
-                    match map.get(&key) {
-                        Some(&s) => {
-                            for (acc, part) in states[s].1.iter_mut().zip(accs) {
-                                acc.merge(part)?;
-                            }
-                        }
-                        None => {
-                            map.insert(key.clone(), states.len());
-                            states.push((key, accs));
-                        }
-                    }
+                None => {
+                    self.map.insert(key.clone(), self.states.len());
+                    self.states.push((key, accs));
                 }
             }
-            _ => return Err(EngineError::Eval("aggregate partial shape mismatch".into())),
         }
         Ok(())
     }
 
     /// Finalize into output rows (first-seen group order).
     fn finish(self) -> Vec<Row> {
-        match self {
-            GroupedAcc::Global(accs) => {
-                vec![accs.into_iter().map(Accumulator::finish).collect()]
-            }
-            GroupedAcc::Single { states, .. } => {
-                let mut rows = Vec::with_capacity(states.len());
-                for (key, accs) in states {
-                    let mut row = Vec::with_capacity(1 + accs.len());
-                    row.push(key);
-                    row.extend(accs.into_iter().map(Accumulator::finish));
-                    rows.push(row);
-                }
-                rows
-            }
-            GroupedAcc::Multi { states, .. } => {
-                let mut rows = Vec::with_capacity(states.len());
-                for (key, accs) in states {
-                    let mut row = key;
-                    row.extend(accs.into_iter().map(Accumulator::finish));
-                    rows.push(row);
-                }
-                rows
-            }
-        }
+        self.states
+            .into_iter()
+            .map(|(key, accs)| {
+                let mut row = key.into_row(accs.len());
+                row.extend(accs.into_iter().map(Accumulator::finish));
+                row
+            })
+            .collect()
     }
 }
 
 impl AggregateStream<'_> {
+    /// Aggregate the whole input on a key type chosen by the group-key
+    /// count.
+    fn run(&mut self) -> EngineResult<VecDeque<Vec<Row>>> {
+        let mut rows = match self.group.len() {
+            0 => self.fold_input::<()>()?,
+            1 => self.fold_input::<Value>()?,
+            _ => self.fold_input::<Vec<Value>>()?,
+        };
+        if rows.is_empty() && self.group.is_empty() {
+            // A global aggregate yields its one row even over no input.
+            rows.push(self.aggs.iter().map(|a| a.accumulator().finish()).collect());
+        }
+        let mut out = VecDeque::new();
+        push_chunked(&mut out, rows, self.batch);
+        Ok(out)
+    }
+
     /// Consume the input batch-by-batch, folding fixed-size row chunks
     /// into partial hash tables that merge into the global state in chunk
     /// order. With `threads > 1`, waves of complete chunks aggregate in
     /// parallel on the pool; the chunk boundaries and merge order — and
     /// therefore the result, bit for bit — are the same either way.
-    fn run(&mut self) -> EngineResult<VecDeque<Vec<Row>>> {
-        let mut global = GroupedAcc::new(self.group, self.aggs);
+    fn fold_input<K: HashKey>(&mut self) -> EngineResult<Vec<Row>> {
+        let mut global = GroupedAcc::<K>::new();
         let mut pending: Vec<Row> = Vec::new();
         loop {
             let batch = self.input.next_batch()?;
@@ -1572,28 +1429,29 @@ impl AggregateStream<'_> {
                 break;
             }
         }
-        let rows = global.finish();
-        let mut out = VecDeque::new();
-        push_chunked(&mut out, rows, self.batch);
-        Ok(out)
+        Ok(global.finish())
     }
 
     /// Aggregate `rows` in [`AGG_CHUNK`]-sized chunks and absorb the
     /// partials into `global` in chunk order.
-    fn fold_chunks(&self, global: &mut GroupedAcc, rows: &[Row]) -> EngineResult<()> {
+    fn fold_chunks<K: HashKey>(
+        &self,
+        global: &mut GroupedAcc<K>,
+        rows: &[Row],
+    ) -> EngineResult<()> {
         if rows.is_empty() {
             return Ok(());
         }
         let (group, aggs) = (self.group, self.aggs);
-        let build = |chunk: &[Row]| -> EngineResult<GroupedAcc> {
-            let mut partial = GroupedAcc::new(group, aggs);
+        let build = |chunk: &[Row]| -> EngineResult<GroupedAcc<K>> {
+            let mut partial = GroupedAcc::new();
             for row in chunk {
                 partial.update(group, aggs, row)?;
             }
             Ok(partial)
         };
         let chunks: Vec<&[Row]> = rows.chunks(AGG_CHUNK).collect();
-        let partials: Vec<GroupedAcc> = if self.threads > 1 && chunks.len() > 1 {
+        let partials: Vec<GroupedAcc<K>> = if self.threads > 1 && chunks.len() > 1 {
             let build = &build;
             let tasks: Vec<_> = chunks
                 .iter()
@@ -1626,159 +1484,6 @@ impl AggregateStream<'_> {
 }
 
 impl RowStream for AggregateStream<'_> {
-    fn next_batch(&mut self) -> EngineResult<Option<Vec<Row>>> {
-        if self.out.is_none() {
-            let out = self.run()?;
-            self.out = Some(out);
-        }
-        Ok(self.out.as_mut().expect("just filled").pop_front())
-    }
-}
-
-/// Columnar aggregate over a bare scan: when an `Aggregate` sits directly
-/// on a `Scan` (at most one group key — the single-key fast path; larger
-/// group lists fall back to the row operator), skip the row stream
-/// entirely. The scan's selection + filters run once over the column
-/// vectors, and the aggregate folds [`AGG_CHUNK`]-sized chunks of the
-/// selection, reading only the columns the group/agg expressions actually
-/// touch — unreferenced columns are never materialized at all. Chunk
-/// boundaries are the same pure function of the post-filter row index as
-/// the row operator's, and partials absorb in chunk order, so results
-/// (floats included) are bit-identical.
-fn columnar_agg_stream<'a>(
-    input: &'a Plan,
-    group: &'a [Expr],
-    aggs: &'a [AggCall],
-    cat: &'a Catalog,
-    ctx: &ExecContext,
-) -> EngineResult<Option<(BoxedRowStream<'a>, Arc<OpMetrics>)>> {
-    if group.len() > 1 {
-        return Ok(None);
-    }
-    let PlanKind::Scan { table, filters, projection } = &input.kind else { return Ok(None) };
-    let t = cat.table(table)?;
-    let mapping: Vec<usize> = match projection {
-        Some(p) => p.clone(),
-        None => (0..input.fields.len()).collect(),
-    };
-    let scan_m = OpMetrics::new(format!("Scan {table}"), vec![]);
-    scan_m.mark_columnar();
-    let m = OpMetrics::new("Aggregate", vec![Arc::clone(&scan_m)]);
-    m.mark_columnar();
-    let stream: BoxedRowStream<'a> = Box::new(ColumnarAggStream {
-        t,
-        filters,
-        mapping,
-        group,
-        aggs,
-        batch: ctx.batch_size,
-        threads: ctx.threads.max(1),
-        metrics: Arc::clone(&m),
-        scan_m,
-        cancel: ctx.cancel_flag(),
-        out: None,
-    });
-    Ok(Some((stream, m)))
-}
-
-struct ColumnarAggStream<'a> {
-    t: &'a Table,
-    filters: &'a [Expr],
-    /// Scan output column -> table column (the scan's pruned projection).
-    mapping: Vec<usize>,
-    group: &'a [Expr],
-    aggs: &'a [AggCall],
-    batch: usize,
-    threads: usize,
-    metrics: Arc<OpMetrics>,
-    scan_m: Arc<OpMetrics>,
-    cancel: Arc<AtomicBool>,
-    out: Option<VecDeque<Vec<Row>>>,
-}
-
-impl ColumnarAggStream<'_> {
-    fn run(&self) -> EngineResult<VecDeque<Vec<Row>>> {
-        let t = self.t;
-        let identity: Vec<usize> = (0..t.schema().arity()).collect();
-        let (preds, residual) = vplan::split_filters(self.filters, t, &identity);
-        let mut sel: Vec<usize> = Vec::new();
-        vector::live_selection(t.live_slots(), 0..t.slot_count(), &mut sel);
-        self.scan_m.add_rows_in(sel.len() as u64);
-        for p in &preds {
-            vector::apply_pred(p, t, &mut sel);
-        }
-        apply_residual(t, residual, &mut sel)?;
-        self.scan_m.record_batch(sel.len() as u64);
-        // Columns the group/agg expressions actually read, in the scan's
-        // output space — everything else is never materialized.
-        let mut needed: Vec<usize> = self
-            .group
-            .iter()
-            .chain(self.aggs.iter().map(|a| &a.arg))
-            .flat_map(|e| e.columns())
-            .collect();
-        needed.sort_unstable();
-        needed.dedup();
-        let readers: Vec<(usize, Option<ColumnSlice<'_>>, usize)> = needed
-            .iter()
-            .map(|&oc| (oc, t.column_slice(self.mapping[oc]), self.mapping[oc]))
-            .collect();
-        let (group, aggs) = (self.group, self.aggs);
-        let arity = self.mapping.len();
-        let build = |chunk: &[usize]| -> EngineResult<GroupedAcc> {
-            let mut partial = GroupedAcc::new(group, aggs);
-            // One reusable scratch row per chunk; only the referenced
-            // cells are ever written (the accumulators read owned copies,
-            // so carrying stale cells between rows is impossible for the
-            // referenced set, and unreferenced cells are never read).
-            let mut scratch: Row = vec![Value::Null; arity];
-            for &s in chunk {
-                for (oc, slice, tc) in &readers {
-                    scratch[*oc] = match slice {
-                        Some(sl) => sl.value_at(s),
-                        None => t.get(RowId(s as u64)).expect("selected slot is live")[*tc].clone(),
-                    };
-                }
-                partial.update(group, aggs, &scratch)?;
-            }
-            Ok(partial)
-        };
-        let mut global = GroupedAcc::new(group, aggs);
-        let chunks: Vec<&[usize]> = sel.chunks(AGG_CHUNK).collect();
-        if self.threads > 1 && chunks.len() > 1 {
-            let build = &build;
-            let tasks: Vec<_> = chunks
-                .iter()
-                .map(|c| {
-                    let c: &[usize] = c;
-                    move || build(c)
-                })
-                .collect();
-            let (results, workers) = WorkerPool::global().run_scoped(tasks);
-            self.metrics.record_wave(workers as u64);
-            for r in results {
-                let part = r
-                    .map_err(|m| EngineError::Eval(format!("aggregate worker panicked: {m}")))??;
-                global.absorb(part)?;
-            }
-        } else {
-            for c in chunks {
-                if self.cancel.load(Ordering::Relaxed) {
-                    return Err(EngineError::Cancelled);
-                }
-                global.absorb(build(c)?)?;
-            }
-        }
-        m_columnar_cells().add((sel.len() * needed.len()) as u64);
-        m_columnar_batches().inc();
-        let rows = global.finish();
-        let mut out = VecDeque::new();
-        push_chunked(&mut out, rows, self.batch);
-        Ok(out)
-    }
-}
-
-impl RowStream for ColumnarAggStream<'_> {
     fn next_batch(&mut self) -> EngineResult<Option<Vec<Row>>> {
         if self.out.is_none() {
             let out = self.run()?;

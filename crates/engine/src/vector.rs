@@ -142,11 +142,3 @@ pub(crate) fn append_columns(t: &Table, mapping: &[usize], sel: &[usize], rows: 
         }
     }
 }
-
-/// The join-build key at `slot` for a single-key columnar build:
-/// `None` when the cell is NULL (NULL keys never join) or the column has
-/// no typed slice.
-pub(crate) fn key_at(t: &Table, col: usize, slot: usize) -> Option<Value> {
-    let slice = t.column_slice(col)?;
-    slice.is_valid(slot).then(|| slice.value_at(slot))
-}

@@ -92,12 +92,16 @@ if grep -rnE --include='*.rs' "FactorizedTable|FactorizedScan|FactorizedCount|cr
     echo "ERROR: the retired factorized storage kind is back under crates/" >&2
     exit 1
 fi
-# One execution path: fusion, the columnar join build and the columnar
-# aggregate are chosen by plan shape, every scan runs over the column
-# mirror, and tests compare against a plan's row-store twin. The retired
-# execution switches and the row scan's page pin must not come back.
-if grep -rnE --include='*.rs' "with_fusion|with_columnar|SlotPin|pin_slots" crates tests src examples; then
-    echo "ERROR: a retired execution-path switch or the row scan's pin is back" >&2
+# One execution path: fusion is chosen by plan shape, every scan runs over
+# the column mirror, every join build and aggregate drains that one scan
+# kernel, and tests compare against a plan's row-store twin. The retired
+# execution switches, the row scan's page pin, the bare-scan columnar join
+# build and columnar aggregate, and the fallback counter that measured
+# their misses must not come back.
+if grep -rnE --include='*.rs' \
+    "with_fusion|with_columnar|SlotPin|pin_slots|BuildSource|columnar_build_source|columnar_agg_stream|ColumnarAggStream|fn key_at|engine_fallback_row_batches_total" \
+    crates tests src examples; then
+    echo "ERROR: a retired execution path, switch or the row scan's pin is back" >&2
     exit 1
 fi
 # One of each: the CRC-32, the cursor and the Value codec live in

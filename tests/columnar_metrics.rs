@@ -27,11 +27,10 @@ fn run(plan: &Plan, cat: &Catalog, ctx: &ExecContext) -> (Vec<Vec<Value>>, ExecM
     (rows, qs.metrics())
 }
 
-fn counters() -> (u64, u64, u64) {
+fn counters() -> (u64, u64) {
     let r = Registry::global();
     (
         r.counter("engine_columnar_batches_total", "").get(),
-        r.counter("engine_fallback_row_batches_total", "").get(),
         r.counter("engine_columnar_cells_total", "").get(),
     )
 }
@@ -74,47 +73,43 @@ fn pruned_columns_are_never_materialized() {
     assert!(explain.contains("[cols=a]"), "pruned set surfaced in EXPLAIN:\n{explain}");
 
     let ctx = ExecContext::default();
-    let (b0, f0, c0) = counters();
+    let (b0, c0) = counters();
     let (rows, metrics) = run(&plan, &cat, &ctx);
-    let (b1, f1, c1) = counters();
+    let (b1, c1) = counters();
 
     let want: Vec<Vec<Value>> = (0..ROWS as i64).map(|i| vec![Value::Int(i % 97)]).collect();
     assert_eq!(rows, want, "one pruned column per row, in slot order");
     let scan = metrics.find("Scan w").expect("scan node in metrics tree");
     assert!(scan.columnar, "scan ran on the columnar path:\n{}", metrics.render());
     assert!(b1 > b0, "columnar batch counter must move");
-    assert_eq!(f1, f0, "an eligible pipeline records no row-batch fallbacks");
     // The non-materialization proof: exactly rows × 1 cells gathered,
     // although the table is five columns wide.
     assert_eq!(c1 - c0, ROWS, "cells moved = rows × pruned arity (1), not × 5");
 
-    // A multi-key self-join cannot use the single-key columnar build:
-    // the drained row-batch build is counted as a fallback so the miss is
-    // observable.
+    // A multi-key self-join hashes its drained build side on (a, b).
     let join = Plan::scan(&cat, "w").unwrap().join(
         Plan::scan(&cat, "w").unwrap(),
         JoinKind::Inner,
         vec![Expr::col(1), Expr::col(2)],
         vec![Expr::col(1), Expr::col(2)],
     );
-    let (_, f0, _) = counters();
     let (joined, _) = run(&join, &cat, &ctx);
-    let (_, f1, _) = counters();
     assert_eq!(joined.len(), ROWS as usize, "unique (a,b) pairs self-join 1:1");
-    assert!(f1 > f0, "ineligible build side is counted as a row-batch fallback");
 
-    // The single-key columnar aggregate reads only the columns the
-    // grouping and aggregates touch: rows × 2 cells here, table arity 5.
+    // An aggregate drains the scan below it, which the optimizer prunes to
+    // the columns the grouping and aggregates touch: rows × 2 cells here,
+    // table arity 5.
     let agg = Plan::scan(&cat, "w").unwrap().aggregate(
         vec![(Expr::col(1), "a".into())],
         vec![(AggCall::new(AggFunc::Sum, Expr::col(2)), "s".into())],
     );
     let agg = optimize(agg, &cat).unwrap();
-    let (b0, _, c0) = counters();
+    let (b0, c0) = counters();
     let (groups, am) = run(&agg, &cat, &ctx);
-    let (b1, _, c1) = counters();
+    let (b1, c1) = counters();
     assert_eq!(groups.len(), 97);
-    assert!(am.find("Aggregate").unwrap().columnar, "{}", am.render());
+    let agg_scan = &am.find("Aggregate").expect("aggregate node").children[0];
+    assert!(agg_scan.name.starts_with("Scan w") && agg_scan.columnar, "{}", am.render());
     assert!(b1 > b0);
     assert_eq!(c1 - c0, ROWS * 2, "aggregate reads only its two input columns");
 }

@@ -2,16 +2,16 @@
 //! **bit-identical** results regardless of thread count, morsel size or
 //! batch size (see `DESIGN.md` §9 — morsel-ordered reassembly,
 //! chunk-ordered aggregate merges over fixed chunk boundaries), and its
-//! vectorized scans, columnar join builds and columnar aggregates agree
-//! with the plan's row-store twin, `row_store_twin` (§11 — the kernels
-//! reproduce slot visit order and `Value::cmp` semantics exactly). This
-//! sweep pins both across every parallel operator family on the paper's
-//! mappings M1–M6:
+//! vectorized scans — the one kernel every join build and aggregate
+//! drains — agree with the plan's row-store twin, `row_store_twin` (§11 —
+//! the kernels reproduce slot visit order and `Value::cmp` semantics
+//! exactly). This sweep pins both across every parallel operator family on
+//! the paper's mappings M1–M6:
 //!
 //! * scan + fused Filter/Project chains,
 //! * hash-join build and morsel-partitioned probe,
-//! * partial aggregation with and without GROUP BY (COUNT/SUM/AVG/MIN/MAX
-//!   and the group-order-sensitive single-key fast path),
+//! * partial aggregation with and without GROUP BY (COUNT/SUM/AVG/MIN/MAX,
+//!   group-order-sensitive single and multiple keys),
 //! * LIMIT early-exit above a parallel scan,
 //! * cancellation mid-wave,
 //!
@@ -30,9 +30,9 @@ use erbiumdb::storage::{Catalog, Value};
 /// leaf becomes `Values` holding the rows `Table::scan` yields (the row
 /// pages, not the column mirror), one `Filter` per pushed-down filter in
 /// order, then a `Project` of the `projection` columns. Other leaves stay.
-/// The twin runs no vector kernel, fused chain, columnar join build or
-/// columnar aggregate — those all need a `Scan` leaf — so it is the
-/// row-at-a-time answer the vectorized plan must reproduce bit for bit.
+/// The twin runs no vector kernel or fused chain — both need a `Scan`
+/// leaf — so it is the row-at-a-time answer the vectorized plan must
+/// reproduce bit for bit.
 fn row_store_twin(plan: &Plan, cat: &Catalog) -> Plan {
     let mut twin = plan.clone();
     twin_leaves(&mut twin, cat);
@@ -325,8 +325,9 @@ fn all_value_variants_bit_identical_to_row_store_twin() {
         "scalar func over floats".into(),
         scan(&cat).project(vec![(Expr::func(ScalarFunc::Abs, vec![Expr::col(2)]), "af".into())]),
     ));
-    // Hash-join build keyed on each scalar type (NULL keys never join);
-    // the single-key columnar build must match the drained-stream build.
+    // Hash-join build keyed on each scalar type (NULL keys never join):
+    // the build drains the scan's gathered rows and hashes them on one
+    // `Value` key, which must match the twin's build over row-page rows.
     for (name, key) in [("int", 1usize), ("float", 2), ("bool", 3), ("str", 4), ("array", 5)] {
         plans.push((
             format!("self-join on {name}"),
@@ -346,8 +347,8 @@ fn all_value_variants_bit_identical_to_row_store_twin() {
             scan(&cat).join(pruned, erbiumdb::engine::JoinKind::Inner, vec![Expr::col(key)], vec![Expr::col(1)]),
         ));
     }
-    // Aggregation: global, single-key (dict / bool / float keys — the
-    // columnar fast path), and multi-key (row fallback).
+    // Aggregation: global (unit key), single-key (dict / bool / float /
+    // int keys hashed on one `Value`), and multi-key (a `Vec<Value>` key).
     plans.push((
         "global aggs".into(),
         scan(&cat).aggregate(
