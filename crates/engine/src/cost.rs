@@ -95,9 +95,13 @@ pub fn table_estimate(cat: &Catalog, key: &str) -> Option<Estimate> {
 /// `None` when any leaf table referenced by the plan lacks statistics.
 pub fn estimate(plan: &Plan, cat: &Catalog) -> Option<Estimate> {
     match &plan.kind {
-        PlanKind::Scan { table, filters, .. } => {
+        PlanKind::Scan { table, filters, projection } => {
             let mut est = table_estimate(cat, table)?;
+            // Filters read table columns; the node emits the projected ones.
             apply_filters(&mut est, filters);
+            if let Some(p) = projection {
+                est.cols = p.iter().map(|&c| est.cols.get(c).cloned().flatten()).collect();
+            }
             Some(est)
         }
         PlanKind::IndexLookup { table, columns, keys, residual } => {
@@ -605,6 +609,24 @@ mod tests {
         let e = estimate(&p, &c).unwrap();
         // grp has 10 distinct values over 1000 rows → ~100.
         assert!((e.rows - 100.0).abs() < 1.0, "rows={}", e.rows);
+    }
+
+    /// A narrowed scan's column estimates follow its projection, so a
+    /// consumer indexing them by output position reads the right column.
+    #[test]
+    fn projected_scan_estimates_its_kept_columns() {
+        let c = analyzed_cat();
+        let p = Plan::scan(&c, "t")
+            .unwrap()
+            .filter(Expr::eq(Expr::col(2), Expr::lit(3i64)))
+            .project(vec![(Expr::col(1), "grp".into())]);
+        let p = crate::optimizer::optimize(p, &c).unwrap();
+        let PlanKind::Project { input, .. } = &p.kind else { panic!("{}", p.explain()) };
+        assert!(matches!(&input.kind, PlanKind::Scan { projection: Some(cols), .. } if cols == &[1]));
+        let e = estimate(input, &c).unwrap();
+        assert_eq!(e.cols.len(), 1);
+        let ndv = e.cols[0].as_ref().map(|c| c.ndv);
+        assert_eq!(ndv, Some(10.0), "grp's NDV, not id's: {:?}", e.cols);
     }
 
     #[test]

@@ -585,6 +585,64 @@ mod tests {
         assert_eq!(seq, par, "morsel order keeps parallel output deterministic");
     }
 
+    /// The build side's key chains span the chunk boundary of a two-worker
+    /// build (every key repeats throughout both halves, with NULL keys in
+    /// between), and the output must still list each left row's matches
+    /// in build order: the same rows, in the same order, as one thread and
+    /// as a nested loop.
+    #[test]
+    fn join_chains_keep_build_order_across_parallel_build_chunks() {
+        let mut c = Catalog::new();
+        let table = |name: &str, n: i64, key: fn(i64) -> Value| {
+            let cols = vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("k", DataType::Int),
+                Column::new("j", DataType::Int),
+            ];
+            let mut t = Table::new(TableSchema::new(name, cols, vec![0]));
+            for i in 0..n {
+                t.insert(vec![Value::Int(i), key(i), Value::Int(i % 2)]).unwrap();
+            }
+            t
+        };
+        c.create_table(table("l", 80, |i| Value::Int(i % 5))).unwrap();
+        let r_key = |i| if i % 7 == 0 { Value::Null } else { Value::Int(i % 4) };
+        c.create_table(table("r", 101, r_key)).unwrap();
+        let rows = |name: &str| -> Vec<Vec<Value>> {
+            c.table(name).unwrap().scan().map(|(_, row)| row.clone()).collect()
+        };
+        let (l, r) = (rows("l"), rows("r"));
+        for keys in [vec![1], vec![1, 2]] {
+            let ks = || keys.iter().map(|&k| Expr::col(k)).collect::<Vec<_>>();
+            let key = |row: &[Value]| keys.iter().map(|&k| row[k].clone()).collect::<Vec<_>>();
+            for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi] {
+                let mut want: Vec<Vec<Value>> = Vec::new();
+                for lrow in &l {
+                    let lk = key(lrow);
+                    let hits: Vec<&Vec<Value>> = r
+                        .iter()
+                        .filter(|rrow| !lk.iter().any(Value::is_null) && key(rrow) == lk)
+                        .collect();
+                    match kind {
+                        JoinKind::Semi if !hits.is_empty() => want.push(lrow.clone()),
+                        JoinKind::Semi => {}
+                        JoinKind::Left if hits.is_empty() => {
+                            want.push([lrow.clone(), vec![Value::Null; 3]].concat());
+                        }
+                        _ => want.extend(hits.iter().map(|h| [&lrow[..], &h[..]].concat())),
+                    }
+                }
+                let r = Plan::scan(&c, "r").unwrap();
+                let plan = Plan::scan(&c, "l").unwrap().join(r, kind, ks(), ks());
+                for threads in [1, 2] {
+                    let ctx = ExecContext::new().with_threads(threads).with_morsel_size(16);
+                    let got = execute_streaming(&plan, &c, &ctx).unwrap().drain().unwrap();
+                    assert_eq!(got, want, "{kind:?} on {keys:?} at {threads} threads");
+                }
+            }
+        }
+    }
+
     /// `Fetch` appends the row in the slot each input row names; a row id
     /// that names no live row (deleted, past the end, negative, NULL) is an
     /// `EngineError`, never a panic or a silently dropped row.

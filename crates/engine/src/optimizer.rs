@@ -6,7 +6,9 @@
 //! 2. **Filter normalization & pushdown** — split conjunctions; merge
 //!    adjacent filters; push predicates through projections (by inlining
 //!    the projected expressions), into the matching side of joins, into
-//!    all branches of unions, and finally into scans.
+//!    all branches of unions, and finally into scans. A `Col = Col`
+//!    equality between the two inputs of an Inner join becomes one more
+//!    join key instead of a filter above it.
 //! 3. **Index selection** — a scan filtered by `col = k` or `col IN <set>`
 //!    turns into an [`PlanKind::IndexLookup`] when the table has an index on
 //!    exactly that column, and `col < k` (etc.) into an
@@ -17,12 +19,14 @@
 //!    of inner-join chains ([`reorder_joins`]) and hash-join build-side
 //!    selection ([`choose_build_side`]). Both are strict no-ops on an
 //!    un-analyzed catalog.
-//! 5. **Projection pruning** — stacked bare-column `Project`s collapse
-//!    into one ([`collapse_projects`] — the SQL lowering emits identity
-//!    shapes that would otherwise hide the scan), then a
-//!    `Project`/`Aggregate` over a (filtered) scan narrows the scan to
-//!    the columns the subtree actually reads, so untouched columns are
-//!    never materialized (`EXPLAIN` shows the kept set as `[cols=...]`).
+//! 5. **Required-column narrowing** — stacked bare-column `Project`s
+//!    collapse into one ([`collapse_projects`]), then one top-down walk
+//!    ([`narrow_columns`]) tells every operator which of its columns the
+//!    operators above read, so each input emits only those plus what the
+//!    operator itself reads. Scans materialize only that set (`EXPLAIN`
+//!    shows it as `[cols=...]`), and unread columns are not carried
+//!    through the joins, unnests and sorts above them. `Distinct`,
+//!    `Union`, `Values`, `IndexLookup` and `IndexRange` stay full width.
 //! 6. **Filter cost ranking** — order conjunct lists cheapest-first;
 //!    with statistics the rank is weighted by estimated selectivity.
 //!
@@ -35,7 +39,7 @@ use crate::agg::AggCall;
 use crate::cost;
 use crate::error::EngineResult;
 use crate::expr::{BinOp, Expr};
-use crate::plan::{Field, JoinKind, Plan, PlanKind};
+use crate::plan::{Field, JoinKind, Plan, PlanKind, SortKey};
 use erbium_storage::{Catalog, Value};
 
 fn m_stats_missing() -> &'static erbium_obs::Counter {
@@ -81,17 +85,17 @@ pub fn optimize(plan: Plan, cat: &Catalog) -> EngineResult<Plan> {
         let plan = reorder_joins(plan, cat);
         choose_build_side(plan, cat)
     };
-    Ok(rank_filters(prune_projections(collapse_projects(plan)), cat))
+    Ok(rank_filters(narrow_columns(collapse_projects(plan)), cat))
 }
 
-// ---- projection pruning ------------------------------------------------------
+// ---- required-column narrowing ---------------------------------------------
 
 /// Collapse a `Project` (or `Aggregate`) sitting on a `Project` whose
 /// expressions are a pure column selection (every one a bare
 /// `Expr::Col`), remapping the consumer's expressions into the inner
 /// input's column space. The SQL lowering emits identity-shaped projects
-/// (mapping views, `SELECT`-list shaping) that would otherwise hide the
-/// `Filter*`·`Scan` chain from projection pruning below. A bare-column
+/// (mapping views, `SELECT`-list shaping); collapsing them leaves fewer
+/// nodes for narrowing to rewrite and for the executor to run. A bare-column
 /// project computes nothing and cannot error, so inlining it is always
 /// safe; projects with computed expressions are left alone (inlining
 /// could duplicate work into several consumer references).
@@ -131,116 +135,161 @@ fn collapse_projects(plan: Plan) -> Plan {
     }
 }
 
-/// Prune scan materialization to the columns the query actually reads.
+/// Narrow every operator to the columns its consumers read.
 ///
-/// A `Project` or `Aggregate` sitting on a `Scan` — possibly through a
-/// chain of `Filter`s — names every column the subtree will ever touch.
-/// This pass computes that set, sets the scan's `projection` to it (so
-/// the executor never materializes the untouched columns; `EXPLAIN`
-/// surfaces the set as `[cols=...]`), and remaps every expression above
-/// the scan into the pruned column space. The scan's own pushed-down
-/// `filters` stay in the table's column space: they are evaluated against
-/// borrowed full-width rows *before* materialization, so a filter-only
-/// column costs nothing and is not added to the set. Scans under joins,
-/// unnests, and sorts are left unpruned — those consumers take whole
-/// rows. An empty set is legal (`COUNT(*)` materializes zero-width rows).
-pub fn prune_projections(plan: Plan) -> Plan {
-    let plan = map_children(plan, &prune_projections);
-    let fields = plan.fields;
-    let kind = match plan.kind {
+/// One top-down walk from the root, which must emit all its columns:
+/// each node is told the set of its output columns its parent reads, asks
+/// its own input(s) for those plus whatever it reads itself, remaps its
+/// expressions into what the input still emits, and reports the original
+/// output columns it keeps (see [`narrow`]). A `Scan` turns the set into
+/// its `projection`, so untouched columns are never materialized and are
+/// not copied through unnests, joins and sorts above it (`EXPLAIN` shows
+/// the kept set as `[cols=...]`). The scan's pushed-down `filters` stay in
+/// the table's column space: they run before materialization, so a
+/// filter-only column is read but not kept. An empty set is legal
+/// (`COUNT(*)` scans zero-width rows).
+pub fn narrow_columns(plan: Plan) -> Plan {
+    let all: Vec<usize> = (0..plan.fields.len()).collect();
+    narrow(plan, &all).0
+}
+
+/// Rewrite `plan` to emit only part of its output, covering `needed`
+/// (ascending output positions). Returns the rewritten node and `kept`:
+/// the original output positions it still emits, ascending, a superset of
+/// `needed`. The node's fields are the original fields at `kept`.
+///
+/// Per operator:
+/// - `Scan` composes `needed` with an existing projection.
+/// - `Filter`, `Unnest` and `Sort` add their predicate, unnested column or
+///   sort keys to `needed`; `Limit` passes it through.
+/// - `Join` splits `needed` by side and always keeps both key lists; a
+///   `Semi` join emits left columns only.
+/// - `Aggregate` keeps every output; its input needs only the group and
+///   argument columns.
+/// - `Fetch` keeps the row-id column of its input and fetches only the
+///   columns that are read.
+/// - `Project` drops an unread output only if evaluating it cannot fail
+///   (a bare column, a literal or a `?`), so narrowing never hides an
+///   error.
+/// - `Distinct`, `Union`, `Values`, `IndexLookup` and `IndexRange` stay
+///   full width (the inputs of the first two are narrowed from there).
+fn narrow(plan: Plan, needed: &[usize]) -> (Plan, Vec<usize>) {
+    let Plan { kind, fields } = plan;
+    let all = || (0..fields.len()).collect::<Vec<usize>>();
+    let (kind, kept) = match kind {
+        PlanKind::Scan { table, filters, projection } if needed.len() < fields.len() => {
+            let projection =
+                needed.iter().map(|&c| projection.as_ref().map_or(c, |p| p[c])).collect();
+            (PlanKind::Scan { table, filters, projection: Some(projection) }, needed.to_vec())
+        }
+        PlanKind::Filter { input, predicate } => {
+            let (input, kept) = narrow(*input, &with(needed, predicate.columns()));
+            let predicate = predicate.map_columns(&at(&kept));
+            (PlanKind::Filter { input: Box::new(input), predicate }, kept)
+        }
+        PlanKind::Unnest { input, column, keep_empty } => {
+            let (input, kept) = narrow(*input, &with(needed, [column]));
+            let column = at(&kept)(column);
+            (PlanKind::Unnest { input: Box::new(input), column, keep_empty }, kept)
+        }
+        PlanKind::Sort { input, keys } => {
+            let (input, kept) =
+                narrow(*input, &with(needed, keys.iter().flat_map(|k| k.expr.columns())));
+            let keys = keys
+                .into_iter()
+                .map(|k| SortKey { expr: k.expr.map_columns(&at(&kept)), desc: k.desc })
+                .collect();
+            (PlanKind::Sort { input: Box::new(input), keys }, kept)
+        }
+        PlanKind::Limit { input, limit } => {
+            let (input, kept) = narrow(*input, needed);
+            (PlanKind::Limit { input: Box::new(input), limit }, kept)
+        }
         PlanKind::Project { input, exprs } => {
-            let needed: Vec<usize> = columns_of(exprs.iter());
-            match prune_chain(*input, needed) {
-                Ok((input, remap)) => PlanKind::Project {
-                    input: Box::new(input),
-                    exprs: exprs.iter().map(|e| e.map_columns(&remap)).collect(),
-                },
-                Err(input) => PlanKind::Project { input: Box::new(input), exprs },
-            }
+            let (kept, exprs): (Vec<usize>, Vec<Expr>) = exprs
+                .into_iter()
+                .enumerate()
+                .filter(|(i, e)| {
+                    needed.binary_search(i).is_ok()
+                        || !matches!(e, Expr::Col(_) | Expr::Lit(_) | Expr::Param(_))
+                })
+                .unzip();
+            let (input, below) = narrow(*input, &columns_of(exprs.iter()));
+            let exprs = exprs.iter().map(|e| e.map_columns(&at(&below))).collect();
+            (PlanKind::Project { input: Box::new(input), exprs }, kept)
         }
         PlanKind::Aggregate { input, group, aggs } => {
-            let needed: Vec<usize> = columns_of(group.iter().chain(aggs.iter().map(|a| &a.arg)));
-            match prune_chain(*input, needed) {
-                Ok((input, remap)) => PlanKind::Aggregate {
-                    input: Box::new(input),
-                    group: group.iter().map(|e| e.map_columns(&remap)).collect(),
-                    aggs: aggs
-                        .iter()
-                        .map(|a| AggCall { func: a.func, arg: a.arg.map_columns(&remap) })
-                        .collect(),
-                },
-                Err(input) => PlanKind::Aggregate { input: Box::new(input), group, aggs },
-            }
+            let read = columns_of(group.iter().chain(aggs.iter().map(|a| &a.arg)));
+            let (input, below) = narrow(*input, &read);
+            let group = group.iter().map(|e| e.map_columns(&at(&below))).collect();
+            let aggs = aggs
+                .iter()
+                .map(|a| AggCall { func: a.func, arg: a.arg.map_columns(&at(&below)) })
+                .collect();
+            (PlanKind::Aggregate { input: Box::new(input), group, aggs }, all())
         }
-        other => other,
+        PlanKind::Join { left, right, kind, left_keys, right_keys } => {
+            let l_arity = left.fields.len();
+            let split = needed.partition_point(|&c| c < l_arity);
+            let left_needed = with(&needed[..split], columns_of(left_keys.iter()));
+            let right_needed = with(
+                &columns_of(right_keys.iter()),
+                needed[split..].iter().map(|&c| c - l_arity),
+            );
+            let (left, l_kept) = narrow(*left, &left_needed);
+            let (right, r_kept) = narrow(*right, &right_needed);
+            let left_keys = left_keys.iter().map(|e| e.map_columns(&at(&l_kept))).collect();
+            let right_keys = right_keys.iter().map(|e| e.map_columns(&at(&r_kept))).collect();
+            let mut kept = l_kept;
+            if kind != JoinKind::Semi {
+                kept.extend(r_kept.iter().map(|&c| l_arity + c));
+            }
+            let (left, right) = (Box::new(left), Box::new(right));
+            (PlanKind::Join { left, right, kind, left_keys, right_keys }, kept)
+        }
+        PlanKind::Fetch { input, table, rid, columns } => {
+            let arity = input.fields.len();
+            let split = needed.partition_point(|&c| c < arity);
+            let (input, mut kept) = narrow(*input, &with(&needed[..split], [rid]));
+            let rid = at(&kept)(rid);
+            let columns = needed[split..].iter().map(|&c| columns[c - arity]).collect();
+            kept.extend_from_slice(&needed[split..]);
+            (PlanKind::Fetch { input: Box::new(input), table, rid, columns }, kept)
+        }
+        PlanKind::Distinct { input } => {
+            (PlanKind::Distinct { input: Box::new(narrow_columns(*input)) }, all())
+        }
+        PlanKind::Union { inputs } => {
+            let inputs = inputs.into_iter().map(narrow_columns).collect();
+            (PlanKind::Union { inputs }, all())
+        }
+        leaf => (leaf, all()),
     };
-    Plan { kind, fields }
+    let fields = if kept.len() == fields.len() {
+        fields
+    } else {
+        kept.iter().map(|&c| fields[c].clone()).collect()
+    };
+    (Plan { kind, fields }, kept)
 }
 
 /// Sorted, deduplicated set of columns referenced by `exprs`.
 fn columns_of<'a>(exprs: impl Iterator<Item = &'a Expr>) -> Vec<usize> {
-    let mut cols: Vec<usize> = exprs.flat_map(|e| e.columns()).collect();
-    cols.sort_unstable();
-    cols.dedup();
-    cols
+    with(&[], exprs.flat_map(|e| e.columns()))
 }
 
-/// Try to prune the `Filter*·Scan` chain under a consumer that reads only
-/// `needed` columns. On success returns the rebuilt chain (scan projected
-/// to the final needed set, filter predicates remapped, fields narrowed)
-/// plus the old→new column remap for the consumer's own expressions. On
-/// failure returns the chain untouched.
-#[allow(clippy::result_large_err)]
-fn prune_chain(input: Plan, mut needed: Vec<usize>) -> Result<(Plan, impl Fn(usize) -> usize), Plan> {
-    // Shape check (immutably): a chain of Filters over a bare, not yet
-    // pruned Scan. Filter predicates read scan-output columns, so they
-    // join the needed set.
-    {
-        let mut cur = &input;
-        loop {
-            match &cur.kind {
-                PlanKind::Filter { input, predicate } => {
-                    needed.extend(predicate.columns());
-                    cur = input;
-                }
-                PlanKind::Scan { projection: None, .. } => break,
-                _ => return Err(input),
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        if needed.len() == cur.fields.len() {
-            return Err(input); // nothing to prune
-        }
-    }
-    let pruned = rebuild_pruned(input, &needed);
-    let remap = move |c: usize| {
-        needed.binary_search(&c).expect("pruned set covers every referenced column")
-    };
-    Ok((pruned, remap))
+/// `cols` plus `extra`, sorted and deduplicated.
+fn with(cols: &[usize], extra: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut out = cols.to_vec();
+    out.extend(extra);
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
-/// Rebuild the checked `Filter*·Scan` chain with the scan projected to
-/// `needed` and every filter predicate remapped into the pruned space.
-fn rebuild_pruned(plan: Plan, needed: &[usize]) -> Plan {
-    match plan.kind {
-        PlanKind::Filter { input, predicate } => {
-            let input = rebuild_pruned(*input, needed);
-            let fields = input.fields.clone();
-            let predicate = predicate.map_columns(&|c| {
-                needed.binary_search(&c).expect("pruned set covers every referenced column")
-            });
-            Plan { kind: PlanKind::Filter { input: Box::new(input), predicate }, fields }
-        }
-        PlanKind::Scan { table, filters, .. } => {
-            let fields = needed.iter().map(|&c| plan.fields[c].clone()).collect();
-            Plan {
-                kind: PlanKind::Scan { table, filters, projection: Some(needed.to_vec()) },
-                fields,
-            }
-        }
-        _ => unreachable!("prune_chain verified the chain shape"),
-    }
+/// Map an original column position to its position among `kept`.
+fn at(kept: &[usize]) -> impl Fn(usize) -> usize + '_ {
+    |c| kept.binary_search(&c).expect("narrowing kept every column read above")
 }
 
 /// Rebuild a plan node with every child mapped through `f` (leaves are
@@ -808,7 +857,7 @@ fn push_conjuncts_into(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
             let pushed = push_conjuncts_into(*input, rewritten);
             Plan { kind: PlanKind::Project { input: Box::new(pushed), exprs }, fields }
         }
-        PlanKind::Join { left, right, kind, left_keys, right_keys } => {
+        PlanKind::Join { left, right, kind, mut left_keys, mut right_keys } => {
             let left_arity = left.fields.len();
             let mut left_preds = Vec::new();
             let mut right_preds = Vec::new();
@@ -819,8 +868,19 @@ fn push_conjuncts_into(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
                 let all_right = cols.iter().all(|&c| c >= left_arity);
                 if all_left {
                     left_preds.push(p);
-                } else if all_right && kind == crate::plan::JoinKind::Inner {
+                } else if all_right && kind == JoinKind::Inner {
                     right_preds.push(p.map_columns(&|c| c - left_arity));
+                } else if let Some((l, r)) =
+                    cross_equality(&p, left_arity).filter(|_| kind == JoinKind::Inner)
+                {
+                    // An Inner join's output is exactly the key-equal pairs,
+                    // and the filter's `Eq` and the hash table agree on
+                    // equality (`Value::cmp`, with `Hash` equal across
+                    // Int/Float) and on NULL (never equal), so the equality
+                    // becomes one more key. A Left join keeps its filter:
+                    // a non-matching left row is null-extended, not dropped.
+                    left_keys.push(Expr::Col(l));
+                    right_keys.push(Expr::Col(r - left_arity));
                 } else {
                     keep.push(p);
                 }
@@ -870,6 +930,18 @@ fn push_conjuncts_into(plan: Plan, conjuncts: Vec<Expr>) -> Plan {
             wrap_filter(plan, keep)
         }
         other => wrap_filter(Plan { kind: other, fields }, conjuncts),
+    }
+}
+
+/// `(l, r)` when `p` is `Col(l) = Col(r)` (either way round) with `l` a
+/// column of the join's left input and `r` one of its right input.
+fn cross_equality(p: &Expr, left_arity: usize) -> Option<(usize, usize)> {
+    let Expr::Binary { op: BinOp::Eq, left, right } = p else { return None };
+    let (&Expr::Col(a), &Expr::Col(b)) = (&**left, &**right) else { return None };
+    match (a < left_arity, b < left_arity) {
+        (true, false) => Some((a, b)),
+        (false, true) => Some((b, a)),
+        _ => None,
     }
 }
 
@@ -1323,7 +1395,7 @@ mod tests {
     }
 
     #[test]
-    fn prune_narrows_scan_under_project_and_remaps() {
+    fn narrow_scan_under_project_and_remap() {
         let c = cat();
         // SELECT v FROM t WHERE grp = 3 — reads grp (filter) and v
         // (projection); id must be pruned away.
@@ -1357,7 +1429,7 @@ mod tests {
     }
 
     #[test]
-    fn prune_covers_aggregate_and_unprojected_filter_chains() {
+    fn narrow_covers_aggregate_and_unprojected_filter_chains() {
         let c = cat();
         // SELECT grp, SUM(v) FROM t GROUP BY grp: id is never read.
         let agg = Plan::scan(&c, "t").unwrap().aggregate(
@@ -1387,7 +1459,7 @@ mod tests {
             ))
             .project(vec![(Expr::col(2), "v".into())]);
         let before = execute(&p, &c).unwrap();
-        let pruned = prune_projections(p);
+        let pruned = narrow_columns(p);
         assert_eq!(execute(&pruned, &c).unwrap(), before);
         let PlanKind::Project { input, .. } = &pruned.kind else { panic!("project root") };
         let PlanKind::Filter { input: scan, predicate } = &input.kind else {
@@ -1475,16 +1547,306 @@ mod tests {
     }
 
     #[test]
-    fn prune_allows_zero_width_count_star() {
+    fn narrow_allows_zero_width_count_star() {
         let c = cat();
         let p = Plan::scan(&c, "t")
             .unwrap()
             .aggregate(vec![], vec![(AggCall::count_star(), "n".into())]);
-        let opt = prune_projections(p);
+        let opt = narrow_columns(p);
         let PlanKind::Aggregate { input, .. } = &opt.kind else { panic!("aggregate root") };
         let PlanKind::Scan { projection, .. } = &input.kind else { panic!("scan leaf") };
         assert_eq!(projection.as_deref(), Some(&[][..]), "COUNT(*) reads no columns");
         assert_eq!(execute(&opt, &c).unwrap(), vec![vec![Value::Int(100)]]);
+    }
+}
+
+/// One test per narrowing rule. Every narrowed plan must execute to the
+/// same rows, in the same order, as the plan it came from.
+#[cfg(test)]
+mod narrow_tests {
+    use super::*;
+    use crate::agg::AggFunc;
+    use crate::exec::execute;
+    use erbium_storage::{Column, DataType, Table, TableSchema};
+
+    /// `t(id, grp, v)`: 30 rows, and `a(id, xs, w, pad)` whose `xs` is an
+    /// int array (NULL on every seventh row).
+    fn cat() -> Catalog {
+        let mut c = Catalog::new();
+        let mut t = Table::new(TableSchema::new(
+            "t",
+            vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("grp", DataType::Int),
+                Column::new("v", DataType::Int),
+            ],
+            vec![0],
+        ));
+        for i in 0..30i64 {
+            t.insert(vec![Value::Int(i), Value::Int(i % 4), Value::Int(i * 3)]).unwrap();
+        }
+        c.create_table(t).unwrap();
+        let mut a = Table::new(TableSchema::new(
+            "a",
+            vec![
+                Column::not_null("id", DataType::Int),
+                Column::new("xs", DataType::Int.array_of()),
+                Column::new("w", DataType::Int),
+                Column::new("pad", DataType::Text),
+            ],
+            vec![0],
+        ));
+        for i in 0..30i64 {
+            let xs = if i % 7 == 3 {
+                Value::Null
+            } else {
+                Value::Array(vec![Value::Int(i % 3), Value::Int(i % 5)])
+            };
+            a.insert(vec![Value::Int(i), xs, Value::Int(100 - i), Value::str(format!("p{i}"))])
+                .unwrap();
+        }
+        c.create_table(a).unwrap();
+        c
+    }
+
+    /// Narrow `p`, check the rows are unchanged, and return the narrowed
+    /// plan.
+    fn narrowed(p: Plan, c: &Catalog) -> Plan {
+        let want = execute(&p, c).unwrap();
+        let fields = p.fields.clone();
+        let n = narrow_columns(p);
+        assert_eq!(n.fields, fields, "the root keeps its columns:\n{}", n.explain());
+        assert_eq!(execute(&n, c).unwrap(), want, "same rows:\n{}", n.explain());
+        n
+    }
+
+    /// The first `Scan` of `table` in `p`, depth first.
+    fn scan_of<'p>(p: &'p Plan, table: &str) -> &'p PlanKind {
+        fn find<'p>(p: &'p Plan, table: &str) -> Option<&'p PlanKind> {
+            match &p.kind {
+                PlanKind::Scan { table: t, .. } if t == table => Some(&p.kind),
+                PlanKind::Join { left, right, .. } => {
+                    find(left, table).or_else(|| find(right, table))
+                }
+                PlanKind::Union { inputs } => inputs.iter().find_map(|i| find(i, table)),
+                PlanKind::Filter { input, .. }
+                | PlanKind::Project { input, .. }
+                | PlanKind::Fetch { input, .. }
+                | PlanKind::Aggregate { input, .. }
+                | PlanKind::Unnest { input, .. }
+                | PlanKind::Sort { input, .. }
+                | PlanKind::Limit { input, .. }
+                | PlanKind::Distinct { input } => find(input, table),
+                _ => None,
+            }
+        }
+        find(p, table).unwrap_or_else(|| panic!("no scan of {table}:\n{}", p.explain()))
+    }
+
+    fn projection_of(p: &Plan, table: &str) -> Option<Vec<usize>> {
+        let PlanKind::Scan { projection, .. } = scan_of(p, table) else { unreachable!() };
+        projection.clone()
+    }
+
+    #[test]
+    fn scan_composes_with_its_projection_and_keeps_filters_in_table_space() {
+        let c = cat();
+        let mut scan = Plan::scan(&c, "a").unwrap();
+        let filter = Expr::binary(BinOp::Gt, Expr::col(2), Expr::lit(80i64));
+        scan.fields = vec![scan.fields[0].clone(), scan.fields[2].clone(), scan.fields[3].clone()];
+        scan.kind = PlanKind::Scan {
+            table: "a".into(),
+            filters: vec![filter.clone()],
+            projection: Some(vec![0, 2, 3]),
+        };
+        let n = narrowed(scan.project(vec![(Expr::col(2), "pad".into())]), &c);
+        let PlanKind::Scan { projection, filters, .. } = scan_of(&n, "a") else { unreachable!() };
+        assert_eq!(projection.as_deref(), Some(&[3usize][..]), "{}", n.explain());
+        assert_eq!(filters, &vec![filter], "pushed-down filters stay in table space");
+        assert!(n.explain().contains("Scan a filter=[(#2 Gt 80)] [cols=pad]"), "{}", n.explain());
+    }
+
+    #[test]
+    fn filter_unnest_sort_and_limit_keep_what_they_read() {
+        let c = cat();
+        // Unnest xs, keep the elements equal to 1, order by w, take 5, and
+        // read only id: pad is never read.
+        let p = Plan::scan(&c, "a")
+            .unwrap()
+            .unnest(1)
+            .unwrap()
+            .filter(Expr::eq(Expr::col(1), Expr::lit(1i64)))
+            .sort(vec![SortKey { expr: Expr::col(2), desc: true }])
+            .limit(5)
+            .project(vec![(Expr::col(0), "id".into())]);
+        let n = narrowed(p, &c);
+        assert_eq!(projection_of(&n, "a"), Some(vec![0, 1, 2]), "{}", n.explain());
+        assert!(n.explain().contains("[cols=id,xs,w]"), "{}", n.explain());
+        // A Limit alone passes the read set straight through.
+        let p = Plan::scan(&c, "a").unwrap().limit(3).project(vec![(Expr::col(3), "pad".into())]);
+        let n = narrowed(p, &c);
+        assert_eq!(projection_of(&n, "a"), Some(vec![3]), "{}", n.explain());
+    }
+
+    #[test]
+    fn join_splits_the_read_set_by_side_and_keeps_its_keys() {
+        let c = cat();
+        for kind in [JoinKind::Inner, JoinKind::Left] {
+            // a.pad and t.v are read, a.id = t.grp is the key.
+            let p = Plan::scan(&c, "a")
+                .unwrap()
+                .join(Plan::scan(&c, "t").unwrap(), kind, vec![Expr::col(0)], vec![Expr::col(1)])
+                .project(vec![(Expr::col(3), "pad".into()), (Expr::col(6), "v".into())]);
+            let n = narrowed(p, &c);
+            assert_eq!(projection_of(&n, "a"), Some(vec![0, 3]), "{}", n.explain());
+            assert_eq!(projection_of(&n, "t"), Some(vec![1, 2]), "{}", n.explain());
+            let PlanKind::Project { input, exprs } = &n.kind else { panic!("{}", n.explain()) };
+            assert_eq!(exprs, &vec![Expr::col(1), Expr::col(3)]);
+            let PlanKind::Join { left_keys, right_keys, .. } = &input.kind else { unreachable!() };
+            assert_eq!((left_keys, right_keys), (&vec![Expr::col(0)], &vec![Expr::col(0)]));
+        }
+        // A semi join emits left columns only; its right side keeps the key.
+        let t = Plan::scan(&c, "t").unwrap();
+        let p = Plan::scan(&c, "a")
+            .unwrap()
+            .join(t, JoinKind::Semi, vec![Expr::col(2)], vec![Expr::col(2)])
+            .project(vec![(Expr::col(3), "pad".into())]);
+        let n = narrowed(p, &c);
+        assert_eq!(projection_of(&n, "a"), Some(vec![2, 3]), "{}", n.explain());
+        assert_eq!(projection_of(&n, "t"), Some(vec![2]), "{}", n.explain());
+    }
+
+    #[test]
+    fn aggregate_keeps_its_outputs_and_reads_only_group_and_arguments() {
+        let c = cat();
+        let p = Plan::scan(&c, "t")
+            .unwrap()
+            .aggregate(
+                vec![(Expr::col(1), "grp".into())],
+                vec![
+                    (AggCall::new(AggFunc::Sum, Expr::col(2)), "s".into()),
+                    (AggCall::count_star(), "n".into()),
+                ],
+            )
+            .project(vec![(Expr::col(0), "grp".into())]);
+        let n = narrowed(p, &c);
+        assert_eq!(projection_of(&n, "t"), Some(vec![1, 2]), "{}", n.explain());
+        let PlanKind::Project { input, .. } = &n.kind else { panic!("{}", n.explain()) };
+        assert_eq!(input.fields.len(), 3, "unread aggregates stay:\n{}", n.explain());
+    }
+
+    #[test]
+    fn fetch_keeps_the_row_id_and_fetches_only_read_columns() {
+        let c = cat();
+        // t.grp (0..3) read as row ids of a; only a.w is read above.
+        let p = Plan::scan(&c, "t")
+            .unwrap()
+            .fetch(&c, "a", 1, vec![0, 2, 3])
+            .unwrap()
+            .project(vec![(Expr::col(4), "w".into())]);
+        let n = narrowed(p, &c);
+        assert_eq!(projection_of(&n, "t"), Some(vec![1]), "{}", n.explain());
+        let PlanKind::Project { input, exprs } = &n.kind else { panic!("{}", n.explain()) };
+        let PlanKind::Fetch { rid, columns, .. } = &input.kind else { panic!("{}", n.explain()) };
+        assert_eq!((*rid, columns), (0, &vec![2]), "{}", n.explain());
+        assert_eq!(exprs, &vec![Expr::col(1)]);
+    }
+
+    #[test]
+    fn project_drops_only_unread_outputs_that_cannot_fail() {
+        let c = cat();
+        // Unread bare columns, literals and parameters go.
+        let p = Plan::scan(&c, "t")
+            .unwrap()
+            .project(vec![
+                (Expr::col(0), "id".into()),
+                (Expr::lit(7i64), "k".into()),
+                (Expr::Param(0), "p".into()),
+                (Expr::col(2), "v".into()),
+            ])
+            .project(vec![(Expr::col(3), "v".into())]);
+        let n = narrow_columns(p);
+        let PlanKind::Project { input, .. } = &n.kind else { panic!("{}", n.explain()) };
+        let PlanKind::Project { exprs, .. } = &input.kind else { panic!("{}", n.explain()) };
+        assert_eq!(exprs, &vec![Expr::col(0)], "{}", n.explain());
+        assert_eq!(projection_of(&n, "t"), Some(vec![2]));
+        // An unread division stays, with the column it reads: the plan
+        // still fails exactly where the original fails.
+        let zero = Expr::binary(BinOp::Sub, Expr::col(1), Expr::col(1));
+        let boom = Expr::binary(BinOp::Div, Expr::col(2), zero);
+        let p = Plan::scan(&c, "t")
+            .unwrap()
+            .project(vec![(boom.clone(), "boom".into()), (Expr::col(0), "id".into())])
+            .project(vec![(Expr::col(1), "id".into())]);
+        assert!(execute(&p, &c).is_err());
+        let n = narrow_columns(p);
+        assert!(execute(&n, &c).is_err(), "narrowing hid an error:\n{}", n.explain());
+        let PlanKind::Project { input, .. } = &n.kind else { panic!("{}", n.explain()) };
+        assert_eq!(input.fields.len(), 2, "{}", n.explain());
+    }
+
+    #[test]
+    fn distinct_union_values_and_index_reads_stay_full_width() {
+        let c = cat();
+        let id = || vec![(Expr::col(0), "id".into())];
+        let p = Plan::scan(&c, "t").unwrap().distinct().project(id());
+        assert_eq!(projection_of(&narrowed(p, &c), "t"), None);
+        let p = Plan::union(vec![Plan::scan(&c, "t").unwrap(), Plan::scan(&c, "t").unwrap()])
+            .unwrap()
+            .project(id());
+        assert_eq!(projection_of(&narrowed(p, &c), "t"), None);
+        // Below them, narrowing starts again from the full width.
+        let p = Plan::scan(&c, "a")
+            .unwrap()
+            .project(vec![(Expr::col(0), "id".into())])
+            .distinct();
+        assert_eq!(projection_of(&narrowed(p, &c), "a"), Some(vec![0]));
+        let values = Plan::values(
+            vec![Field::new("x", DataType::Int), Field::new("y", DataType::Int)],
+            vec![vec![Value::Int(1), Value::Int(2)]],
+        )
+        .project(vec![(Expr::col(1), "y".into())]);
+        let n = narrowed(values, &c);
+        let PlanKind::Project { input, .. } = &n.kind else { panic!("{}", n.explain()) };
+        assert_eq!(input.fields.len(), 2);
+        let lookup = Plan::scan(&c, "t")
+            .unwrap()
+            .filter(Expr::eq(Expr::col(0), Expr::lit(4i64)))
+            .project(vec![(Expr::col(2), "v".into())]);
+        let n = optimize(lookup.clone(), &c).unwrap();
+        assert_eq!(execute(&n, &c).unwrap(), execute(&lookup, &c).unwrap());
+        let PlanKind::Project { input, .. } = &n.kind else { panic!("{}", n.explain()) };
+        assert!(matches!(input.kind, PlanKind::IndexLookup { .. }), "{}", n.explain());
+        assert_eq!(input.fields.len(), 3);
+    }
+
+    #[test]
+    fn cross_side_equality_becomes_an_inner_join_key() {
+        let c = cat();
+        let join = |kind| {
+            Plan::scan(&c, "t")
+                .unwrap()
+                .join(Plan::scan(&c, "t").unwrap(), kind, vec![Expr::col(0)], vec![Expr::col(1)])
+        };
+        // t.grp = t'.grp, written both ways round.
+        let pred = Expr::and(
+            Expr::eq(Expr::col(1), Expr::col(4)),
+            Expr::eq(Expr::col(5), Expr::col(2)),
+        );
+        let p = join(JoinKind::Inner).filter(pred.clone());
+        let opt = push_filters(p.clone()).unwrap();
+        let PlanKind::Join { left_keys, right_keys, .. } = &opt.kind else {
+            panic!("no filter above the join:\n{}", opt.explain())
+        };
+        assert_eq!(left_keys, &vec![Expr::col(0), Expr::col(1), Expr::col(2)]);
+        assert_eq!(right_keys, &vec![Expr::col(1), Expr::col(1), Expr::col(2)]);
+        assert_eq!(execute(&opt, &c).unwrap(), execute(&p, &c).unwrap());
+        // A Left join null-extends a left row whose filter fails instead of
+        // dropping it, so the equality stays a filter.
+        let p = join(JoinKind::Left).filter(pred);
+        let opt = push_filters(p.clone()).unwrap();
+        assert!(matches!(opt.kind, PlanKind::Filter { .. }), "{}", opt.explain());
+        assert_eq!(execute(&opt, &c).unwrap(), execute(&p, &c).unwrap());
     }
 }
 

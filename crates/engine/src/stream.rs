@@ -1089,8 +1089,45 @@ struct JoinStream<'a> {
     build: Option<Box<dyn Probe>>,
 }
 
-/// Build-side hash table: join key -> ascending build-row indexes.
-type KeyTable<K> = FxHashMap<K, Vec<usize>>;
+/// Build-side hash table: each join key maps to the first and last build
+/// row of its chain, and `next[i]` is the build row after row `i` with the
+/// same key. Chains run in ascending row order, so probe output follows
+/// build order. Row indexes are `u32`: a build side of 2^32 rows or more
+/// is refused, never truncated.
+struct KeyTable<K> {
+    heads: Heads<K>,
+    next: Vec<u32>,
+}
+
+/// Each join key's `(first, last)` build row.
+type Heads<K> = FxHashMap<K, (u32, u32)>;
+
+/// Append the chain `first..=last` to `key`'s chain in `heads`. `next` is
+/// the slice of the table's `next` array that starts at row `lo`.
+fn link<K: HashKey>(heads: &mut Heads<K>, next: &mut [u32], lo: usize, key: K, span: (u32, u32)) {
+    match heads.entry(key) {
+        Entry::Occupied(mut e) => {
+            let tail = &mut e.get_mut().1;
+            next[*tail as usize - lo] = span.0;
+            *tail = span.1;
+        }
+        Entry::Vacant(e) => {
+            e.insert(span);
+        }
+    }
+}
+
+impl<K: HashKey> KeyTable<K> {
+    /// The build rows whose key is `key`, ascending.
+    fn chain(&self, key: &K) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads.get(key).copied();
+        std::iter::from_fn(move || {
+            let (i, last) = at?;
+            at = (i != last).then(|| (self.next[i as usize], last));
+            Some(i as usize)
+        })
+    }
+}
 
 /// The hashed build side: the drained build rows plus their key table.
 struct JoinBuild<K> {
@@ -1115,20 +1152,25 @@ trait Probe: Sync {
 impl<K: HashKey> JoinBuild<K> {
     /// Hash the drained build rows on `keys`. With `threads > 1` the key
     /// evaluation + insertion runs on pool workers over contiguous chunks
-    /// whose partial tables are merged in chunk order — per-key row indexes
-    /// stay ascending, so probe output order matches sequential execution.
+    /// whose partial chains are linked in chunk order — every key's chain
+    /// stays ascending, so probe output order matches sequential execution.
     fn hash(
         rows: Vec<Row>,
         keys: &[Expr],
         threads: usize,
         metrics: &OpMetrics,
     ) -> EngineResult<Box<dyn Probe>> {
-        let table: KeyTable<K> = if threads > 1 && rows.len() >= 2 {
-            parallel_hash_build(&rows, keys, threads, metrics)?
+        if u32::try_from(rows.len()).is_err() {
+            let msg = format!("join build side of {} rows: at most 2^32 - 1 fit", rows.len());
+            return Err(EngineError::Eval(msg));
+        }
+        let mut next = vec![0u32; rows.len()];
+        let heads = if threads > 1 && rows.len() >= 2 {
+            parallel_hash_build::<K>(&rows, keys, threads, &mut next, metrics)?
         } else {
-            hash_build_range(&rows, keys, 0, rows.len())?
+            hash_build_range::<K>(&rows, keys, 0, &mut next)?
         };
-        Ok(Box::new(JoinBuild { rows, table }))
+        Ok(Box::new(JoinBuild { rows, table: KeyTable { heads, next } }))
     }
 }
 
@@ -1143,41 +1185,27 @@ impl<K: HashKey> Probe for JoinBuild<K> {
         let mut out = Vec::new();
         for lrow in batch {
             // NULL keys never join.
-            let matches = match K::eval(left_keys, &lrow, true)? {
-                Some(key) => self.table.get(&key),
-                None => None,
-            };
+            let key = K::eval(left_keys, &lrow, true)?;
+            let mut matches = key.iter().flat_map(|k| self.table.chain(k)).peekable();
             match kind {
-                JoinKind::Inner => {
-                    if let Some(idxs) = matches {
-                        for &i in idxs {
-                            let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                            row.extend_from_slice(&lrow);
-                            row.extend_from_slice(&self.rows[i]);
-                            out.push(row);
-                        }
-                    }
-                }
-                JoinKind::Left => match matches {
-                    Some(idxs) if !idxs.is_empty() => {
-                        for &i in idxs {
-                            let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                            row.extend_from_slice(&lrow);
-                            row.extend_from_slice(&self.rows[i]);
-                            out.push(row);
-                        }
-                    }
-                    _ => {
-                        let mut row = Vec::with_capacity(lrow.len() + right_arity);
-                        row.extend_from_slice(&lrow);
-                        row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                        out.push(row);
-                    }
-                },
                 JoinKind::Semi => {
-                    if matches.is_some_and(|m| !m.is_empty()) {
+                    if matches.peek().is_some() {
                         // Left rows are owned: emit by move, no clone.
                         out.push(lrow);
+                    }
+                }
+                JoinKind::Left if matches.peek().is_none() => {
+                    let mut row = Vec::with_capacity(lrow.len() + right_arity);
+                    row.extend_from_slice(&lrow);
+                    row.extend(std::iter::repeat_n(Value::Null, right_arity));
+                    out.push(row);
+                }
+                JoinKind::Inner | JoinKind::Left => {
+                    for i in matches {
+                        let mut row = Vec::with_capacity(lrow.len() + right_arity);
+                        row.extend_from_slice(&lrow);
+                        row.extend_from_slice(&self.rows[i]);
+                        out.push(row);
                     }
                 }
             }
@@ -1206,44 +1234,47 @@ impl JoinStream<'_> {
     }
 }
 
+/// Chain rows `lo..lo + next.len()` by key: `next` is that range's slice
+/// of the table's `next` array. Returns each key's `(first, last)` row.
 fn hash_build_range<K: HashKey>(
     rows: &[Row],
     keys: &[Expr],
     lo: usize,
-    hi: usize,
-) -> EngineResult<KeyTable<K>> {
-    let mut table = KeyTable::<K>::default();
-    for (i, row) in rows[lo..hi].iter().enumerate() {
+    next: &mut [u32],
+) -> EngineResult<Heads<K>> {
+    let mut heads = Heads::<K>::default();
+    for (i, row) in rows[lo..lo + next.len()].iter().enumerate() {
         // NULL keys never join.
-        if let Some(key) = K::eval(keys, row, true)? {
-            table.entry(key).or_default().push(lo + i);
-        }
+        let Some(key) = K::eval(keys, row, true)? else { continue };
+        let at = (lo + i) as u32; // the caller checked the row count fits
+        link(&mut heads, next, lo, key, (at, at));
     }
-    Ok(table)
+    Ok(heads)
 }
 
+/// Chain contiguous chunks of `rows` on pool workers, then link each
+/// key's partial chains in chunk order, so every chain is ascending.
 fn parallel_hash_build<K: HashKey>(
     rows: &[Row],
     keys: &[Expr],
     threads: usize,
+    next: &mut [u32],
     metrics: &OpMetrics,
-) -> EngineResult<KeyTable<K>> {
+) -> EngineResult<Heads<K>> {
     let chunk = rows.len().div_ceil(threads).max(1);
-    let mut tasks = Vec::with_capacity(threads);
-    let mut lo = 0;
-    while lo < rows.len() {
-        let hi = (lo + chunk).min(rows.len());
-        tasks.push(move || hash_build_range::<K>(rows, keys, lo, hi));
-        lo = hi;
-    }
+    let tasks: Vec<_> = next
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(n, part)| move || hash_build_range::<K>(rows, keys, n * chunk, part))
+        .collect();
     let (results, workers) = WorkerPool::global().run_scoped(tasks);
     metrics.record_wave(workers as u64);
-    let mut merged = KeyTable::<K>::default();
+    let mut merged = Heads::<K>::default();
     for part in results {
         let part = part
             .map_err(|m| EngineError::Eval(format!("join build worker panicked: {m}")))??;
-        for (k, mut v) in part {
-            merged.entry(k).or_default().append(&mut v);
+        for (key, span) in part {
+            link(&mut merged, next, 0, key, span);
         }
     }
     Ok(merged)
